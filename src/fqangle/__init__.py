@@ -44,6 +44,7 @@ from .errors import (
     FieldMismatch,
     FieldTooLarge,
     FqAngleError,
+    InvalidInput,
     LengthMismatch,
     RankDeficient,
     SuiteTooLarge,

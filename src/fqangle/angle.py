@@ -14,6 +14,16 @@ c of the Hamming distance between u and c*v.  Two algorithms are provided:
 Both have batched row-wise variants operating on (T, n) integer arrays,
 which the verification suites and the decoder build on.
 
+One census kernel serves ``angle_fast_rows``, ``argmin_scalar`` and
+``build_census``.  It maps every position to a *ratio bin* in a narrow
+unsigned dtype: 0 when u_i = v_i = 0, the ratio u_i / v_i in [1, q) when
+both are nonzero, q when only u_i is nonzero and q + 1 when only v_i is
+(``Field.ratio_bin_tables``; one gather from a q*q pair table for
+q <= 256, shifted log tables above).  A single bincount per row then
+gives both_zero, only_u, only_v and every ratio count; when T * (q + 1)
+cells would exceed ``_BINCOUNT_CELL_CAP``, a row-wise sort of the bins
+counts the same runs instead.  Coordinates stay int64 outside the kernel.
+
 The angle is invariant under nonzero rescaling of either argument and so
 descends to the projective space; ``ProjectivePoint`` holds the canonical
 representative (first nonzero coordinate scaled to 1).
@@ -60,26 +70,47 @@ def _check_nonzero_pair(u: Vector, v: Vector):
         raise ZeroVector("the angle is defined only for nonzero vectors")
 
 
-def build_census(u: Vector, v: Vector) -> RatioCensus:
-    """Single pass over positions collecting the zero-pattern partition."""
-    _check_nonzero_pair(u, v)
-    a, b = u.coords, v.coords
-    az = a == 0
-    bz = b == 0
-    both = ~az & ~bz
-    ratios = u.field.div_array(a[both], b[both])
-    values, counts = np.unique(ratios, return_counts=True)
-    return RatioCensus(
-        both_zero=int(np.count_nonzero(az & bz)),
-        only_u=int(np.count_nonzero(~az & bz)),
-        only_v=int(np.count_nonzero(az & ~bz)),
-        ratio_counts={int(c): int(k) for c, k in zip(values, counts)},
-    )
-
-
 # ----------------------------------------------------------------------
 # Batched kernels on (T, n) arrays of encoded elements (rows nonzero)
 # ----------------------------------------------------------------------
+
+def _ratio_bins(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Ratio bin of every position (see the module docstring), (T, n)."""
+    A, B, E = field.ratio_bin_tables
+    if field.q <= 256:  # A[u] + B[v] = u*q + v, which fits uint16
+        idx = U.astype(np.uint16)
+        idx *= field.q
+        idx += V.astype(np.uint16)
+    else:
+        idx = A.take(U)
+        idx += B.take(V)
+    return E.take(idx)
+
+
+def _bin_counts(bins: np.ndarray, q: int) -> np.ndarray:
+    """(T, q + 2) count of every ratio bin in each row, by one bincount."""
+    T = bins.shape[0]
+    width = q + 2
+    flat = bins + np.arange(0, T * width, width)[:, None]
+    return np.bincount(flat.ravel(), minlength=T * width).reshape(T, width)
+
+
+def _sorted_census(bins: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(both_zero, max ratio count) per row, from runs of row-sorted bins."""
+    T, n = bins.shape
+    flat = np.sort(bins, axis=1).ravel()
+    is_start = np.empty(flat.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
+    is_start[::n] = True  # a run never crosses rows
+    starts = np.flatnonzero(is_start)
+    lengths = np.diff(starts, append=flat.size)
+    values = flat[starts]
+    row_first = np.flatnonzero(starts % n == 0)
+    both_zero = np.where(values[row_first] == 0, lengths[row_first], 0)  # bin 0 sorts first
+    lengths[(values == 0) | (values >= q)] = 0
+    return both_zero, np.maximum.reduceat(lengths, row_first)
+
 
 def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise single-pass angle for paired rows of U and V."""
@@ -87,28 +118,12 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     V = np.atleast_2d(V)
     T, n = U.shape
     q = field.q
-    uz = U == 0
-    vz = V == 0
-    n0 = np.count_nonzero(uz & vz, axis=1)
-    both = ~uz & ~vz
-    R = field.div_array(U, V)  # garbage outside `both`, masked below
-    width = q + 1  # column q is the sentinel for masked-out positions
-    if T * width <= _BINCOUNT_CELL_CAP:
-        flat = np.where(both, R, q) + (np.arange(T, dtype=np.int64) * width)[:, None]
-        counts = np.bincount(flat.ravel(), minlength=T * width).reshape(T, width)
-        amax = counts[:, 1:q].max(axis=1)
-    else:
-        row_idx, col_idx = np.nonzero(both)
-        amax = np.zeros(T, dtype=np.int64)
-        if row_idx.size:
-            keys = np.sort(row_idx * width + R[row_idx, col_idx])
-            boundary = np.empty(keys.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            run_lengths = np.diff(np.append(starts, keys.size))
-            np.maximum.at(amax, keys[starts] // width, run_lengths)
-    return n - n0 - amax
+    bins = _ratio_bins(field, U, V)
+    if T * (q + 1) <= _BINCOUNT_CELL_CAP:
+        counts = _bin_counts(bins, q)
+        return n - counts[:, 0] - counts[:, 1:q].max(axis=1)
+    both_zero, best = _sorted_census(bins, q)
+    return n - both_zero - best
 
 
 def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -160,6 +175,26 @@ def angle_fast(u: Vector, v: Vector) -> int:
     return int(angle_fast_rows(u.field, u.coords, v.coords)[0])
 
 
+def _pair_counts(u: Vector, v: Vector) -> np.ndarray:
+    """(q + 2,) ratio-bin counts of a nonzero pair."""
+    _check_nonzero_pair(u, v)
+    bins = _ratio_bins(u.field, u.coords[None, :], v.coords[None, :])
+    return _bin_counts(bins, u.field.q)[0]
+
+
+def build_census(u: Vector, v: Vector) -> RatioCensus:
+    """Single pass over positions collecting the zero-pattern partition."""
+    counts = _pair_counts(u, v)
+    q = u.field.q
+    ratios = np.flatnonzero(counts[1:q]) + 1
+    return RatioCensus(
+        both_zero=int(counts[0]),
+        only_u=int(counts[q]),
+        only_v=int(counts[q + 1]),
+        ratio_counts=dict(zip(ratios.tolist(), counts[ratios].tolist())),
+    )
+
+
 def argmin_scalar(u: Vector, v: Vector) -> tuple[int, int]:
     """A nonzero scalar attaining the angle, with the angle itself.
 
@@ -167,13 +202,11 @@ def argmin_scalar(u: Vector, v: Vector) -> tuple[int, int]:
     has both coordinates nonzero, every scalar attains the minimum and
     c = 1 is returned by convention.
     """
-    census = build_census(u, v)
-    n = len(u)
-    if not census.ratio_counts:
-        return 1, n - census.both_zero
-    best_count = max(census.ratio_counts.values())
-    c_star = min(c for c, k in census.ratio_counts.items() if k == best_count)
-    return c_star, n - census.both_zero - best_count
+    counts = _pair_counts(u, v)
+    # argmax takes the first maximum: the smallest encoding, and c = 1
+    # when every ratio count is zero
+    c_star = 1 + int(np.argmax(counts[1 : u.field.q]))
+    return c_star, len(u) - int(counts[0]) - int(counts[c_star])
 
 
 def is_max_angle(u: Vector, v: Vector) -> bool:

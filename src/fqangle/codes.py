@@ -60,7 +60,7 @@ class LinearCode:
 
     def __init__(self, field: Field, generator: np.ndarray):
         G = np.array(generator, dtype=np.int64)
-        if G.ndim != 2 or G.shape[0] == 0:
+        if G.ndim != 2 or G.size == 0:
             raise ValueError("generator must be a nonempty 2-D matrix")
         if G.min() < 0 or G.max() >= field.q:
             raise ValueError(f"generator entries must lie in [0, {field.q})")

@@ -13,6 +13,11 @@ class FieldTooLarge(FqAngleError, ValueError):
     """Requested field order exceeds the supported cap (2**16)."""
 
 
+class InvalidInput(FqAngleError, ValueError):
+    """A value that does not encode what the call requires: a non-integer
+    or out-of-range coordinate, an empty vector, a length below 1."""
+
+
 class DivisionByZero(FqAngleError, ZeroDivisionError):
     """Multiplicative inverse or division by the zero element."""
 

@@ -35,7 +35,7 @@ from .codes import (
     angular_decode,
     DecodeKind,
 )
-from .errors import SuiteTooLarge
+from .errors import InvalidInput, SuiteTooLarge
 from .gf import Field
 from .vectors import Vector, format_vector
 
@@ -113,8 +113,14 @@ def _fmt_row(row: np.ndarray) -> str:
 # Input construction
 # ----------------------------------------------------------------------
 
+def _require_length(n: int):
+    if n < 1:
+        raise InvalidInput(f"vector length must be >= 1, got n = {n}")
+
+
 def all_nonzero_vectors(field: Field, n: int) -> np.ndarray:
     """All q^n - 1 nonzero vectors as rows, ascending encoded order."""
+    _require_length(n)
     q = field.q
     idx = np.arange(1, q**n, dtype=np.int64)
     return np.stack([(idx // q ** (n - 1 - j)) % q for j in range(n)], axis=1)
@@ -122,6 +128,7 @@ def all_nonzero_vectors(field: Field, n: int) -> np.ndarray:
 
 def random_nonzero_rows(rng: np.random.Generator, field: Field, trials: int, n: int) -> np.ndarray:
     """(trials, n) random rows, with all-zero rows patched deterministically."""
+    _require_length(n)
     U = rng.integers(0, field.q, size=(trials, n), dtype=np.int64)
     zero_rows = np.flatnonzero(~U.any(axis=1))
     if zero_rows.size:

@@ -127,6 +127,8 @@ class Field:
             g of GF(q)^*, i in [0, q-1).
         log_table: inverse of exp_table; log_table[0] = -1 sentinel.
         inv_table: multiplicative inverses; inv_table[0] = 0 sentinel.
+        ratio_bin_tables: lookup tables of the angle kernel, built on
+            first use (see the property).
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -343,6 +345,44 @@ class Field:
         b = np.asarray(b)
         idx = (self.log_table[a] - self.log_table[b]) % (self.q - 1)
         return np.where(a == 0, 0, self.exp_table[idx])
+
+    @functools.cached_property
+    def ratio_bin_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tables (A, B, E) with E[A[a] + B[b]] the *ratio bin* of (a, b).
+
+        The ratio bin is 0 when a = b = 0, a / b in [1, q) when both are
+        nonzero, q when only a is nonzero and q + 1 when only b is.  E
+        holds bins in the narrowest unsigned dtype that fits q + 1.  For
+        q <= 256, A[a] + B[b] = a*q + b, which fits uint16, and E is the
+        q*q pair table; above that A and B are int32 shifted log tables
+        and E is indexed by log a - log b plus sentinel offsets.
+
+        Built on first use, not in __init__, so fields that never reach
+        the angle kernel stay cheap to construct.
+        """
+        q = self.q
+        L = q - 1  # order of GF(q)^*
+        # A[a] = log a, B[b] = L - log b, so a, b != 0 give an index in
+        # [1, 2L - 1] whose value mod L is log(a / b).  Zero coordinates
+        # move the index into disjoint sentinel ranges.
+        A = self.log_table.copy()
+        A[0] = 2 * L  # a = 0, b != 0: index in [2L + 1, 3L]
+        B = L - self.log_table
+        B[0] = 3 * L + 1  # a != 0, b = 0: index in [3L + 1, 4L]; both zero: 5L + 1
+        E = np.zeros(5 * L + 2, dtype=np.min_scalar_type(q + 1))
+        E[1 : 2 * L] = self.exp_table[np.arange(1, 2 * L) % L]
+        E[2 * L + 1 : 3 * L + 1] = q + 1
+        E[3 * L + 1 : 4 * L + 1] = q
+        if q <= 256:
+            E = E[A[:, None] + B[None, :]].ravel()
+            A = np.arange(0, q * q, q, dtype=np.uint16)
+            B = np.arange(q, dtype=np.uint16)
+        else:
+            A = A.astype(np.int32)
+            B = B.astype(np.int32)
+        for t in (A, B, E):
+            t.setflags(write=False)
+        return A, B, E
 
     # ------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldMismatch, LengthMismatch
+from .errors import FieldMismatch, InvalidInput, LengthMismatch
 from .gf import Field
 
 
@@ -24,11 +24,16 @@ class Vector:
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coords, dtype=np.int64)  # defensive copy
+        arr = np.array(self.coords)  # defensive copy
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a vector needs at least one coordinate")
+            raise InvalidInput("a vector needs at least one coordinate")
+        # floats, strings, bools and ints beyond 64 bits are refused, never coerced
+        if arr.dtype.kind not in "iu":
+            raise InvalidInput(f"coordinates must be integers in [0, {self.field.q}), got {arr.dtype}")
+        if arr.dtype != np.int64:
+            arr = arr.astype(np.int64)  # uint64 beyond int64 wraps negative, refused below
         if arr.min() < 0 or arr.max() >= self.field.q:
-            raise ValueError(f"coordinates must lie in [0, {self.field.q})")
+            raise InvalidInput(f"coordinates must lie in [0, {self.field.q})")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 

@@ -142,8 +142,8 @@ def test_sorting_fallback_matches_bincount(monkeypatch):
 
 
 def test_sorting_path_triggers_naturally_at_large_q():
-    # T * (q + 1) > the bincount cap forces the sort-based census; results
-    # must agree with the per-pair census formula
+    # T * (q + 1) > the bincount cap forces the sort-based census; sampled
+    # rows must agree with the brute-force oracle
     from fqangle.experiments import random_nonzero_rows
 
     field = make_field(2, 16)
@@ -153,10 +153,72 @@ def test_sorting_path_triggers_naturally_at_large_q():
     U = random_nonzero_rows(rng, field, T, n)
     V = random_nonzero_rows(rng, field, T, n)
     fast = angle_fast_rows(field, U, V)
-    for i in range(0, T, 97):
-        census = build_census(Vector(field, U[i]), Vector(field, V[i]))
-        best = max(census.ratio_counts.values(), default=0)
-        assert fast[i] == n - census.both_zero - best
+    sample = np.arange(0, T, 97)
+    assert np.array_equal(fast[sample], angle_naive_rows(field, U[sample], V[sample]))
+
+
+# ----------------------------------------------------------------------
+# Narrow-dtype edges of the ratio-bin census: GF(2^8), where the pair
+# index u*q + v reaches 65535, and GF(2^16), whose sentinel bins q and
+# q + 1 do not fit uint16
+# ----------------------------------------------------------------------
+
+def _edge_rows(field, rng):
+    """Seeded pairs, disjoint supports and u = c*v, with the extreme
+    encodings q - 1 and q - 2 on both sides."""
+    from fqangle.experiments import random_nonzero_rows
+
+    q, n = field.q, 40
+    U = random_nonzero_rows(rng, field, 6, n)
+    V = random_nonzero_rows(rng, field, 6, n)
+    U[0, :4] = V[0, :4] = q - 1  # largest pair index (q*q - 1 for q = 256)
+    U[1, :4], V[1, :4] = q - 2, q - 1
+    disjoint_u = np.where(np.arange(n) % 2 == 0, rng.integers(1, q, n), 0)
+    disjoint_v = np.where(np.arange(n) % 2 == 1, rng.integers(1, q, n), 0)
+    disjoint_v[-3:] = 0  # some positions where both vanish
+    U = np.vstack([U, disjoint_u])
+    V = np.vstack([V, disjoint_v])
+    for c in (1, 2, q - 1):
+        v = V[2].copy()
+        v[:5] = 0
+        U = np.vstack([U, field.scalar_mul_array(c, v)])
+        V = np.vstack([V, v])
+    return U, V
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 16)])
+def test_census_paths_match_oracle_at_narrow_dtype_edges(p, m, monkeypatch):
+    field = make_field(p, m)
+    U, V = _edge_rows(field, np.random.default_rng(29))
+    naive = angle_naive_rows(field, U, V)
+    assert U.shape[0] * (field.q + 1) <= fqangle.angle._BINCOUNT_CELL_CAP
+    assert np.array_equal(angle_fast_rows(field, U, V), naive)  # bincount path
+    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", 0)
+    assert np.array_equal(angle_fast_rows(field, U, V), naive)  # sort path
+    for u_row, v_row, expected in zip(U, V, naive):
+        u, v = Vector(field, u_row), Vector(field, v_row)
+        census = build_census(u, v)
+        assert census.total() == len(u)
+        assert census.only_u == np.count_nonzero((u_row != 0) & (v_row == 0))
+        assert census.only_v == np.count_nonzero((u_row == 0) & (v_row != 0))
+        c, angle = argmin_scalar(u, v)
+        assert angle == expected
+        assert 1 <= c < field.q
+        assert hamming_distance(u, scalar_mul(c, v)) == angle
+
+
+@pytest.mark.parametrize("p,m", [(2, 8), (2, 16)])
+def test_argmin_scalar_conventions_at_narrow_dtype_edges(p, m):
+    field = make_field(p, m)
+    q = field.q
+    ones = Vector(field, [1, 1, 1, 1, 1])
+    # q - 1 and q - 2 each attain the minimum: the smaller encoding wins
+    assert argmin_scalar(Vector(field, [q - 1, q - 1, q - 2, q - 2, 0]), ones) == (q - 2, 3)
+    assert argmin_scalar(Vector(field, [q - 1, q - 1, q - 1, 0, 0]), ones) == (q - 1, 2)
+    # no position with both coordinates nonzero: c = 1 by convention
+    assert argmin_scalar(Vector(field, [q - 1, 0, 0]), Vector(field, [0, q - 1, 0])) == (1, 2)
+    v = Vector(field, [q - 1, 0, 3, 1])
+    assert argmin_scalar(scalar_mul(q - 1, v), v) == (q - 1, 0)
 
 
 def test_q2_angle_is_hamming_distance():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fqangle.cli import main
 
 
@@ -225,3 +227,28 @@ def test_plain_format(capsys):
                        "--format", "plain")
     assert code == 0
     assert "angle: 2" in out
+
+
+# ----------------------------------------------------------------------
+# bad input: one error line, exit 1, never a traceback
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("angle", "--q", "3", "--u", "99999999999999999999", "--v", "1"),
+        ("bench", "--q", "3", "--n", "0"),
+        ("verify", "--suite", "oracle", "--q", "3", "--n", "0"),
+        ("verify", "--suite", "metric", "--q", "2", "--n", "0"),
+        ("verify", "--suite", "projective", "--q", "2", "--n", "0"),
+        ("mindist", "--q", "3", "--code", "rep", "--n", "0"),
+    ],
+)
+def test_bad_input_exits_1_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "need at least one array" not in err  # no numpy message leaks through

@@ -266,3 +266,28 @@ def test_array_ops_match_scalar_ops(p, m):
     for c in f.nonzero_elements():
         expected = np.array([f.mul(c, int(x)) for x in np.arange(q)])
         assert np.array_equal(f.scalar_mul_array(c, np.arange(q)), expected)
+
+
+# ----------------------------------------------------------------------
+# Ratio-bin tables (the angle kernel's lookup tables)
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (3, 2), (2, 8), (257, 1), (3, 6)])
+def test_ratio_bin_tables_match_definition(p, m):
+    from fqangle.gf import Field
+
+    f = Field(p, m)
+    assert "ratio_bin_tables" not in vars(f)  # built on first use, not in __init__
+    A, B, E = f.ratio_bin_tables
+    q = f.q
+    a = np.repeat(np.arange(q), q)
+    b = np.tile(np.arange(q), q)
+    expected = np.select(
+        [(a == 0) & (b == 0), b == 0, a == 0],
+        [0, q, q + 1],
+        f.mul_array(a, f.inv_table[b]),
+    )
+    assert np.array_equal(E[A[a].astype(np.int64) + B[b]], expected)
+    assert np.iinfo(E.dtype).max >= q + 1
+    if q <= 256:
+        assert np.array_equal(A[a].astype(np.int64) + B[b], a * q + b)

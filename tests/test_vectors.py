@@ -7,6 +7,7 @@ import pytest
 
 from fqangle import (
     FieldMismatch,
+    InvalidInput,
     LengthMismatch,
     Vector,
     agreement,
@@ -95,6 +96,19 @@ def test_vector_validation():
         Vector(F3, [0, 3])
     with pytest.raises(ValueError):
         Vector(F3, [-1, 0])
+
+
+@pytest.mark.parametrize("coords", [[1.7, 2.2], ["2", 1], [2**70, 1], np.array([1.0, 2.0])])
+def test_vector_rejects_non_integer_input(coords):
+    with pytest.raises(InvalidInput):
+        Vector(F3, coords)
+
+
+def test_vector_accepts_narrow_integer_dtypes():
+    assert Vector(F3, np.array([1, 2, 0], dtype=np.uint8)) == vec([1, 2, 0])
+    assert Vector(F3, np.array([1, 2, 0], dtype=np.int16)).coords.dtype == np.int64
+    with pytest.raises(InvalidInput):
+        Vector(F3, np.array([2**64 - 1, 1], dtype=np.uint64))
 
 
 def test_vectors_are_immutable():
