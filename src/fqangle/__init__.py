@@ -27,9 +27,8 @@ from .codes import (
     LinearCode,
     angle_to_code,
     angular_decode,
+    decode_rows,
     dist_to_code,
-    enumerate_codewords,
-    enumerate_projective_codewords,
     make_code,
     make_repetition_code,
     make_rs_code,
@@ -49,6 +48,7 @@ from .errors import (
     RankDeficient,
     SuiteTooLarge,
     TooManyPoints,
+    UniqueDecodingViolated,
     ZeroVector,
 )
 from .experiments import (

@@ -4,9 +4,9 @@ Subcommands: angle, decode, verify, bench, mindist.  In json mode (the
 default) a single document is written to stdout and diagnostics go to
 stderr; json keys are stable API, plain mode is for humans.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure or
-enumeration/suite guard violation, 3 decode landed beyond the unique
-decoding radius.
+Exit codes: 0 success, 1 usage or input error, 2 verification failure,
+enumeration/suite guard violation or a violated unique-decoding
+assertion, 3 decode landed beyond the unique decoding radius.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .codes import (
     min_distance,
     projective_list_decode,
 )
-from .errors import EnumerationTooLarge, FqAngleError, SuiteTooLarge
+from .errors import EnumerationTooLarge, FqAngleError, SuiteTooLarge, UniqueDecodingViolated
 from .experiments import (
     angle_vs_dist_census,
     bench_angle,
@@ -87,11 +87,7 @@ def build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="run a verification suite")
     _add_field_args(pv)
     _add_code_args(pv)
-    pv.add_argument(
-        "--suite",
-        required=True,
-        help="one of: metric, projective, oracle, decoding, census",
-    )
+    pv.add_argument("--suite", required=True, choices=list(_SUITES))
     pv.add_argument("--trials", type=int, default=10000)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--format", choices=["json", "plain"], default="json")
@@ -185,27 +181,24 @@ def cmd_decode(args) -> tuple[dict, int]:
     return doc, EXIT_OK if outcome.unique else EXIT_BEYOND_RADIUS
 
 
+def _length(args) -> int:
+    if args.n is None:
+        raise UsageError(f"--suite {args.suite} requires --n")
+    return args.n
+
+
+# suite name -> runner(field, args); names are looked up when a suite runs
+_SUITES = {
+    "metric": lambda field, args: verify_metric_axioms(field, _length(args)),
+    "projective": lambda field, args: verify_projective_descent(field, _length(args)),
+    "oracle": lambda field, args: verify_oracle_equivalence(field, _length(args), args.trials, args.seed),
+    "decoding": lambda field, args: verify_angular_decoding(_code_from_args(field, args), args.seed),
+    "census": lambda field, args: angle_vs_dist_census(_code_from_args(field, args), args.trials, args.seed),
+}
+
+
 def cmd_verify(args) -> tuple[dict, int]:
-    field = _field_from_args(args)
-    suite = args.suite
-    if suite == "metric":
-        if args.n is None:
-            raise UsageError("--suite metric requires --n")
-        report = verify_metric_axioms(field, args.n)
-    elif suite == "projective":
-        if args.n is None:
-            raise UsageError("--suite projective requires --n")
-        report = verify_projective_descent(field, args.n)
-    elif suite == "oracle":
-        if args.n is None:
-            raise UsageError("--suite oracle requires --n")
-        report = verify_oracle_equivalence(field, args.n, args.trials, args.seed)
-    elif suite == "decoding":
-        report = verify_angular_decoding(_code_from_args(field, args), args.seed)
-    elif suite == "census":
-        report = angle_vs_dist_census(_code_from_args(field, args), args.trials, args.seed)
-    else:
-        raise UsageError(f"unknown suite {suite!r}")
+    report = _SUITES[args.suite](_field_from_args(args), args)
     return report.to_dict(), EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -267,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EnumerationTooLarge, SuiteTooLarge) as exc:
+    except (EnumerationTooLarge, SuiteTooLarge, UniqueDecodingViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (FqAngleError, ValueError, OSError) as exc:

@@ -1,17 +1,17 @@
 """Linear codes over GF(q): construction, enumeration, minimum distance,
 distance/angle to a code, and the angular unique decoder.
 
-A code is given by a full-rank k x n generator matrix.  All decoding here
-is exhaustive: the decoder scans every projective codeword (one canonical
-message per direction), which is exactly the desk-scale regime the
-enumeration guard (q^k <= 2^20) permits.
+A code is given by a full-rank k x n generator matrix.  Every nonzero
+codeword is a multiple of a direction, so every code query scans the
+direction matrix (``projective_codeword_matrix``): the desk-scale regime
+the enumeration guard (q^k <= 2^20) permits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,12 +23,17 @@ from .errors import (
     LengthMismatch,
     RankDeficient,
     TooManyPoints,
+    UniqueDecodingViolated,
     ZeroVector,
 )
 from .gf import Field
-from .vectors import Vector
+from .vectors import Vector, coordinate_array, hamming_weight
 
 ENUMERATION_CAP = 1 << 20
+
+# Kernel rows (words x directions) decode_rows passes to the angle kernel
+# at once, which bounds its memory whatever the number of words.
+_DECODE_CHUNK_ROWS = 1 << 18
 
 
 def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
@@ -138,17 +143,18 @@ def _require_enumerable(code: LinearCode):
         )
 
 
-def _message_matrix(code: LinearCode) -> np.ndarray:
-    """All q^k messages, row index read as base-q digits (first column most
-    significant) — the same order itertools.product(range(q), repeat=k) gives."""
-    q, k = code.field.q, code.k
-    idx = np.arange(q**k, dtype=np.int64)
-    return np.stack([(idx // q ** (k - 1 - j)) % q for j in range(k)], axis=1)
+def digit_rows(idx: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Row i holds the `width` base-`base` digits of idx[i], most significant
+    first: the order itertools.product(range(base), repeat=width) gives."""
+    return idx[:, None] // base ** np.arange(width - 1, -1, -1) % base
 
 
-def _encode_messages(code: LinearCode, messages: np.ndarray) -> np.ndarray:
+def _encode_messages(code: LinearCode, idx: np.ndarray) -> np.ndarray:
+    """Codewords of the messages whose base-q digits (first most significant)
+    spell the indices idx."""
     field = code.field
     G = code.generator
+    messages = digit_rows(idx, field.q, code.k)
     if field.m == 1:
         return messages @ G % field.p
     acc = np.zeros((messages.shape[0], code.n), dtype=np.int64)
@@ -161,7 +167,7 @@ def codeword_matrix(code: LinearCode) -> np.ndarray:
     """All q^k codewords as rows, message-enumeration order (row 0 = 0)."""
     _require_enumerable(code)
     if code._codewords is None:
-        M = _encode_messages(code, _message_matrix(code))
+        M = _encode_messages(code, np.arange(code.field.q**code.k))
         M.setflags(write=False)
         code._codewords = M
     return code._codewords
@@ -169,35 +175,23 @@ def codeword_matrix(code: LinearCode) -> np.ndarray:
 
 def projective_codeword_matrix(code: LinearCode) -> np.ndarray:
     """One codeword per projective direction: rows are the encodings of the
-    (q^k - 1)/(q - 1) messages whose first nonzero entry is 1."""
+    (q^k - 1)/(q - 1) messages whose first nonzero entry is 1, ascending."""
     _require_enumerable(code)
     if code._projective is None:
-        messages = _message_matrix(code)
-        first_nz = (messages != 0).argmax(axis=1)
-        lead = messages[np.arange(messages.shape[0]), first_nz]
-        M = _encode_messages(code, messages[lead == 1])
+        q = code.field.q
+        # the first nonzero digit is 1 exactly for the indices in [q^e, 2 q^e)
+        idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(code.k)])
+        M = _encode_messages(code, idx)
         M.setflags(write=False)
         code._projective = M
     return code._projective
 
 
-def enumerate_codewords(code: LinearCode) -> Iterator[Vector]:
-    """Yield all q^k codewords exactly once."""
-    for row in codeword_matrix(code):
-        yield Vector(code.field, row)
-
-
-def enumerate_projective_codewords(code: LinearCode) -> Iterator[ProjectivePoint]:
-    """Yield each of the (q^k - 1)/(q - 1) codeword directions exactly once."""
-    for row in projective_codeword_matrix(code):
-        yield projectivize(Vector(code.field, row))
-
-
 def min_distance(code: LinearCode) -> int:
-    """Minimum weight over nonzero codewords (brute force, cached)."""
+    """Minimum weight over nonzero codewords, i.e. over directions (cached)."""
     if code._min_distance is None:
-        weights = np.count_nonzero(codeword_matrix(code), axis=1)
-        code._min_distance = int(weights[1:].min())
+        weights = np.count_nonzero(projective_codeword_matrix(code), axis=1)
+        code._min_distance = int(weights.min())
     return code._min_distance
 
 
@@ -212,20 +206,33 @@ def _check_member_shape(u: Vector, code: LinearCode):
         raise LengthMismatch(f"vector length {len(u)} != code length {code.n}")
 
 
+def _direction_angles(code: LinearCode, U: np.ndarray) -> np.ndarray:
+    """(T, D) angles from each row of U to each row of the direction matrix."""
+    P = projective_codeword_matrix(code)
+    T = U.shape[0]
+    # one word stays a plain broadcast view: small decodes are bound by per-call overhead
+    words = np.broadcast_to(U, P.shape) if T == 1 else np.repeat(U, P.shape[0], axis=0)
+    directions = P if T == 1 else np.tile(P, (T, 1))
+    return angle_fast_rows(code.field, words, directions).reshape(T, -1)
+
+
+def _word_angles(u: Vector, code: LinearCode) -> np.ndarray:
+    """(D,) angles from the nonzero word u to each codeword direction."""
+    _check_member_shape(u, code)
+    if u.is_zero():
+        raise ZeroVector("the angle to a code is defined only for nonzero vectors")
+    return _direction_angles(code, u.coords[None, :])[0]
+
+
 def dist_to_code(u: Vector, code: LinearCode) -> int:
     """Classical distance: min over ALL codewords (including 0) of d_H(u, c)."""
     _check_member_shape(u, code)
-    dists = np.count_nonzero(codeword_matrix(code) != u.coords[None, :], axis=1)
-    return int(dists.min())
+    return 0 if u.is_zero() else min(hamming_weight(u), angle_to_code(u, code))
 
 
 def angle_to_code(u: Vector, code: LinearCode) -> int:
     """min over NONZERO codewords of d_H(u, c); at least dist_to_code(u, code)."""
-    _check_member_shape(u, code)
-    if u.is_zero():
-        raise ZeroVector("the angle to a code is defined only for nonzero vectors")
-    dists = np.count_nonzero(codeword_matrix(code)[1:] != u.coords[None, :], axis=1)
-    return int(dists.min())
+    return int(_word_angles(u, code).min())
 
 
 # ----------------------------------------------------------------------
@@ -260,12 +267,6 @@ class DecodeOutcome:
         return self.kind is DecodeKind.UNIQUE_DIRECTION
 
 
-def _angles_to_directions(u: Vector, code: LinearCode) -> np.ndarray:
-    P = projective_codeword_matrix(code)
-    U = np.broadcast_to(u.coords, P.shape)
-    return angle_fast_rows(code.field, U, P)
-
-
 def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
     """Find the closest codeword direction(s) to u by full projective scan.
 
@@ -273,37 +274,60 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
     decoding radius) the direction is provably unique; the scan still
     covers every direction and the uniqueness is asserted, not assumed.
     """
-    _check_member_shape(u, code)
-    if u.is_zero():
-        raise ZeroVector("cannot decode the zero vector")
+    angles = _word_angles(u, code)
     d = min_distance(code)
-    angles = _angles_to_directions(u, code)
     a = int(angles.min())
     tied = np.flatnonzero(angles == a)
+    if 2 * a < d and tied.size > 1:
+        raise UniqueDecodingViolated(
+            f"unique decoding violated: {tied.size} directions at angle {a} < d/2 = {d}/2"
+        )
     P = projective_codeword_matrix(code)
-    best = tuple(
-        (projectivize(Vector(code.field, P[i])), a) for i in tied
-    )
-    if 2 * a < d:
-        if len(best) != 1:
-            raise AssertionError(
-                f"unique decoding violated: {len(best)} directions at angle {a} < d/2 = {d}/2"
-            )
-        return DecodeOutcome(DecodeKind.UNIQUE_DIRECTION, best, d)
-    return DecodeOutcome(DecodeKind.BEYOND_RADIUS, best, d)
+    best = tuple((projectivize(Vector(code.field, P[i])), a) for i in tied)
+    kind = DecodeKind.UNIQUE_DIRECTION if 2 * a < d else DecodeKind.BEYOND_RADIUS
+    return DecodeOutcome(kind, best, d)
 
 
 def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[ProjectivePoint, int]]:
     """All codeword directions with angle < rho, sorted by angle then
     enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance."""
-    _check_member_shape(u, code)
-    if u.is_zero():
-        raise ZeroVector("cannot decode the zero vector")
-    angles = _angles_to_directions(u, code)
-    order = np.argsort(angles, kind="stable")
+    angles = _word_angles(u, code)
+    hits = np.flatnonzero(angles < rho)
+    hits = hits[np.argsort(angles[hits], kind="stable")]
     P = projective_codeword_matrix(code)
-    return [
-        (projectivize(Vector(code.field, P[i])), int(angles[i]))
-        for i in order
-        if angles[i] < rho
-    ]
+    return [(projectivize(Vector(code.field, P[i])), int(angles[i])) for i in hits]
+
+
+def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angular decoding of every row of U, a (T, n) array of nonzero words.
+
+    Returns int64 arrays (best, angle, runner_up): the index of the first
+    direction (row of projective_codeword_matrix) at the least angle, that
+    angle, and the second-least angle counting ties (n + 1 for a single
+    direction).  Word t decodes uniquely iff 2 * angle[t] < min_distance,
+    and its list at rho holds at most one direction iff runner_up[t] >= rho.
+    """
+    U = coordinate_array(code.field, U, ndim=2)
+    if U.shape[1] != code.n:
+        raise LengthMismatch(f"word length {U.shape[1]} != code length {code.n}")
+    if not U.any(axis=1).all():
+        raise ZeroVector("cannot decode the zero vector")
+    d = min_distance(code)
+    D = projective_codeword_matrix(code).shape[0]
+    best, angle = np.empty((2, len(U)), dtype=np.int64)
+    runner_up = np.full(len(U), code.n + 1, dtype=np.int64)
+    step = max(1, _DECODE_CHUNK_ROWS // D)
+    for start in range(0, len(U), step):
+        rows = slice(start, start + step)
+        A = _direction_angles(code, U[rows])
+        best[rows] = A.argmin(axis=1)
+        angle[rows] = A.min(axis=1)
+        if D > 1:
+            runner_up[rows] = np.partition(A, 1, axis=1)[:, 1]
+    violated = np.flatnonzero((2 * angle < d) & (runner_up == angle))
+    if violated.size:
+        t = violated[0]
+        raise UniqueDecodingViolated(
+            f"unique decoding violated: row {t} has two directions at angle {angle[t]} < d/2 = {d}/2"
+        )
+    return best, angle, runner_up

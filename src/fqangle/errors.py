@@ -52,3 +52,8 @@ class EnumerationTooLarge(FqAngleError):
 
 class SuiteTooLarge(FqAngleError):
     """Exhaustive verification suite would exceed its size guard."""
+
+
+class UniqueDecodingViolated(FqAngleError, AssertionError):
+    """Two codeword directions lie strictly inside the unique-decoding
+    radius of one word, which the decoding theorem rules out."""

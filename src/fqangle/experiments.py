@@ -11,6 +11,7 @@ Failures carry full input encodings for one-command reproduction.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -22,22 +23,21 @@ from .angle import (
     angle_naive,
     angle_naive_rows,
     normalize_rows,
-    projectivize,
 )
 from .codes import (
+    ENUMERATION_CAP,
     LinearCode,
     angle_to_code,
     codeword_matrix,
+    decode_rows,
+    digit_rows,
     dist_to_code,
     min_distance,
     projective_codeword_matrix,
-    projective_list_decode,
-    angular_decode,
-    DecodeKind,
 )
 from .errors import InvalidInput, SuiteTooLarge
 from .gf import Field
-from .vectors import Vector, format_vector
+from .vectors import Vector
 
 # Triple loops over all nonzero vectors stay tractable up to this many.
 MAX_EXHAUSTIVE_VECTORS = 1 << 10
@@ -121,19 +121,38 @@ def _require_length(n: int):
 def all_nonzero_vectors(field: Field, n: int) -> np.ndarray:
     """All q^n - 1 nonzero vectors as rows, ascending encoded order."""
     _require_length(n)
-    q = field.q
-    idx = np.arange(1, q**n, dtype=np.int64)
-    return np.stack([(idx // q ** (n - 1 - j)) % q for j in range(n)], axis=1)
+    return digit_rows(np.arange(1, field.q**n), field.q, n)
 
 
 def random_nonzero_rows(rng: np.random.Generator, field: Field, trials: int, n: int) -> np.ndarray:
     """(trials, n) random rows, with all-zero rows patched deterministically."""
     _require_length(n)
+    if trials < 1:
+        raise InvalidInput(f"the number of trials must be >= 1, got {trials}")
     U = rng.integers(0, field.q, size=(trials, n), dtype=np.int64)
     zero_rows = np.flatnonzero(~U.any(axis=1))
     if zero_rows.size:
         U[zero_rows, zero_rows % n] = 1 + zero_rows % (field.q - 1)
     return U
+
+
+def error_patterns(field: Field, n: int, t: int) -> np.ndarray:
+    """All error vectors of weight <= t as rows: by weight, then support in
+    itertools.combinations order, then values in itertools.product order
+    over the nonzero elements.  Raises SuiteTooLarge past ENUMERATION_CAP
+    rows, before anything is allocated."""
+    q1 = field.q - 1
+    count = sum(math.comb(n, w) * q1**w for w in range(t + 1))
+    if count > ENUMERATION_CAP:
+        raise SuiteTooLarge(f"{count} error patterns of weight <= {t} exceed the {ENUMERATION_CAP} guard")
+    blocks = [np.zeros((1, n), dtype=np.int64)]
+    for w in range(1, t + 1):
+        supports = np.array(list(itertools.combinations(range(n), w)))
+        values = 1 + digit_rows(np.arange(q1**w), q1, w)
+        E = np.zeros((len(supports), len(values), n), dtype=np.int64)
+        E[np.arange(len(supports))[:, None, None], np.arange(len(values))[:, None], supports[:, None, :]] = values
+        blocks.append(E.reshape(-1, n))
+    return np.vstack(blocks)
 
 
 def _pairwise_angles(field: Field, M: np.ndarray) -> np.ndarray:
@@ -297,73 +316,54 @@ def verify_angular_decoding(code: LinearCode, seed: int, max_samples: int = 100_
     rho = d // 2  # largest integer rho with 2*rho <= d
     P = projective_codeword_matrix(code)
     n = code.n
-    scalars = list(field.nonzero_elements())
     rng = np.random.default_rng(seed)
+    E = error_patterns(field, n, t_max)
 
-    patterns = [((), ())]
-    for w in range(1, t_max + 1):
-        for positions in itertools.combinations(range(n), w):
-            for values in itertools.product(scalars, repeat=w):
-                patterns.append((positions, values))
-
-    total = P.shape[0] * len(patterns)
-    if total <= max_samples:
-        samples = [(i, pat) for i in range(P.shape[0]) for pat in patterns]
+    D, N = P.shape[0], E.shape[0]
+    if D * N <= max_samples:
+        dir_idx, pat_idx = np.divmod(np.arange(D * N), N)
     else:
-        dir_idx = rng.integers(0, P.shape[0], size=max_samples)
-        pat_idx = rng.integers(0, len(patterns), size=max_samples)
-        samples = [(int(i), patterns[int(j)]) for i, j in zip(dir_idx, pat_idx)]
-    alphas = rng.integers(1, field.q, size=len(samples))
-    directions = [projectivize(Vector(field, row)) for row in P]
+        dir_idx = rng.integers(0, D, size=max_samples)
+        pat_idx = rng.integers(0, N, size=max_samples)
+    alphas = rng.integers(1, field.q, size=dir_idx.size)
+    U = field.mul_array(alphas[:, None], field.add_array(P[dir_idx], E[pat_idx]))
+    best, angle, runner_up = decode_rows(code, U)
+    decoded = (2 * angle < d) & (best == dir_idx)
+    listed = runner_up >= rho
 
-    failures: list[str] = []
-    checks = 0
-    for (dir_i, (positions, values)), alpha in zip(samples, alphas):
-        word = P[dir_i].copy()
-        for pos, val in zip(positions, values):
-            word[pos] = field.add(int(word[pos]), val)
-        u = Vector(field, field.scalar_mul_array(int(alpha), word))
-        expected = directions[dir_i]
-        outcome = angular_decode(u, code)
-        checks += 1
-        if not (outcome.unique and outcome.best[0][0] == expected):
+    failures: list[str] = []  # in sample order, each decode check before its list check
+    for i in np.flatnonzero(~(decoded & listed)):
+        if not decoded[i]:
             failures.append(
-                f"decode: direction {format_vector(expected.rep)} with errors at "
-                f"{positions} values {values} scalar {alpha} gave kind={outcome.kind.value} "
-                f"best={[format_vector(pt.rep) for pt, _ in outcome.best]} (u={format_vector(u)})"
+                f"decode: direction {_fmt_row(P[dir_idx[i]])} with errors {_fmt_row(E[pat_idx[i]])} "
+                f"scalar {alphas[i]} gave angle {angle[i]} at direction {_fmt_row(P[best[i]])} "
+                f"(u={_fmt_row(U[i])})"
             )
-        hits = projective_list_decode(u, code, rho)
-        checks += 1
-        if len(hits) > 1:
-            failures.append(
-                f"list size {len(hits)} > 1 at rho={rho} for u={format_vector(u)}"
-            )
+        if not listed[i]:
+            failures.append(f"list: two directions at angle < rho={rho} for u={_fmt_row(U[i])}")
         if len(failures) >= _MAX_REPORTED_FAILURES:
             break
 
     # beyond-radius probes: weight ceil(d/2) corruption, outcome recorded only
-    beyond = 0
-    injected = min(10, P.shape[0])
+    injected = min(10, D)
     w_beyond = min((d + 1) // 2, n)
-    for i in range(injected):
-        word = P[i].copy()
+    probes = P[:injected].copy()
+    for word in probes:
         positions = rng.choice(n, size=w_beyond, replace=False)
         for pos in positions:
             word[pos] = field.add(int(word[pos]), int(rng.integers(1, field.q)))
         if not word.any():
             word[0] = 1
-        outcome = angular_decode(Vector(field, word), code)
-        if outcome.kind is DecodeKind.BEYOND_RADIUS:
-            beyond += 1
+    beyond = int(np.count_nonzero(2 * decode_rows(code, probes)[1] >= d))
 
     return SuiteReport(
         suite="decoding",
         q=field.q,
         n=code.n,
         k=code.k,
-        trials=len(samples),
+        trials=dir_idx.size,
         seed=seed,
-        checks_run=checks,
+        checks_run=2 * dir_idx.size,
         failures=failures,
         wall_time=time.perf_counter() - t0,
         observations={
@@ -377,9 +377,9 @@ def verify_angular_decoding(code: LinearCode, seed: int, max_samples: int = 100_
 
 
 def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> SuiteReport:
-    """Tabulate angle-to-code vs distance-to-code over random nonzero inputs
-    and verify they agree exactly when the classical minimum is attained at
-    a nonzero codeword."""
+    """Tabulate angle-to-code vs distance-to-code over random nonzero inputs,
+    check both against a scan of every codeword, and verify they agree
+    exactly when the classical minimum is attained at a nonzero codeword."""
     t0 = time.perf_counter()
     field = code.field
     rng = np.random.default_rng(seed)
@@ -394,7 +394,7 @@ def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> Suite
         ang = angle_to_code(u, code)
         dists = np.count_nonzero(CW != U[i][None, :], axis=1)
         attained_nonzero = bool((dists[1:] == dist).any())
-        if ang < dist or (ang == dist) != attained_nonzero:
+        if (dist, ang) != (dists.min(), dists[1:].min()) or (ang == dist) != attained_nonzero:
             failures.append(
                 f"census: angle={ang} dist={dist} attained_at_nonzero={attained_nonzero} "
                 f"for u={_fmt_row(U[i])}"

@@ -231,22 +231,11 @@ class Field:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return _undigits(
-            [(x + y) % self.p for x, y in zip(_digits(a, self.p, self.m), _digits(b, self.p, self.m))],
-            self.p,
-        )
+        return int(self.add_array(a, b))
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.m == 1:
-            return -a % self.p
-        if self.p == 2:
-            return a
-        return _undigits([-x % self.p for x in _digits(a, self.p, self.m)], self.p)
+        return int(self.neg_array(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -254,11 +243,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.m == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % (self.q - 1)])
+        return int(self.mul_array(a, b))
 
     def inv(self, a: int) -> int:
         self._check(a)
@@ -300,22 +285,9 @@ class Field:
         return out
 
     def neg_array(self, a: np.ndarray) -> np.ndarray:
-        if self.m == 1:
-            return -a % self.p
-        if self.p == 2:
-            return np.array(a, copy=True)
-        out = np.zeros(np.shape(a), dtype=np.int64)
-        scale = 1
-        for _ in range(self.m):
-            out += (-(a // scale % self.p) % self.p) * scale
-            scale *= self.p
-        return out
+        return self.scalar_mul_array(self.p - 1, a)  # p - 1 encodes -1
 
     def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.m == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
         return self.add_array(a, self.neg_array(b))
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

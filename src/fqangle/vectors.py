@@ -24,18 +24,7 @@ class Vector:
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coords)  # defensive copy
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidInput("a vector needs at least one coordinate")
-        # floats, strings, bools and ints beyond 64 bits are refused, never coerced
-        if arr.dtype.kind not in "iu":
-            raise InvalidInput(f"coordinates must be integers in [0, {self.field.q}), got {arr.dtype}")
-        if arr.dtype != np.int64:
-            arr = arr.astype(np.int64)  # uint64 beyond int64 wraps negative, refused below
-        if arr.min() < 0 or arr.max() >= self.field.q:
-            raise InvalidInput(f"coordinates must lie in [0, {self.field.q})")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
+        object.__setattr__(self, "coords", coordinate_array(self.field, self.coords))
 
     def __len__(self) -> int:
         return self.coords.size
@@ -59,6 +48,22 @@ class Vector:
 
     def __repr__(self):
         return f"Vector({self.field!r}, [{format_vector(self)}])"
+
+
+def coordinate_array(field: Field, coords, ndim: int = 1) -> np.ndarray:
+    """Write-protected int64 copy of a nonempty ndim-D array of encodings in [0, q)."""
+    arr = np.array(coords)  # defensive copy
+    if arr.ndim != ndim or arr.size == 0:
+        raise InvalidInput(f"expected a nonempty {ndim}-D array of coordinates, got shape {arr.shape}")
+    # floats, strings, bools and ints beyond 64 bits are refused, never coerced
+    if arr.dtype.kind not in "iu":
+        raise InvalidInput(f"coordinates must be integers in [0, {field.q}), got {arr.dtype}")
+    if arr.dtype != np.int64:
+        arr = arr.astype(np.int64)  # uint64 beyond int64 wraps negative, refused below
+    if arr.min() < 0 or arr.max() >= field.q:
+        raise InvalidInput(f"coordinates must lie in [0, {field.q})")
+    arr.setflags(write=False)
+    return arr
 
 
 def _require_same_space(u: Vector, v: Vector):
@@ -90,13 +95,11 @@ def scalar_mul(c: int, u: Vector) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> int:
-    """Inner product sum_i u_i * v_i in the field."""
+    """Inner product sum_i u_i * v_i in the field (base-p digits summed mod p)."""
     _require_same_space(u, v)
-    products = u.field.mul_array(u.coords, v.coords)
-    acc = 0
-    for x in products:
-        acc = u.field.add(acc, int(x))
-    return acc
+    p, scale = u.field.p, u.field.p ** np.arange(u.field.m)
+    digits = u.field.mul_array(u.coords, v.coords)[:, None] // scale % p
+    return int(digits.sum(axis=0) % p @ scale)
 
 
 def parse_vector(field: Field, text: str) -> Vector:

@@ -4,7 +4,6 @@ Each test prints one pass/fail line; budgets are wall-clock seconds and
 all value checks are exact integer comparisons.
 """
 
-import itertools
 import json
 import time
 
@@ -17,6 +16,7 @@ from fqangle import (
     angle_to_code,
     angular_decode,
     argmin_scalar,
+    decode_rows,
     dist_to_code,
     dot,
     is_max_angle,
@@ -34,7 +34,7 @@ from fqangle import (
 )
 from fqangle.cli import main as cli_main
 from fqangle.codes import projective_codeword_matrix
-from fqangle.experiments import all_nonzero_vectors, random_nonzero_rows
+from fqangle.experiments import all_nonzero_vectors, error_patterns, random_nonzero_rows
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -159,44 +159,33 @@ def test_criterion_9_angular_unique_decoding(capsys):
     d = min_distance(code)
     ok = d == 5 == code.n - code.k + 1
 
+    # every direction under every error pattern of weight <= 2, every rescaling
     P = projective_codeword_matrix(code)
-    directions = [Vector(F7, row) for row in P]
-    expected = [projectivize(c) for c in directions]
-    scalars = list(F7.nonzero_elements())
-    patterns = [((), ())]
-    patterns += [((i,), (e,)) for i in range(7) for e in scalars]
-    patterns += [
-        ((i, j), (e1, e2))
-        for i, j in itertools.combinations(range(7), 2)
-        for e1 in scalars
-        for e2 in scalars
-    ]
-    decodes = 0
-    for idx, c in enumerate(directions):
-        base = np.asarray(c.coords)
-        for positions, values in patterns:
-            word = base.copy()
-            for pos, val in zip(positions, values):
-                word[pos] = F7.add(int(word[pos]), val)
-            for alpha in scalars:
-                u = Vector(F7, F7.scalar_mul_array(alpha, word))
-                outcome = angular_decode(u, code)
-                decodes += 1
-                if not (outcome.unique and outcome.best[0][0] == expected[idx]):
-                    ok = False
-        if not ok:
-            break
-    ok = ok and decodes == 57 * len(patterns) * 6
+    E = error_patterns(F7, 7, 2)
+    scalars = np.arange(1, 7)
+    ok = ok and E.shape[0] == 1 + 7 * 6 + 21 * 36
+    words = F7.add_array(P[:, None, :], E[None, :, :])  # (57, patterns, 7)
+    U = F7.mul_array(scalars[None, None, :, None], words[:, :, None, :]).reshape(-1, 7)
+    source = np.repeat(np.arange(P.shape[0]), E.shape[0] * scalars.size)
+    best, angle, _ = decode_rows(code, U)
+    decodes = U.shape[0]
+    ok = ok and decodes == 57 * E.shape[0] * 6
+    ok = ok and bool(np.all(2 * angle < d)) and np.array_equal(best, source)
 
     rng = np.random.default_rng(99)
     U = random_nonzero_rows(rng, F7, 1000, 7)
-    for i in range(1000):
+    best, angle, runner_up = decode_rows(code, U)
+    for rho in (0, 1, 2):  # every integer rho with 2*rho <= 5: list size <= 1
+        ok = ok and bool(np.all(runner_up >= rho))
+    for i in range(1000):  # the one-word decoders agree with the batch
         u = Vector(F7, U[i])
-        for rho in (0, 1, 2):  # every integer rho with 2*rho <= 5
-            if len(projective_list_decode(u, code, rho)) > 1:
-                ok = False
+        outcome = angular_decode(u, code)
+        ok = ok and outcome.unique == (2 * angle[i] < d)
+        ok = ok and outcome.best[0] == (projectivize(Vector(F7, P[best[i]])), angle[i])
+        ok = ok and (len(outcome.best) > 1) == (runner_up[i] == angle[i])
+        ok = ok and len(projective_list_decode(u, code, 2)) == int(angle[i] < 2)
     with capsys.disabled():
-        print(f"    {decodes} exhaustive decodes (57 directions x {len(patterns)} patterns x 6 scalars)")
+        print(f"    {decodes} exhaustive decodes (57 directions x {E.shape[0]} patterns x 6 scalars)")
         _report(9, "exhaustive unique decoding and list size <= 1", ok, time.perf_counter() - t0, 120)
 
 

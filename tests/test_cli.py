@@ -166,6 +166,30 @@ def test_verify_guard_exit_2(capsys):
     assert code == 2
 
 
+def test_verify_decoding_pattern_guard_exit_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "decoding", "--q", "13", "--code", "rs", "--n", "13", "--k", "4",
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "guard" in err
+
+
+def test_unique_decoding_violation_exit_2(capsys, monkeypatch):
+    import numpy as np
+
+    import fqangle.codes
+
+    # a kernel that ties every direction at angle 0, inside the radius
+    monkeypatch.setattr(fqangle.codes, "angle_fast_rows", lambda field, U, V: np.zeros(len(U), dtype=np.int64))
+    code, out, err = run(
+        capsys, "decode", "--q", "7", "--code", "rs", "--n", "7", "--k", "3", "--u", "1,1,4,2,2,4,1",
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unique decoding violated")
+
+
 def test_verify_failures_exit_2(capsys, monkeypatch):
     import numpy as np
 
@@ -242,6 +266,10 @@ def test_plain_format(capsys):
         ("verify", "--suite", "metric", "--q", "2", "--n", "0"),
         ("verify", "--suite", "projective", "--q", "2", "--n", "0"),
         ("mindist", "--q", "3", "--code", "rep", "--n", "0"),
+        ("verify", "--suite", "oracle", "--q", "3", "--n", "2", "--trials", "-1"),
+        ("verify", "--suite", "oracle", "--q", "3", "--n", "2", "--trials", "0"),
+        ("verify", "--suite", "census", "--q", "3", "--code", "rep", "--n", "3", "--trials", "-1"),
+        ("verify", "--suite", "census", "--q", "3", "--code", "rep", "--n", "3", "--trials", "0"),
     ],
 )
 def test_bad_input_exits_1_without_traceback(capsys, argv):

@@ -4,20 +4,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fqangle.codes
 from fqangle import (
     DecodeKind,
     DuplicatePoints,
     EnumerationTooLarge,
+    InvalidInput,
+    LengthMismatch,
     RankDeficient,
     TooManyPoints,
+    UniqueDecodingViolated,
     Vector,
     ZeroVector,
     angle_to_code,
     angular_decode,
+    decode_rows,
     dist_to_code,
-    enumerate_codewords,
-    enumerate_projective_codewords,
     hamming_distance,
     hamming_weight,
     make_code,
@@ -29,6 +33,7 @@ from fqangle import (
     projectivize,
     scalar_mul,
 )
+from fqangle.codes import codeword_matrix, projective_codeword_matrix
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -40,6 +45,14 @@ def rep3():
 
 def rs733():
     return make_rs_code(F7, 7, 3)
+
+
+def codewords(code):
+    return [Vector(code.field, row) for row in codeword_matrix(code)]
+
+
+def directions(code):
+    return [projectivize(Vector(code.field, row)) for row in projective_codeword_matrix(code)]
 
 
 # ----------------------------------------------------------------------
@@ -65,7 +78,7 @@ def oracle_codewords(code):
 def test_repetition_code():
     code = rep3()
     assert (code.k, code.n) == (1, 3)
-    assert sorted(v.values() for v in enumerate_codewords(code)) == [
+    assert sorted(v.values() for v in codewords(code)) == [
         (0, 0, 0),
         (1, 1, 1),
         (2, 2, 2),
@@ -118,23 +131,23 @@ def test_rs_vandermonde_rows_are_independent():
 
 def test_enumeration_matches_oracle():
     for code in (rep3(), make_rs_code(F3, 3, 2), rs733()):
-        got = [v.values() for v in enumerate_codewords(code)]
+        got = [v.values() for v in codewords(code)]
         assert got == oracle_codewords(code)
         assert len(set(got)) == code.field.q**code.k
 
 
 def test_projective_enumeration_counts():
-    assert sum(1 for _ in enumerate_projective_codewords(rep3())) == 1
-    assert sum(1 for _ in enumerate_projective_codewords(rs733())) == 57  # (343-1)/6
-    assert sum(1 for _ in enumerate_projective_codewords(make_rs_code(F7, 7, 2))) == 8
+    assert len(directions(rep3())) == 1
+    assert len(directions(rs733())) == 57  # (343-1)/6
+    assert len(directions(make_rs_code(F7, 7, 2))) == 8
 
 
 def test_projective_enumeration_is_exact_cover():
     code = rs733()
-    points = list(enumerate_projective_codewords(code))
+    points = directions(code)
     assert len(points) == len(set(points))
     classes = {
-        projectivize(w) for w in enumerate_codewords(code) if not w.is_zero()
+        projectivize(w) for w in codewords(code) if not w.is_zero()
     }
     assert set(points) == classes
 
@@ -144,7 +157,9 @@ def test_enumeration_guard():
     with pytest.raises(EnumerationTooLarge):
         min_distance(big)
     with pytest.raises(EnumerationTooLarge):
-        list(enumerate_codewords(big))
+        codeword_matrix(big)
+    with pytest.raises(EnumerationTooLarge):
+        projective_codeword_matrix(big)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +182,7 @@ def test_min_distance_equals_pairwise_minimum():
         make_code(F3, np.eye(4, 5, dtype=int)),  # 81 codewords
     ]
     for code in small_codes:
-        words = [v for v in enumerate_codewords(code)]
+        words = codewords(code)
         d_weight = min(hamming_weight(w) for w in words if not w.is_zero())
         d_pairwise = min(
             hamming_distance(a, b)
@@ -202,7 +217,7 @@ def test_dist_and_angle_to_repetition_code():
 
 def test_angle_to_code_zero_on_codewords():
     code = rs733()
-    for w in itertools.islice(enumerate_codewords(code), 1, 20):
+    for w in itertools.islice(codewords(code), 1, 20):
         assert angle_to_code(w, code) == 0
         assert dist_to_code(w, code) == 0
 
@@ -236,7 +251,7 @@ def test_angle_vs_dist_trichotomy_random():
         # equality holds iff some nonzero codeword realizes the classical minimum
         realized = any(
             hamming_distance(u, w) == dist
-            for w in enumerate_codewords(code)
+            for w in codewords(code)
             if not w.is_zero()
         )
         assert attained_nonzero == realized
@@ -293,10 +308,10 @@ def test_decode_beyond_radius_lists_all_ties_in_order():
     out = angular_decode(u, code)
     angles = {
         pt: hamming_distance_to_class(u, pt, code)
-        for pt in enumerate_projective_codewords(code)
+        for pt in directions(code)
     }
     best = min(angles.values())
-    tied = [pt for pt in enumerate_projective_codewords(code) if angles[pt] == best]
+    tied = [pt for pt in directions(code) if angles[pt] == best]
     if 2 * best >= min_distance(code):
         assert [pt for pt, _ in out.best] == tied
 
@@ -321,10 +336,10 @@ def test_unique_direction_inside_radius_for_every_input():
     for code in small_codes:
         field = code.field
         d = min_distance(code)
-        directions = [pt.rep for pt in enumerate_projective_codewords(code)]
+        reps = [pt.rep for pt in directions(code)]
         for row in all_nonzero_vectors(field, code.n):
             u = Vector(field, row)
-            inside = [c for c in directions if 2 * angle_fast(u, c) < d]
+            inside = [c for c in reps if 2 * angle_fast(u, c) < d]
             assert len(inside) <= 1
             out = angular_decode(u, code)
             if inside:
@@ -378,7 +393,84 @@ def test_list_decode_sorted_by_angle_then_enumeration_order():
     code = make_rs_code(F7, 7, 2)
     u = Vector(F7, [1, 1, 0, 2, 0, 0, 3])
     hits = projective_list_decode(u, code, code.n + 1)
-    points = list(enumerate_projective_codewords(code))
+    points = directions(code)
     order = {pt: i for i, pt in enumerate(points)}
     keys = [(a, order[pt]) for pt, a in hits]
     assert keys == sorted(keys)
+
+
+# ----------------------------------------------------------------------
+# Batched decoding
+# ----------------------------------------------------------------------
+
+PROPERTY_CODES = [
+    make_rs_code(F7, 7, 3),
+    make_rs_code(make_field(3, 2), 9, 3),
+    make_repetition_code(make_field(5), 4),  # k = 1: a single direction
+]
+
+
+@st.composite
+def code_and_words(draw):
+    code = draw(st.sampled_from(PROPERTY_CODES))
+    word = st.lists(st.integers(0, code.field.q - 1), min_size=code.n, max_size=code.n).filter(any)
+    return code, np.array(draw(st.lists(word, min_size=1, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(code_and_words())
+def test_decode_rows_agrees_with_one_word_decoders(case):
+    code, U = case
+    best, angle, runner_up = decode_rows(code, U)
+    P = projective_codeword_matrix(code)
+    d = min_distance(code)
+    for t, row in enumerate(U):
+        u = Vector(code.field, row)
+        out = angular_decode(u, code)
+        assert out.best[0] == (projectivize(Vector(code.field, P[best[t]])), angle[t])
+        assert out.unique == (2 * angle[t] < d)
+        ranked = [a for _, a in projective_list_decode(u, code, code.n + 1)]
+        assert ranked[0] == angle[t]
+        assert runner_up[t] == (ranked[1] if len(ranked) > 1 else code.n + 1)
+        for rho in range(code.n + 2):
+            assert (len(projective_list_decode(u, code, rho)) <= 1) == (runner_up[t] >= rho)
+
+
+def test_decode_rows_chunks_agree(monkeypatch):
+    code = rs733()
+    U = np.random.default_rng(5).integers(1, 7, size=(300, 7))
+    whole = decode_rows(code, U)
+    monkeypatch.setattr(fqangle.codes, "_DECODE_CHUNK_ROWS", 100)  # one word per chunk
+    for a, b in zip(whole, decode_rows(code, U)):
+        assert np.array_equal(a, b)
+    monkeypatch.setattr(fqangle.codes, "_DECODE_CHUNK_ROWS", 57 * 7)  # 7 words per chunk, ragged tail
+    for a, b in zip(whole, decode_rows(code, U)):
+        assert np.array_equal(a, b)
+
+
+def test_decode_rows_validates_like_vector():
+    code = rep3()
+    with pytest.raises(InvalidInput):
+        decode_rows(code, [[1.0, 0.0, 0.0]])
+    with pytest.raises(InvalidInput):
+        decode_rows(code, [[3, 0, 0]])
+    with pytest.raises(InvalidInput):
+        decode_rows(code, [1, 0, 0])  # one word must still be a (1, n) matrix
+    with pytest.raises(InvalidInput):
+        decode_rows(code, np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(LengthMismatch):
+        decode_rows(code, [[1, 0]])
+    with pytest.raises(ZeroVector):
+        decode_rows(code, [[1, 0, 0], [0, 0, 0]])
+
+
+def test_unique_decoding_violation_is_typed(monkeypatch):
+    # a kernel that puts every direction at angle 0 ties them inside the radius
+    code = rs733()
+    monkeypatch.setattr(fqangle.codes, "angle_fast_rows", lambda field, U, V: np.zeros(len(U), dtype=np.int64))
+    u = Vector(F7, [1, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(UniqueDecodingViolated):
+        angular_decode(u, code)
+    with pytest.raises(UniqueDecodingViolated):
+        decode_rows(code, [[1, 2, 3, 4, 5, 6, 0], [1, 0, 0, 0, 0, 0, 0]])
+    assert issubclass(UniqueDecodingViolated, AssertionError)

@@ -1,9 +1,12 @@
 """Verification suites: zero-failure runs, determinism, guards, bench records."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from fqangle import (
+    InvalidInput,
     SuiteTooLarge,
     Vector,
     angle_to_code,
@@ -18,7 +21,7 @@ from fqangle import (
     verify_oracle_equivalence,
     verify_projective_descent,
 )
-from fqangle.experiments import all_nonzero_vectors, random_nonzero_rows
+from fqangle.experiments import all_nonzero_vectors, error_patterns, random_nonzero_rows
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -38,6 +41,31 @@ def test_random_nonzero_rows_deterministic_and_nonzero():
     B = random_nonzero_rows(rng2, F3, 500, 4)
     assert np.array_equal(A, B)
     assert A.any(axis=1).all()
+    for trials in (0, -1):
+        with pytest.raises(InvalidInput):
+            random_nonzero_rows(rng1, F3, trials, 4)
+
+
+@pytest.mark.parametrize("p,m,n,t", [(7, 1, 7, 2), (2, 2, 5, 3), (3, 1, 4, 0)])
+def test_error_patterns_order(p, m, n, t):
+    field = make_field(p, m)
+    expected = [[0] * n]
+    for w in range(1, t + 1):
+        for positions in itertools.combinations(range(n), w):
+            for values in itertools.product(field.nonzero_elements(), repeat=w):
+                row = [0] * n
+                for pos, val in zip(positions, values):
+                    row[pos] = val
+                expected.append(row)
+    assert error_patterns(field, n, t).tolist() == expected
+
+
+def test_error_pattern_guard():
+    # RS[13,4] over GF(13) corrects 4 errors: 15,331,837 patterns > 2^20
+    with pytest.raises(SuiteTooLarge):
+        error_patterns(make_field(13), 13, 4)
+    with pytest.raises(SuiteTooLarge):
+        verify_angular_decoding(make_rs_code(make_field(13), 13, 4), seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +192,17 @@ def test_census_suite_and_example_classifications():
     assert dist_to_code(near, code) == angle_to_code(near, code) == 1  # equal
     word = Vector(F3, [2, 2, 2])
     assert dist_to_code(word, code) == angle_to_code(word, code) == 0
+
+
+def test_census_suite_checks_against_every_codeword(monkeypatch):
+    import fqangle.experiments
+
+    # a distance that forgets the zero codeword still satisfies the iff
+    # condition; only the comparison with the codeword scan catches it
+    monkeypatch.setattr(fqangle.experiments, "dist_to_code", angle_to_code)
+    report = angle_vs_dist_census(make_repetition_code(F3, 3), 300, seed=0)
+    assert not report.passed
+    assert report.failures[0].startswith("census: ")
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,12 @@ def oracle_smallest_irreducible(p, m):
     raise AssertionError("none found")
 
 
+def oracle_add(field, a, b, sign=1):
+    """a + sign * b by adding polynomial coefficients digit by digit mod p."""
+    p, m = field.p, field.m
+    return poly_to_int([(x + sign * y) % p for x, y in zip(int_to_poly(a, p, m), int_to_poly(b, p, m))], p)
+
+
 def oracle_mul(field, a, b):
     """Multiply via plain polynomial arithmetic mod the field's irreducible."""
     p, m = field.p, field.m
@@ -254,9 +260,13 @@ def test_array_ops_match_scalar_ops(p, m):
     q = f.q
     a = np.repeat(np.arange(q), q)
     b = np.tile(np.arange(q), q)
-    add_expected = np.array([f.add(int(x), int(y)) for x, y in zip(a, b)])
-    mul_expected = np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)])
-    sub_expected = np.array([f.sub(int(x), int(y)) for x, y in zip(a, b)])
+    add_expected = np.array([oracle_add(f, int(x), int(y)) for x, y in zip(a, b)])
+    mul_expected = np.array([oracle_mul(f, int(x), int(y)) for x, y in zip(a, b)])
+    sub_expected = np.array([oracle_add(f, int(x), int(y), sign=-1) for x, y in zip(a, b)])
+    assert [f.add(int(x), int(y)) for x, y in zip(a, b)] == add_expected.tolist()
+    assert [f.mul(int(x), int(y)) for x, y in zip(a, b)] == mul_expected.tolist()
+    assert [f.sub(int(x), int(y)) for x, y in zip(a, b)] == sub_expected.tolist()
+    assert [f.neg(int(y)) for y in b] == [oracle_add(f, 0, int(y), sign=-1) for y in b]
     assert np.array_equal(f.add_array(a, b), add_expected)
     assert np.array_equal(f.mul_array(a, b), mul_expected)
     assert np.array_equal(f.sub_array(a, b), sub_expected)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqangle import (
     FieldMismatch,
@@ -126,6 +127,13 @@ def test_dot_product():
     assert dot(vec([1, 1, 1]), vec([1, 1, 1])) == 0
     f7 = make_field(7)
     assert dot(Vector(f7, [2, 3]), Vector(f7, [4, 5])) == (8 + 15) % 7
+    rng = np.random.default_rng(2)
+    for field in (make_field(2, 3), make_field(3, 2), make_field(5, 2)):
+        u, v = rng.integers(0, field.q, size=(2, 40))
+        expected = 0
+        for a, b in zip(u, v):
+            expected = field.add(expected, field.mul(int(a), int(b)))
+        assert dot(Vector(field, u), Vector(field, v)) == expected
 
 
 def test_parse_and_format_round_trip():
@@ -137,3 +145,21 @@ def test_parse_and_format_round_trip():
         parse_vector(F3, "1,x,0")
     with pytest.raises(ValueError):
         parse_vector(F3, "1,5,0")  # out of range
+
+
+@settings(derandomize=True)
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 3), (3, 2), (251, 1)]).flatmap(
+        lambda pm: st.tuples(
+            st.just(make_field(*pm)),
+            st.lists(st.integers(0, pm[0] ** pm[1] - 1), min_size=1, max_size=40),
+        )
+    )
+)
+def test_parse_and_format_round_trip_property(case):
+    field, values = case
+    text = ",".join(str(x) for x in values)
+    u = parse_vector(field, text)
+    assert u.values() == tuple(values)
+    assert format_vector(u) == text
+    assert parse_vector(field, format_vector(u)) == u
