@@ -126,6 +126,14 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return n - both_zero - best
 
 
+def _angle_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len A, len B) angles from every row of A to every row of B."""
+    if len(A) == 1:  # a plain broadcast view: one-word decodes are bound by per-call overhead
+        return angle_fast_rows(field, np.broadcast_to(A, B.shape), B)[None, :]
+    pairs = angle_fast_rows(field, np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1)))
+    return pairs.reshape(len(A), len(B))
+
+
 def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise brute force: min over nonzero c of d_H(u, c*v)."""
     U = np.atleast_2d(U)

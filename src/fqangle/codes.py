@@ -15,11 +15,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .angle import ProjectivePoint, angle_fast_rows, projectivize
+# angle_fast_rows is bound here for perfbench/selftest.py, which checks
+# that its fault injection is undone in every module that names the kernel
+from .angle import ProjectivePoint, _angle_table, angle_fast_rows, projectivize  # noqa: F401
 from .errors import (
     DuplicatePoints,
     EnumerationTooLarge,
     FieldMismatch,
+    InvalidInput,
     LengthMismatch,
     RankDeficient,
     TooManyPoints,
@@ -52,10 +55,10 @@ def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
             A[[r, i]] = A[[i, r]]
         lead = int(A[r, col])
         if lead != 1:
-            A[r] = field.scalar_mul_array(field.inv(lead), A[r])
+            A[r] = field.mul_array(field.inv(lead), A[r])
         for i in range(rows):
             if i != r and A[i, col] != 0:
-                A[i] = field.sub_array(A[i], field.scalar_mul_array(int(A[i, col]), A[r]))
+                A[i] = field.sub_array(A[i], field.mul_array(A[i, col], A[r]))
         r += 1
     return A, r
 
@@ -64,18 +67,13 @@ class LinearCode:
     """A linear code held by a full-rank generator matrix."""
 
     def __init__(self, field: Field, generator: np.ndarray):
-        G = np.array(generator, dtype=np.int64)
-        if G.ndim != 2 or G.size == 0:
-            raise ValueError("generator must be a nonempty 2-D matrix")
-        if G.min() < 0 or G.max() >= field.q:
-            raise ValueError(f"generator entries must lie in [0, {field.q})")
+        G = coordinate_array(field, generator, ndim=2)
         k, n = G.shape
         if k > n:
             raise RankDeficient(f"k = {k} rows cannot be independent in length n = {n}")
         _, rank = row_reduce(field, G)
         if rank < k:
             raise RankDeficient(f"generator rows are dependent (rank {rank} < k = {k})")
-        G.setflags(write=False)
         self.field = field
         self.generator = G
         self.k = k
@@ -95,14 +93,13 @@ def make_code(field: Field, rows: Sequence) -> LinearCode:
         if isinstance(row, Vector):
             if row.field != field:
                 raise FieldMismatch(f"row field {row.field!r} differs from {field!r}")
-            mat.append(row.coords)
-        else:
-            mat.append(np.asarray(list(row), dtype=np.int64))
+            row = row.coords
+        mat.append(list(row))
     if not mat:
-        raise ValueError("at least one generator row is required")
+        raise InvalidInput("at least one generator row is required")
     if len({len(r) for r in mat}) != 1:
-        raise ValueError("generator rows must have equal length")
-    return LinearCode(field, np.vstack(mat))
+        raise InvalidInput("generator rows must have equal length")
+    return LinearCode(field, mat)
 
 
 def make_rs_code(field: Field, n: int, k: int, eval_points: Iterable[int] | None = None) -> LinearCode:
@@ -115,7 +112,7 @@ def make_rs_code(field: Field, n: int, k: int, eval_points: Iterable[int] | None
     if eval_points is None:
         points = np.arange(n, dtype=np.int64)
     else:
-        points = np.asarray(list(eval_points), dtype=np.int64)
+        points = coordinate_array(field, list(eval_points))
         if points.size != n:
             raise ValueError(f"expected {n} evaluation points, got {points.size}")
         if len(set(points.tolist())) != n:
@@ -206,22 +203,12 @@ def _check_member_shape(u: Vector, code: LinearCode):
         raise LengthMismatch(f"vector length {len(u)} != code length {code.n}")
 
 
-def _direction_angles(code: LinearCode, U: np.ndarray) -> np.ndarray:
-    """(T, D) angles from each row of U to each row of the direction matrix."""
-    P = projective_codeword_matrix(code)
-    T = U.shape[0]
-    # one word stays a plain broadcast view: small decodes are bound by per-call overhead
-    words = np.broadcast_to(U, P.shape) if T == 1 else np.repeat(U, P.shape[0], axis=0)
-    directions = P if T == 1 else np.tile(P, (T, 1))
-    return angle_fast_rows(code.field, words, directions).reshape(T, -1)
-
-
 def _word_angles(u: Vector, code: LinearCode) -> np.ndarray:
     """(D,) angles from the nonzero word u to each codeword direction."""
     _check_member_shape(u, code)
     if u.is_zero():
         raise ZeroVector("the angle to a code is defined only for nonzero vectors")
-    return _direction_angles(code, u.coords[None, :])[0]
+    return _angle_table(code.field, u.coords[None, :], projective_codeword_matrix(code))[0]
 
 
 def dist_to_code(u: Vector, code: LinearCode) -> int:
@@ -313,13 +300,14 @@ def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not U.any(axis=1).all():
         raise ZeroVector("cannot decode the zero vector")
     d = min_distance(code)
-    D = projective_codeword_matrix(code).shape[0]
+    P = projective_codeword_matrix(code)
+    D = P.shape[0]
     best, angle = np.empty((2, len(U)), dtype=np.int64)
     runner_up = np.full(len(U), code.n + 1, dtype=np.int64)
     step = max(1, _DECODE_CHUNK_ROWS // D)
     for start in range(0, len(U), step):
         rows = slice(start, start + step)
-        A = _direction_angles(code, U[rows])
+        A = _angle_table(code.field, U[rows], P)
         best[rows] = A.argmin(axis=1)
         angle[rows] = A.min(axis=1)
         if D > 1:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .angle import (
+    _angle_table,
     angle_fast,
     angle_fast_rows,
     angle_naive,
@@ -27,11 +28,9 @@ from .angle import (
 from .codes import (
     ENUMERATION_CAP,
     LinearCode,
-    angle_to_code,
     codeword_matrix,
     decode_rows,
     digit_rows,
-    dist_to_code,
     min_distance,
     projective_codeword_matrix,
 )
@@ -41,6 +40,9 @@ from .vectors import Vector
 
 # Triple loops over all nonzero vectors stay tractable up to this many.
 MAX_EXHAUSTIVE_VECTORS = 1 << 10
+
+# Past this many (direction, error pattern) pairs the decoding suite samples this many.
+MAX_DECODING_SAMPLES = 100_000
 
 
 @dataclass
@@ -155,13 +157,6 @@ def error_patterns(field: Field, n: int, t: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _pairwise_angles(field: Field, M: np.ndarray) -> np.ndarray:
-    N = M.shape[0]
-    U = np.repeat(M, N, axis=0)
-    V = np.tile(M, (N, 1))
-    return angle_fast_rows(field, U, V).reshape(N, N)
-
-
 def _guard_exhaustive(field: Field, n: int):
     count = field.q**n - 1
     if count > MAX_EXHAUSTIVE_VECTORS:
@@ -181,7 +176,7 @@ def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
     _guard_exhaustive(field, n)
     M = all_nonzero_vectors(field, n)
     N = M.shape[0]
-    A = _pairwise_angles(field, M)
+    A = _angle_table(field, M, M)
     failures: list[str] = []
 
     # (1) angle zero exactly on equal projective classes
@@ -229,17 +224,14 @@ def verify_projective_descent(field: Field, n: int) -> SuiteReport:
     _guard_exhaustive(field, n)
     M = all_nonzero_vectors(field, n)
     N = M.shape[0]
-    A = _pairwise_angles(field, M)
+    A = _angle_table(field, M, M)
     failures: list[str] = []
     checks = N * N
 
     for alpha in field.nonzero_elements():
         Ma = field.scalar_mul_array(alpha, M)
         for beta in field.nonzero_elements():
-            Mb = field.scalar_mul_array(beta, M)
-            U = np.repeat(Ma, N, axis=0)
-            V = np.tile(Mb, (N, 1))
-            A_ab = angle_fast_rows(field, U, V).reshape(N, N)
+            A_ab = _angle_table(field, Ma, field.scalar_mul_array(beta, M))
             checks += N * N
             for i, j in np.argwhere(A_ab != A)[:_MAX_REPORTED_FAILURES]:
                 failures.append(
@@ -252,7 +244,7 @@ def verify_projective_descent(field: Field, n: int) -> SuiteReport:
             break
 
     canon = normalize_rows(field, M)
-    A_canon = _pairwise_angles(field, canon)
+    A_canon = _angle_table(field, canon, canon)
     for i, j in np.argwhere(A_canon != A)[:_MAX_REPORTED_FAILURES]:
         failures.append(
             f"canonical reps: {A_canon[i, j]} != {A[i, j]} for "
@@ -300,7 +292,7 @@ def verify_oracle_equivalence(field: Field, n: int, trials: int, seed: int) -> S
     )
 
 
-def verify_angular_decoding(code: LinearCode, seed: int, max_samples: int = 100_000) -> SuiteReport:
+def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
     """Round-trip decoding of every codeword direction under every error
     pattern strictly inside the unique-decoding radius, with one random
     nonzero rescaling per sample; every list decode within the radius must
@@ -320,11 +312,11 @@ def verify_angular_decoding(code: LinearCode, seed: int, max_samples: int = 100_
     E = error_patterns(field, n, t_max)
 
     D, N = P.shape[0], E.shape[0]
-    if D * N <= max_samples:
+    if D * N <= MAX_DECODING_SAMPLES:
         dir_idx, pat_idx = np.divmod(np.arange(D * N), N)
     else:
-        dir_idx = rng.integers(0, D, size=max_samples)
-        pat_idx = rng.integers(0, N, size=max_samples)
+        dir_idx = rng.integers(0, D, size=MAX_DECODING_SAMPLES)
+        pat_idx = rng.integers(0, N, size=MAX_DECODING_SAMPLES)
     alphas = rng.integers(1, field.q, size=dir_idx.size)
     U = field.mul_array(alphas[:, None], field.add_array(P[dir_idx], E[pat_idx]))
     best, angle, runner_up = decode_rows(code, U)
@@ -384,14 +376,14 @@ def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> Suite
     field = code.field
     rng = np.random.default_rng(seed)
     U = random_nonzero_rows(rng, field, sample_size, code.n)
+    angles = decode_rows(code, U)[1]
+    dists_to_code = np.minimum(np.count_nonzero(U, axis=1), angles)  # the zero codeword is at wt(u)
     CW = codeword_matrix(code)
     failures: list[str] = []
     equal_count = 0
     strict_count = 0
     for i in range(sample_size):
-        u = Vector(field, U[i])
-        dist = dist_to_code(u, code)
-        ang = angle_to_code(u, code)
+        dist, ang = int(dists_to_code[i]), int(angles[i])
         dists = np.count_nonzero(CW != U[i][None, :], axis=1)
         attained_nonzero = bool((dists[1:] == dist).any())
         if (dist, ang) != (dists.min(), dists[1:].min()) or (ang == dist) != attained_nonzero:

@@ -21,7 +21,7 @@ import functools
 
 import numpy as np
 
-from .errors import CompositeP, DivisionByZero, FieldTooLarge
+from .errors import CompositeP, DivisionByZero, FieldTooLarge, InvalidInput
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -39,6 +39,13 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _integer(name: str, value) -> int:
+    # bool is an int subclass, but True is no characteristic or degree
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -132,13 +139,16 @@ class Field:
     """
 
     def __init__(self, p: int, m: int = 1):
+        p = _integer("p", p)
+        m = _integer("m", m)
+        if m < 1:
+            raise InvalidInput(f"extension degree must be >= 1, got {m}")
+        # bound q before forming p**m or testing p for primality, both slow when huge
+        if p > 1 and (m >= MAX_FIELD_ORDER.bit_length() or p**m > MAX_FIELD_ORDER):
+            raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_FIELD_ORDER}")
         if not is_prime(p):
             raise CompositeP(f"p = {p} is not prime")
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
         q = p**m
-        if q > MAX_FIELD_ORDER:
-            raise FieldTooLarge(f"q = {p}^{m} = {q} exceeds {MAX_FIELD_ORDER}")
         self.p = p
         self.m = m
         self.q = q
@@ -225,8 +235,8 @@ class Field:
     # ------------------------------------------------------------------
 
     def _check(self, a: int):
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not an element of GF({self.q})")
+        if not 0 <= _integer("a field element", a) < self.q:
+            raise InvalidInput(f"{a} is not an element of GF({self.q})")
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
@@ -272,9 +282,12 @@ class Field:
     # Elementwise operations on integer arrays (used by the vector layer)
     # ------------------------------------------------------------------
 
+    # Prime-field sums and products are taken in int64, whatever the input
+    # dtype: 250 * 250 would wrap in uint8.
+
     def add_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.m == 1:
-            return (a + b) % self.p
+            return np.add(a, b, dtype=np.int64) % self.p
         if self.p == 2:
             return a ^ b
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
@@ -285,14 +298,14 @@ class Field:
         return out
 
     def neg_array(self, a: np.ndarray) -> np.ndarray:
-        return self.scalar_mul_array(self.p - 1, a)  # p - 1 encodes -1
+        return self.mul_array(self.p - 1, a)  # p - 1 encodes -1
 
     def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.add_array(a, self.neg_array(b))
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.m == 1:
-            return a * b % self.p
+            return np.multiply(a, b, dtype=np.int64) % self.p
         a = np.asarray(a)
         b = np.asarray(b)
         idx = (self.log_table[a] + self.log_table[b]) % (self.q - 1)
@@ -301,22 +314,11 @@ class Field:
 
     def scalar_mul_array(self, c: int, arr: np.ndarray) -> np.ndarray:
         self._check(c)
-        if c == 0:
-            return np.zeros(np.shape(arr), dtype=np.int64)
-        if self.m == 1:
-            return c * arr % self.p
-        arr = np.asarray(arr)
-        idx = (int(self.log_table[c]) + self.log_table[arr]) % (self.q - 1)
-        return np.where(arr == 0, 0, self.exp_table[idx])
+        return self.mul_array(c, arr)
 
     def div_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise a / b; positions with b = 0 must be masked out by the caller."""
-        if self.m == 1:
-            return a * self.inv_table[b] % self.p
-        a = np.asarray(a)
-        b = np.asarray(b)
-        idx = (self.log_table[a] - self.log_table[b]) % (self.q - 1)
-        return np.where(a == 0, 0, self.exp_table[idx])
+        """Elementwise a / b, with 0 wherever b = 0."""
+        return self.mul_array(a, self.inv_table[b])
 
     @functools.cached_property
     def ratio_bin_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,14 +374,18 @@ class Field:
         return f"Field(p={self.p}, m={self.m})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: make_field(3, True) must not hit (3, 1)
 def make_field(p: int, m: int = 1) -> Field:
-    """Construct (and cache) GF(p^m).  Raises CompositeP / FieldTooLarge."""
+    """Construct (and cache) GF(p^m).  Raises CompositeP / FieldTooLarge /
+    InvalidInput."""
     return Field(p, m)
 
 
 def field_from_order(q: int) -> Field:
     """Construct GF(q) from a prime-power order q = p^m."""
+    q = _integer("q", q)
+    if q > MAX_FIELD_ORDER:  # before factoring, which is slow for a huge q
+        raise FieldTooLarge(f"q = {q} exceeds {MAX_FIELD_ORDER}")
     if q < 2:
         raise CompositeP(f"q = {q} is not a prime power")
     p = _prime_factors(q)[0]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fqangle.angle
 from fqangle import (
@@ -22,7 +23,7 @@ from fqangle import (
     projectivize,
     scalar_mul,
 )
-from fqangle.angle import normalize_rows
+from fqangle.angle import _angle_table, normalize_rows
 from fqangle.experiments import all_nonzero_vectors
 
 F3 = make_field(3)
@@ -126,6 +127,21 @@ def test_row_kernels_match_pairwise_api():
         u, v = Vector(F5, U[i]), Vector(F5, V[i])
         assert fast[i] == angle_fast(u, v)
         assert naive[i] == angle_naive(u, v)
+
+
+@pytest.mark.parametrize("field", [F5, make_field(2, 3), make_field(3, 2)])
+@pytest.mark.parametrize("T,D", [(1, 40), (1, 1), (9, 1), (9, 40)])
+def test_angle_table_matches_row_kernel(field, T, D):
+    from fqangle.experiments import random_nonzero_rows
+
+    rng = np.random.default_rng(T * D)
+    A = random_nonzero_rows(rng, field, T, 8)
+    B = random_nonzero_rows(rng, field, D, 8)
+    table = _angle_table(field, A, B)
+    assert table.shape == (T, D)
+    for i in range(T):
+        for j in range(D):
+            assert table[i, j] == angle_fast_rows(field, A[i], B[j])[0]
 
 
 def test_sorting_fallback_matches_bincount(monkeypatch):
@@ -240,6 +256,33 @@ def test_identity_symmetry_triangle(field, n):
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
             assert (A[i, j] == 0) == (classes[i] == classes[j])
+    assert np.array_equal(A, A.T)
+    assert np.all(A[:, None, :] <= A[:, :, None] + A[None, :, :])
+
+
+@st.composite
+def nonzero_triples(draw, n=50):
+    """(field, u, v, w): u random, v a rescaled u with a few positions
+    redrawn (small angles), w random; all nonzero, length n."""
+    field = draw(st.sampled_from([make_field(2), F3, F4, make_field(7), make_field(3, 2), make_field(2, 4)]))
+    word = st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n).filter(any)
+    u = np.array(draw(word))
+    v = field.scalar_mul_array(draw(st.integers(1, field.q - 1)), u)
+    redrawn = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, field.q - 1)), max_size=8))
+    for i, x in redrawn:
+        v[i] = x
+    if not v.any():
+        v[0] = 1
+    return field, Vector(field, u), Vector(field, v), Vector(field, draw(word))
+
+
+@given(nonzero_triples())
+def test_metric_axioms_and_oracle_on_random_triples(case):
+    vectors = case[1:]
+    A = np.array([[angle_fast(x, y) for y in vectors] for x in vectors])
+    assert A.tolist() == [[angle_naive(x, y) for y in vectors] for x in vectors]
+    classes = [projectivize(x) for x in vectors]
+    assert ((A == 0) == np.array([[a == b for b in classes] for a in classes])).all()
     assert np.array_equal(A, A.T)
     assert np.all(A[:, None, :] <= A[:, :, None] + A[None, :, :])
 

@@ -179,8 +179,8 @@ def test_unique_decoding_violation_exit_2(capsys, monkeypatch):
 
     import fqangle.codes
 
-    # a kernel that ties every direction at angle 0, inside the radius
-    monkeypatch.setattr(fqangle.codes, "angle_fast_rows", lambda field, U, V: np.zeros(len(U), dtype=np.int64))
+    # an angle table that ties every direction at angle 0, inside the radius
+    monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
     code, out, err = run(
         capsys, "decode", "--q", "7", "--code", "rs", "--n", "7", "--k", "3", "--u", "1,1,4,2,2,4,1",
     )
@@ -270,6 +270,10 @@ def test_plain_format(capsys):
         ("verify", "--suite", "oracle", "--q", "3", "--n", "2", "--trials", "0"),
         ("verify", "--suite", "census", "--q", "3", "--code", "rep", "--n", "3", "--trials", "-1"),
         ("verify", "--suite", "census", "--q", "3", "--code", "rep", "--n", "3", "--trials", "0"),
+        # bounded before primality testing or forming p**m, which would hang
+        ("angle", "--q", "2305843009213693951", "--u", "1", "--v", "1"),
+        ("angle", "--p", "2305843009213693951", "--u", "1", "--v", "1"),
+        ("angle", "--p", "2", "--m", "1000000000", "--u", "1", "--v", "1"),
     ],
 )
 def test_bad_input_exits_1_without_traceback(capsys, argv):

@@ -120,6 +120,33 @@ def test_rs_construction():
         make_rs_code(F7, 7, 0)
 
 
+F8 = make_field(2, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fqangle.codes.LinearCode(F7, [[1.7, 2.2, 3.9]]),  # was truncated to [[1, 2, 3]]
+        lambda: fqangle.codes.LinearCode(F7, [[True, False, True]]),
+        lambda: fqangle.codes.LinearCode(F7, [[1, 2, 7]]),
+        lambda: fqangle.codes.LinearCode(F7, [1, 2, 3]),  # not a matrix
+        lambda: make_code(F7, [[1.0, 2.0, 3.0]]),
+        lambda: make_code(F7, [[True, False, True]]),
+        lambda: make_code(F7, [["1", "2", "3"]]),
+        lambda: make_code(F7, [[1, 2, -1]]),
+        lambda: make_code(F7, [[2**70, 1, 1]]),
+        lambda: make_rs_code(F7, 3, 2, [0, 1, 8]),  # was a code with min distance 1
+        lambda: make_rs_code(F8, 3, 2, [0, 1, 9]),  # was a bare IndexError
+        lambda: make_rs_code(F7, 3, 2, [0.0, 1.0, 2.0]),
+        lambda: make_rs_code(F7, 2, 1, [False, True]),
+        lambda: make_rs_code(F7, 3, 2, ["0", "1", "2"]),
+    ],
+)
+def test_constructors_reject_non_elements(build):
+    with pytest.raises(InvalidInput):
+        build()
+
+
 def test_rs_vandermonde_rows_are_independent():
     code = make_code(F7, [[1] * 7, list(range(7)), [i * i % 7 for i in range(7)]])
     assert code.k == 3
@@ -417,7 +444,7 @@ def code_and_words(draw):
     return code, np.array(draw(st.lists(word, min_size=1, max_size=6)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(code_and_words())
 def test_decode_rows_agrees_with_one_word_decoders(case):
     code, U = case
@@ -465,9 +492,9 @@ def test_decode_rows_validates_like_vector():
 
 
 def test_unique_decoding_violation_is_typed(monkeypatch):
-    # a kernel that puts every direction at angle 0 ties them inside the radius
+    # an angle table that puts every direction at angle 0 ties them inside the radius
     code = rs733()
-    monkeypatch.setattr(fqangle.codes, "angle_fast_rows", lambda field, U, V: np.zeros(len(U), dtype=np.int64))
+    monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
     u = Vector(F7, [1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(UniqueDecodingViolated):
         angular_decode(u, code)

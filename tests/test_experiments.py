@@ -8,10 +8,12 @@ import pytest
 from fqangle import (
     InvalidInput,
     SuiteTooLarge,
+    UniqueDecodingViolated,
     Vector,
     angle_to_code,
     angle_vs_dist_census,
     bench_angle,
+    decode_rows,
     dist_to_code,
     make_field,
     make_repetition_code,
@@ -197,12 +199,26 @@ def test_census_suite_and_example_classifications():
 def test_census_suite_checks_against_every_codeword(monkeypatch):
     import fqangle.experiments
 
-    # a distance that forgets the zero codeword still satisfies the iff
-    # condition; only the comparison with the codeword scan catches it
-    monkeypatch.setattr(fqangle.experiments, "dist_to_code", angle_to_code)
+    def decode_rows_off_where_zero_is_closest(code, U):
+        best, angle, runner_up = decode_rows(code, U)
+        return best, angle + (angle > np.count_nonzero(U, axis=1)), runner_up
+
+    # an angle one too large only where the zero codeword is closest leaves
+    # dist, the equal/strict split and the iff condition intact; only the
+    # comparison with the codeword scan catches it
+    monkeypatch.setattr(fqangle.experiments, "decode_rows", decode_rows_off_where_zero_is_closest)
     report = angle_vs_dist_census(make_repetition_code(F3, 3), 300, seed=0)
     assert not report.passed
     assert report.failures[0].startswith("census: ")
+
+
+def test_census_suite_asserts_unique_decoding(monkeypatch):
+    import fqangle.codes
+
+    # an angle table that ties every direction at angle 0, inside the radius
+    monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
+    with pytest.raises(UniqueDecodingViolated):
+        angle_vs_dist_census(make_rs_code(F7, 7, 3), 10, seed=0)
 
 
 # ----------------------------------------------------------------------

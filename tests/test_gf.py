@@ -1,9 +1,12 @@
 """Field arithmetic: construction, tables, axioms, error paths."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from fqangle import CompositeP, DivisionByZero, FieldTooLarge, make_field
+from fqangle import CompositeP, DivisionByZero, FieldTooLarge, InvalidInput, make_field
 from fqangle.gf import field_from_order
 
 
@@ -139,9 +142,32 @@ def test_construction_errors():
         make_field(2, 17)
     with pytest.raises(FieldTooLarge):
         make_field(257, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         make_field(3, 0)
+    with pytest.raises(InvalidInput):
+        make_field(3, -1)
+    make_field(2), make_field(3)  # a cached GF(3) must not answer make_field(3, True)
+    for p, m in [(2.0, 1), (3, 1.0), ("3", 1), (True, 1), (3, True)]:
+        with pytest.raises(InvalidInput):
+            make_field(p, m)
+    with pytest.raises(InvalidInput):
+        field_from_order(9.0)
     make_field(2, 16)  # exactly at the cap
+    assert make_field(np.int64(3), np.int64(2)) == make_field(3, 2)
+
+
+def test_huge_orders_rejected_before_any_search():
+    # primality testing 2^61 - 1 or forming 2^(10^9) would run for minutes
+    t0 = time.perf_counter()
+    for make in (
+        lambda: make_field(2305843009213693951),
+        lambda: make_field(2305843009213693951, 3),
+        lambda: make_field(2, 10**9),
+        lambda: field_from_order(2305843009213693951),
+    ):
+        with pytest.raises(FieldTooLarge):
+            make()
+    assert time.perf_counter() - t0 < 1
 
 
 def test_field_from_order():
@@ -270,12 +296,65 @@ def test_array_ops_match_scalar_ops(p, m):
     assert np.array_equal(f.add_array(a, b), add_expected)
     assert np.array_equal(f.mul_array(a, b), mul_expected)
     assert np.array_equal(f.sub_array(a, b), sub_expected)
-    nz = b != 0
-    div_expected = np.array([f.div(int(x), int(y)) for x, y in zip(a[nz], b[nz])])
-    assert np.array_equal(f.div_array(a[nz], b[nz]), div_expected)
-    for c in f.nonzero_elements():
-        expected = np.array([f.mul(c, int(x)) for x in np.arange(q)])
+    # scalar_mul_array and div_array are mul_array underneath: check them
+    # against the polynomial oracle, not against the ops they share code with
+    oracle_inv = {y: next(z for z in range(1, q) if oracle_mul(f, y, z) == 1) for y in range(1, q)}
+    oracle_inv[0] = 0  # a / 0 is defined as 0 elementwise
+    div_expected = np.array([oracle_mul(f, int(x), oracle_inv[int(y)]) for x, y in zip(a, b)])
+    assert np.array_equal(f.div_array(a, b), div_expected)
+    for c in f.elements():
+        expected = np.array([oracle_mul(f, c, x) for x in range(q)])
         assert np.array_equal(f.scalar_mul_array(c, np.arange(q)), expected)
+    with pytest.raises(InvalidInput):
+        f.scalar_mul_array(q, np.arange(q))
+    for bad in (q, -1, 1.5, True):
+        with pytest.raises(InvalidInput):
+            f.add(bad, 0)
+
+
+@pytest.mark.parametrize("p,dtype", [(251, np.uint8), (257, np.uint16), (65521, np.uint16)])
+def test_prime_array_ops_take_narrow_inputs_in_int64(p, dtype):
+    # u*v and u+v of two encodings can overflow the narrow dtype that holds
+    # them: on GF(251) in uint8, 250*250 wrapped to 36 and 250+250 to 244
+    f = make_field(p)
+    rng = np.random.default_rng(p)
+    a = np.concatenate([[p - 1, p - 1, 1, 0], rng.integers(0, p, size=500)])
+    b = np.concatenate([[p - 1, p - 2, p - 1, p - 1], rng.integers(1, p, size=500)])
+    na, nb = a.astype(dtype), b.astype(dtype)
+    ops = [
+        (f.add_array(na, nb), (a + b) % p),
+        (f.add_array(na, na), 2 * a % p),
+        (f.mul_array(na, nb), a * b % p),
+        (f.div_array(na, nb), np.array([x * pow(int(y), p - 2, p) % p for x, y in zip(a, b)])),
+        (f.scalar_mul_array(p - 1, na), (p - 1) * a % p),
+        (f.sub_array(na, nb), (a - b) % p),
+    ]
+    for got, expected in ops:
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+# odd-p extension fields are too large for the exhaustive tests above
+PROPERTY_FIELDS = [(3, 6), (5, 4), (7, 3), (3, 10)]
+
+
+@given(st.sampled_from(PROPERTY_FIELDS).flatmap(
+    lambda pm: st.tuples(st.just(pm), st.lists(st.integers(0, pm[0] ** pm[1] - 1), min_size=3, max_size=3))
+))
+def test_extension_field_ops_match_polynomial_oracle(case):
+    (p, m), (a, b, c) = case
+    f = make_field(p, m)
+    assert f.add(a, b) == oracle_add(f, a, b)
+    assert f.sub(a, b) == oracle_add(f, a, b, sign=-1)
+    assert f.mul(a, b) == oracle_mul(f, a, b)
+    assert f.mul(a, f.add(b, c)) == oracle_add(f, oracle_mul(f, a, b), oracle_mul(f, a, c))
+    arr = np.array([a, b, c])
+    assert f.mul_array(arr, arr[::-1]).tolist() == [oracle_mul(f, x, y) for x, y in zip([a, b, c], [c, b, a])]
+    assert f.add_array(arr, arr[::-1]).tolist() == [oracle_add(f, x, y) for x, y in zip([a, b, c], [c, b, a])]
+    assert f.scalar_mul_array(c, arr).tolist() == [oracle_mul(f, c, x) for x in (a, b, c)]
+    if b:
+        assert oracle_mul(f, b, f.inv(b)) == 1
+        assert oracle_mul(f, int(f.div_array(a, b)), b) == a
 
 
 # ----------------------------------------------------------------------
