@@ -4,7 +4,10 @@ The angle between nonzero u and v is the minimum over all nonzero scalars
 c of the Hamming distance between u and c*v.  Two algorithms are provided:
 
 * ``angle_naive`` evaluates the definition directly, one distance per
-  nonzero scalar (q-1 passes).  It is the reference oracle.
+  nonzero scalar (q-1 passes).  It is the reference oracle.  Each pass
+  gathers c*v from one row of a product table, in cache-sized row blocks:
+  for q <= 256 the uint8 table of c*x from ``mul_array``, above that a
+  uint16 table indexed by log x.
 * ``angle_fast`` makes a single pass: it partitions the positions by the
   joint zero-pattern of (u_i, v_i), counts for every scalar c how many
   positions satisfy u_i = c * v_i with both sides nonzero (a census
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ZeroVector
 from .gf import Field
@@ -43,6 +47,11 @@ from .vectors import Vector, _require_same_space, scalar_mul
 # Above this many cells the row-offset bincount is replaced by a sort-based
 # per-row count (keeps memory O(T*n) when q is huge relative to n).
 _BINCOUNT_CELL_CAP = 1 << 25
+
+# Elements per row block of the oracle.  Every pass reuses the block's
+# buffers (64 KB each in uint8), so they stay in cache; measured faster than
+# 8 K, 16 K and one unblocked pass at q = 251, 16 and n = 1000.
+_ORACLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,35 +144,48 @@ def _angle_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-wise brute force: min over nonzero c of d_H(u, c*v)."""
+    """Row-wise brute force: min over nonzero c of d_H(u, c*v).
+
+    One pass per nonzero c, each gathering c*v from a row of a product
+    table and counting its mismatches with u, over row blocks of about
+    ``_ORACLE_BLOCK`` elements.  For q <= 256 the table is the (q-1, q)
+    uint8 product table from ``mul_array``; above that, row k maps log x
+    to g^k * x in uint16 (exp twice over, then zeros that every x = 0
+    reaches).  Never forms u_i / v_i, so it stays independent of the census.
+    """
     U = np.atleast_2d(U)
     V = np.atleast_2d(V)
     T, n = U.shape
+    q = field.q
+    if q <= 256:
+        # table[c - 1, index[x]] = c * x, with index[x] = x
+        table = field.mul_array(np.arange(1, q)[:, None], np.arange(q)).astype(np.uint8)
+        index = np.arange(q)
+    else:
+        # table[k, index[x]] = ext[k + log x] = g^k * x for x != 0, and
+        # index[0] = 2(q - 1) lands in the zeros for every k
+        L = q - 1
+        ext = np.concatenate([field.exp_table, field.exp_table, np.zeros(L, dtype=np.int64)])
+        table = sliding_window_view(ext.astype(np.uint16), 2 * L + 1)
+        index = field.log_table.copy()
+        index[0] = 2 * L
     best = np.full(T, n, dtype=np.int64)
-    if field.m == 1:
-        p = field.p
-        U32 = np.ascontiguousarray(U, dtype=np.int32)
-        V32 = np.ascontiguousarray(V, dtype=np.int32)
-        buf = np.empty_like(V32)
-        neq = np.empty(U32.shape, dtype=bool)
-        for c in range(1, p):
-            np.multiply(V32, c, out=buf)
-            np.mod(buf, p, out=buf)
-            np.not_equal(buf, U32, out=neq)
-            np.minimum(best, np.count_nonzero(neq, axis=1), out=best)
-        return best
-    vz = V == 0
-    # where v_i = 0, c*v_i = 0 for every c: mismatches there are constant
-    base = np.count_nonzero(vz & (U != 0), axis=1)
-    logV = field.log_table[V]  # -1 where V = 0, masked below
-    W = np.empty(V.shape, dtype=np.int64)
-    idx = np.empty(V.shape, dtype=np.int64)
-    for c in range(1, field.q):
-        np.add(logV, int(field.log_table[c]), out=idx)
-        np.mod(idx, field.q - 1, out=idx)
-        np.take(field.exp_table, idx, out=W)
-        d = base + np.count_nonzero((W != U) & ~vz, axis=1)
-        np.minimum(best, d, out=best)
+    rows = max(1, _ORACLE_BLOCK // max(n, 1))
+    W = np.empty((min(rows, T), n), dtype=table.dtype)
+    neq = np.empty(W.shape, dtype=bool)
+    dist = np.empty(W.shape[0], dtype=np.intp)
+    for s in range(0, T, rows):
+        u = U[s : s + rows].astype(table.dtype)
+        v = index.take(V[s : s + rows])  # intp, take's index dtype: no cast per pass
+        k = u.shape[0]
+        w, ne, d, b = W[:k], neq[:k], dist[:k], best[s : s + k]
+        for cv in table:  # cv[index[x]] = c * x for one c
+            # every index is in range, so clip never fires; mode="raise"
+            # would buffer the output to check bounds on every pass
+            np.take(cv, v, out=w, mode="clip")
+            np.not_equal(w, u, out=ne)
+            ne.sum(axis=1, dtype=np.intp, out=d)
+            np.minimum(b, d, out=b)
     return best
 
 

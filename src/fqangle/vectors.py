@@ -50,8 +50,22 @@ class Vector:
         return f"Vector({self.field!r}, [{format_vector(self)}])"
 
 
+def _holds_bool(seq) -> bool:
+    """True if a list or tuple, at any depth, holds a bool or a bool array."""
+    for x in seq:
+        if isinstance(x, (list, tuple)):
+            if _holds_bool(x):
+                return True
+        elif isinstance(x, bool) or getattr(x, "dtype", None) == np.bool_:  # np.bool_ too
+            return True
+    return False
+
+
 def coordinate_array(field: Field, coords, ndim: int = 1) -> np.ndarray:
     """Write-protected int64 copy of a nonempty ndim-D array of encodings in [0, q)."""
+    # numpy casts [0, True, 2] to int64, so a list is searched for bools first
+    if isinstance(coords, (list, tuple)) and _holds_bool(coords):
+        raise InvalidInput(f"coordinates must be integers in [0, {field.q}), got a bool")
     arr = np.array(coords)  # defensive copy
     if arr.ndim != ndim or arr.size == 0:
         raise InvalidInput(f"expected a nonempty {ndim}-D array of coordinates, got shape {arr.shape}")

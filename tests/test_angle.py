@@ -1,5 +1,7 @@
 """The angle itself: oracle equivalence, metric behavior, census, projective layer."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -242,6 +244,108 @@ def test_q2_angle_is_hamming_distance():
     for u in nonzero_vectors(f2, 4):
         for v in nonzero_vectors(f2, 4):
             assert angle_fast(u, v) == hamming_distance(u, v)
+
+
+# ----------------------------------------------------------------------
+# The oracle against the definition, by a pure-Python double loop
+# ----------------------------------------------------------------------
+
+def _definition(field, U, V):
+    """min over nonzero c of d_H(u, c*v) for every row pair, one Python
+    product per scalar and position: c*b mod p in Python integers for prime
+    fields, the exp/log product otherwise (test_gf checks those tables
+    against polynomial arithmetic)."""
+    q = field.q
+    if field.m == 1:
+        def mul(c, b):
+            return c * b % q
+    else:
+        exp, log = field.exp_table.tolist(), field.log_table.tolist()
+
+        def mul(c, b):
+            return exp[(log[c] + log[b]) % (q - 1)] if b else 0
+    return [
+        min(sum(map(operator.ne, u, [mul(c, b) for b in v])) for c in range(1, q))
+        for u, v in zip(np.asarray(U).tolist(), np.asarray(V).tolist())
+    ]
+
+
+def _oracle_inputs(U, V):
+    """The input kinds the oracle is called with: int64 rows, uint8 rows,
+    and a read-only broadcast view of one word against many (as the decode
+    benchmarks compute their reference angles)."""
+    U0 = np.broadcast_to(U[0], U.shape)
+    yield U, V
+    yield U.astype(np.uint8), V.astype(np.uint8)
+    yield U0, V
+    yield V, U0
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (251, 1), (2, 8)]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_oracle_matches_definition_across_block_edges(p, m, monkeypatch):
+    from fqangle.experiments import random_nonzero_rows
+
+    field = make_field(p, m)
+    monkeypatch.setattr(fqangle.angle, "_ORACLE_BLOCK", 64)
+    rng = np.random.default_rng(p * 100 + m)
+    # T*n just below and just above the block, n beyond it, and single rows
+    for T, n in [(7, 9), (13, 5), (3, 100), (1, 30), (1, 150)]:
+        U = random_nonzero_rows(rng, field, T, n)
+        V = random_nonzero_rows(rng, field, T, n)
+        V[0, : n // 3] = field.scalar_mul_array(field.q - 1, U[0, : n // 3])  # a long run v = (q-1) * u
+        for A, B in _oracle_inputs(U, V):
+            assert angle_naive_rows(field, A, B).tolist() == _definition(field, A, B)
+
+
+def test_oracle_matches_definition_at_the_block_size():
+    from fqangle.experiments import random_nonzero_rows
+
+    block = fqangle.angle._ORACLE_BLOCK
+    rng = np.random.default_rng(47)
+    for T, n in [(3, block // 3), (2, block // 2 + 1), (1, block + 3)]:
+        U = random_nonzero_rows(rng, F3, T, n)
+        V = random_nonzero_rows(rng, F3, T, n)
+        for A, B in _oracle_inputs(U, V):
+            assert angle_naive_rows(F3, A, B).tolist() == _definition(F3, A, B)
+
+
+@pytest.mark.parametrize("p,m", [(257, 1), (46349, 1), (65521, 1), (3, 10)])
+def test_oracle_matches_definition_above_256(p, m):
+    # for p > 46341 the oracle once formed c*v in int32, which overflowed
+    from fqangle.experiments import random_nonzero_rows
+
+    field = make_field(p, m)
+    q = field.q
+    U = random_nonzero_rows(np.random.default_rng(q), field, 5, 6)
+    V = random_nonzero_rows(np.random.default_rng(q + 1), field, 5, 6)
+    U[0], V[0] = 1, q - 1  # c = 1 / (q - 1) maps v to u: angle 0
+    U[1], V[1] = q - 1, [q - 2] + [q - 1] * 5  # angle 1
+    U[2, :4] = field.scalar_mul_array(q - 1, V[2, :4])
+    V[3, 2:] = 0
+    naive = angle_naive_rows(field, U, V)
+    assert naive[:2].tolist() == [0, 1]
+    assert naive.tolist() == _definition(field, U, V)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (257, 1)])
+def test_oracle_never_touches_the_census(p, m, monkeypatch):
+    from fqangle.experiments import random_nonzero_rows
+    from fqangle.gf import Field
+
+    def census(*args):
+        raise AssertionError("the oracle reached the census kernel")
+
+    for name in ("_ratio_bins", "_bin_counts", "_sorted_census"):
+        monkeypatch.setattr(fqangle.angle, name, census)
+    field = Field(p, m)  # fresh, not shared through the make_field cache
+    rng = np.random.default_rng(3)
+    U = random_nonzero_rows(rng, field, 4, 12)
+    V = random_nonzero_rows(rng, field, 4, 12)
+    assert angle_naive_rows(field, U, V).tolist() == _definition(field, U, V)
+    assert "ratio_bin_tables" not in field.__dict__
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,16 @@ def test_verify_oracle(capsys):
     assert doc["trials"] == 500 and doc["seed"] == 7
 
 
+def test_verify_oracle_at_a_large_prime(capsys):
+    # c * v overflowed int32 in the oracle for p > 46341: naive = 99 != 98
+    code, doc, _ = run_json(
+        capsys, "verify", "--suite", "oracle", "--q", "65521", "--n", "100",
+        "--trials", "20", "--seed", "1",
+    )
+    assert code == 0
+    assert doc["failures"] == [] and doc["checks_run"] == 20
+
+
 def test_verify_decoding(capsys):
     code, doc, _ = run_json(
         capsys, "verify", "--suite", "decoding", "--code", "rep", "--q", "3", "--n", "3",

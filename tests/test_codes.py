@@ -140,6 +140,10 @@ F8 = make_field(2, 3)
         lambda: make_rs_code(F7, 3, 2, [0.0, 1.0, 2.0]),
         lambda: make_rs_code(F7, 2, 1, [False, True]),
         lambda: make_rs_code(F7, 3, 2, ["0", "1", "2"]),
+        lambda: fqangle.codes.LinearCode(F7, [[1, 2, 3], [0, True, 2]]),  # was [[1,2,3],[0,1,2]]
+        lambda: fqangle.codes.LinearCode(F7, [np.array([True, False, True]), [1, 2, 3]]),
+        lambda: make_rs_code(F7, 3, 2, [0, True, 2]),  # was a code on points 0, 1, 2
+        lambda: make_rs_code(F7, 3, 2, (0, np.True_, 2)),
     ],
 )
 def test_constructors_reject_non_elements(build):
@@ -481,6 +485,8 @@ def test_decode_rows_validates_like_vector():
         decode_rows(code, [[1.0, 0.0, 0.0]])
     with pytest.raises(InvalidInput):
         decode_rows(code, [[3, 0, 0]])
+    with pytest.raises(InvalidInput):
+        decode_rows(code, [[1, 2, 0], [0, True, 2]])  # was read as [0, 1, 2]
     with pytest.raises(InvalidInput):
         decode_rows(code, [1, 0, 0])  # one word must still be a (1, n) matrix
     with pytest.raises(InvalidInput):

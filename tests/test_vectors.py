@@ -99,7 +99,11 @@ def test_vector_validation():
         Vector(F3, [-1, 0])
 
 
-@pytest.mark.parametrize("coords", [[1.7, 2.2], ["2", 1], [2**70, 1], np.array([1.0, 2.0])])
+@pytest.mark.parametrize(
+    "coords",
+    [[1.7, 2.2], ["2", 1], [2**70, 1], np.array([1.0, 2.0]),
+     [0, True, 2], (1, np.True_), [np.int64(1), False]],  # mixed bools were read as ints
+)
 def test_vector_rejects_non_integer_input(coords):
     with pytest.raises(InvalidInput):
         Vector(F3, coords)
