@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ZeroVector
+from .errors import InvalidInput, ZeroVector
 from .gf import Field
 from .vectors import Vector, _require_same_space, scalar_mul
 
@@ -261,7 +261,7 @@ class ProjectivePoint:
         if nz.size == 0:
             raise ZeroVector("a projective point needs a nonzero representative")
         if int(self.rep.coords[nz[0]]) != 1:
-            raise ValueError("representative is not normalized; use projectivize()")
+            raise InvalidInput("representative is not normalized; use projectivize()")
 
     @property
     def field(self) -> Field:

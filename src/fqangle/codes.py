@@ -5,6 +5,19 @@ A code is given by a full-rank k x n generator matrix.  Every nonzero
 codeword is a multiple of a direction, so every code query scans the
 direction matrix (``projective_codeword_matrix``): the desk-scale regime
 the enumeration guard (q^k <= 2^20) permits.
+
+``angular_decode`` has one fast path.  On a Reed-Solomon code whose scan
+covers at least ``_BW_MIN_SCAN`` positions (directions x length) it first
+runs Berlekamp-Welch with radius t = (min_distance - 1) // 2.  If that
+yields a nonzero codeword c with d_H(u, c) <= t, the outcome is
+UNIQUE_DIRECTION with the direction of c at angle d_H(u, c), and no scan
+runs.  This is sound whatever Berlekamp-Welch computed: c = f G is a
+codeword by construction and its distance is counted, and every other
+nonzero codeword, beta c included, lies at distance >= d - t > t.  So the
+outcome is the scan's, bit for bit.  Otherwise (no codeword within t, or
+c = 0 because wt(u) <= t) the call falls back to the scan.
+``decode_rows``, ``projective_list_decode`` and ``min_distance`` always
+scan.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from .errors import (
     UniqueDecodingViolated,
     ZeroVector,
 )
-from .gf import Field
+from .gf import Field, _integer
 from .vectors import Vector, coordinate_array, hamming_weight
 
 ENUMERATION_CAP = 1 << 20
@@ -38,9 +51,21 @@ ENUMERATION_CAP = 1 << 20
 # at once, which bounds its memory whatever the number of words.
 _DECODE_CHUNK_ROWS = 1 << 18
 
+# Least scan size, directions x length, at which angular_decode tries
+# Berlekamp-Welch before the scan on a Reed-Solomon code.  Warm
+# angular_decode per near word, scan vs Berlekamp-Welch, 2-core Xeon:
+# RS[7,3]/GF(7) (399 positions) 73 vs 280 us, RS[8,4]/GF(8) (4,680)
+# 150 vs 558 us, RS[11,4]/GF(11) (16,104) 318 vs 366 us, RS[13,4]/GF(13)
+# (30,940) 509 vs 454 us, RS[10,4]/GF(16) (43,690) 814 vs 612 us,
+# RS[15,5]/GF(16) (1,048,575) 21.3 vs 1.0 ms.  The crossover lies near 2^15.
+_BW_MIN_SCAN = 1 << 15
+
 
 def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
-    """Reduced row-echelon form over the field; returns (rref, rank)."""
+    """Reduced row-echelon form over the field; returns (rref, rank).
+
+    Gauss-Jordan with one broadcast elimination per pivot column: every
+    other row subtracts its multiple of the pivot row at once."""
     A = np.array(M, dtype=np.int64)
     rows, cols = A.shape
     r = 0
@@ -53,12 +78,13 @@ def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
         i = r + int(pivots[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        lead = int(A[r, col])
-        if lead != 1:
-            A[r] = field.mul_array(field.inv(lead), A[r])
-        for i in range(rows):
-            if i != r and A[i, col] != 0:
-                A[i] = field.sub_array(A[i], field.mul_array(A[i, col], A[r]))
+        # rows r.. are zero left of col, so only columns col.. change
+        if A[r, col] != 1:
+            A[r, col:] = field.mul_array(field.inv_table[A[r, col]], A[r, col:])
+        factors = A[:, col].copy()
+        factors[r] = 0
+        if factors.any():
+            A[:, col:] = field.sub_array(A[:, col:], field.mul_array(factors[:, None], A[r, col:]))
         r += 1
     return A, r
 
@@ -78,6 +104,7 @@ class LinearCode:
         self.generator = G
         self.k = k
         self.n = n
+        self.eval_points: np.ndarray | None = None  # set by make_rs_code
         self._min_distance: int | None = None
         self._codewords: np.ndarray | None = None
         self._projective: np.ndarray | None = None
@@ -104,28 +131,37 @@ def make_code(field: Field, rows: Sequence) -> LinearCode:
 
 def make_rs_code(field: Field, n: int, k: int, eval_points: Iterable[int] | None = None) -> LinearCode:
     """Reed-Solomon code: generator row i holds the i-th powers of the
-    evaluation points (default: the first n field elements)."""
+    evaluation points (default: the first n field elements), which the code
+    keeps as ``eval_points`` for Berlekamp-Welch."""
+    n = _integer("n", n)
+    k = _integer("k", k)
     if n > field.q:
         raise TooManyPoints(f"n = {n} exceeds field order q = {field.q}")
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k = {k}, n = {n}")
+        raise InvalidInput(f"need 1 <= k <= n, got k = {k}, n = {n}")
     if eval_points is None:
         points = np.arange(n, dtype=np.int64)
+        points.setflags(write=False)
     else:
         points = coordinate_array(field, list(eval_points))
         if points.size != n:
-            raise ValueError(f"expected {n} evaluation points, got {points.size}")
+            raise InvalidInput(f"expected {n} evaluation points, got {points.size}")
         if len(set(points.tolist())) != n:
             raise DuplicatePoints("evaluation points must be pairwise distinct")
     G = np.empty((k, n), dtype=np.int64)
     G[0] = 1  # x^0 = 1, including at x = 0
     for i in range(1, k):
         G[i] = field.mul_array(G[i - 1], points)
-    return LinearCode(field, G)
+    code = LinearCode(field, G)
+    code.eval_points = points
+    return code
 
 
 def make_repetition_code(field: Field, n: int) -> LinearCode:
     """The [n, 1] code spanned by the all-ones vector."""
+    n = _integer("n", n)
+    if n < 1:
+        raise InvalidInput(f"need n >= 1, got n = {n}")
     return LinearCode(field, np.ones((1, n), dtype=np.int64))
 
 
@@ -149,9 +185,13 @@ def digit_rows(idx: np.ndarray, base: int, width: int) -> np.ndarray:
 def _encode_messages(code: LinearCode, idx: np.ndarray) -> np.ndarray:
     """Codewords of the messages whose base-q digits (first most significant)
     spell the indices idx."""
+    return _encode(code, digit_rows(idx, code.field.q, code.k))
+
+
+def _encode(code: LinearCode, messages: np.ndarray) -> np.ndarray:
+    """Codewords m G of the rows m of a (T, k) message array."""
     field = code.field
     G = code.generator
-    messages = digit_rows(idx, field.q, code.k)
     if field.m == 1:
         return messages @ G % field.p
     acc = np.zeros((messages.shape[0], code.n), dtype=np.int64)
@@ -203,11 +243,14 @@ def _check_member_shape(u: Vector, code: LinearCode):
         raise LengthMismatch(f"vector length {len(u)} != code length {code.n}")
 
 
-def _word_angles(u: Vector, code: LinearCode) -> np.ndarray:
-    """(D,) angles from the nonzero word u to each codeword direction."""
+def _check_word(u: Vector, code: LinearCode):
     _check_member_shape(u, code)
     if u.is_zero():
         raise ZeroVector("the angle to a code is defined only for nonzero vectors")
+
+
+def _word_angles(u: Vector, code: LinearCode) -> np.ndarray:
+    """(D,) angles from a checked nonzero word u to each codeword direction."""
     return _angle_table(code.field, u.coords[None, :], projective_codeword_matrix(code))[0]
 
 
@@ -219,6 +262,7 @@ def dist_to_code(u: Vector, code: LinearCode) -> int:
 
 def angle_to_code(u: Vector, code: LinearCode) -> int:
     """min over NONZERO codewords of d_H(u, c); at least dist_to_code(u, code)."""
+    _check_word(u, code)
     return int(_word_angles(u, code).min())
 
 
@@ -254,15 +298,64 @@ class DecodeOutcome:
         return self.kind is DecodeKind.UNIQUE_DIRECTION
 
 
-def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
-    """Find the closest codeword direction(s) to u by full projective scan.
+def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray, int] | None:
+    """(c, d_H(u, c)) for a nonzero codeword c within distance t of the word
+    u, found by Berlekamp-Welch on the code's evaluation points; else None.
 
-    If the best angle a satisfies 2a < d (strictly inside the unique
-    decoding radius) the direction is provably unique; the scan still
-    covers every direction and the uniqueness is asserted, not assumed.
+    Solves Q(x_j) = u_j E(x_j) for E monic of degree t and deg Q < t + k
+    (n equations, 2t + k unknowns, free unknowns set to 0) and divides
+    f = Q / E.  c = f G is a codeword whatever the points, and it is
+    returned only once d_H(u, c) <= t is counted; a word beyond radius t,
+    wrong points or c = 0 give None.
     """
-    angles = _word_angles(u, code)
+    field, k = code.field, code.k
+    width = t + k  # coefficients of Q
+    powers = np.empty((code.n, width), dtype=np.int64)  # powers[j, i] = x_j^i
+    powers[:, 0] = 1  # x^0 = 1, including at x = 0
+    for i in range(1, width):
+        powers[:, i] = field.mul_array(powers[:, i - 1], code.eval_points)
+    uE = field.mul_array(u[:, None], powers[:, : t + 1])  # u_j x_j^i, i <= t
+    system = np.concatenate([powers, field.neg_array(uE[:, :t]), uE[:, t:]], axis=1)
+    R, rank = row_reduce(field, system)
+    pivot_cols = (R[:rank] != 0).argmax(axis=1)
+    if pivot_cols[-1] == width + t:  # a pivot in the right-hand side: no solution
+        return None
+    solution = np.zeros(width + t, dtype=np.int64)
+    solution[pivot_cols] = R[:rank, -1]
+    Q = solution[:width]
+    E = np.append(solution[width:], 1)
+    f = np.zeros(k, dtype=np.int64)
+    for i in range(k - 1, -1, -1):  # long division by the monic E
+        f[i] = Q[i + t]
+        Q[i : i + t + 1] = field.sub_array(Q[i : i + t + 1], field.mul_array(f[i], E))
+    if Q.any():  # a nonzero remainder
+        return None
+    c = _encode(code, f[None, :])[0]
+    dist = int(np.count_nonzero(c != u))
+    if dist > t or not c.any():
+        return None
+    return c, dist
+
+
+def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
+    """Find the closest codeword direction(s) to u.
+
+    On a Reed-Solomon code with a large scan, Berlekamp-Welch is tried
+    first (see the module docstring); its answer is exact or absent.
+    Otherwise every direction is scanned, and if the best angle a
+    satisfies 2a < d (strictly inside the unique decoding radius) the
+    uniqueness is asserted, not assumed.
+    """
+    _check_word(u, code)
     d = min_distance(code)
+    q = code.field.q
+    if code.eval_points is not None and (q**code.k - 1) // (q - 1) * code.n >= _BW_MIN_SCAN:
+        found = berlekamp_welch(code, u.coords, (d - 1) // 2)
+        if found is not None:
+            c, a = found
+            point = projectivize(Vector(code.field, c))
+            return DecodeOutcome(DecodeKind.UNIQUE_DIRECTION, ((point, a),), d)
+    angles = _word_angles(u, code)
     a = int(angles.min())
     tied = np.flatnonzero(angles == a)
     if 2 * a < d and tied.size > 1:
@@ -278,6 +371,7 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
 def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[ProjectivePoint, int]]:
     """All codeword directions with angle < rho, sorted by angle then
     enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance."""
+    _check_word(u, code)
     angles = _word_angles(u, code)
     hits = np.flatnonzero(angles < rho)
     hits = hits[np.argsort(angles[hits], kind="stable")]

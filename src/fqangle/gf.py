@@ -298,6 +298,8 @@ class Field:
         return out
 
     def neg_array(self, a: np.ndarray) -> np.ndarray:
+        if self.p == 2:  # -x = x in characteristic 2
+            return np.array(a, dtype=np.int64)
         return self.mul_array(self.p - 1, a)  # p - 1 encodes -1
 
     def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ def parse_vector(field: Field, text: str) -> Vector:
     try:
         values = [int(s) for s in parts]
     except ValueError:
-        raise ValueError(f"cannot parse vector from {text!r}") from None
+        raise InvalidInput(f"cannot parse vector from {text!r}") from None
     return Vector(field, values)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import fqangle.angle
 from fqangle import (
+    InvalidInput,
     ProjectivePoint,
     Vector,
     ZeroVector,
@@ -509,3 +510,8 @@ def test_mismatch_rejected():
         angle_fast(vec([1, 2]), vec([1, 2, 0]))
     with pytest.raises(FieldMismatch):
         angle_fast(vec([1, 2]), Vector(F5, [1, 2]))
+
+
+def test_unnormalized_projective_point_is_typed():
+    with pytest.raises(InvalidInput):  # was a bare ValueError
+        ProjectivePoint(vec([2, 1, 0]))

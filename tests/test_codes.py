@@ -507,3 +507,190 @@ def test_unique_decoding_violation_is_typed(monkeypatch):
     with pytest.raises(UniqueDecodingViolated):
         decode_rows(code, [[1, 2, 3, 4, 5, 6, 0], [1, 0, 0, 0, 0, 0, 0]])
     assert issubclass(UniqueDecodingViolated, AssertionError)
+
+
+# ----------------------------------------------------------------------
+# Typed constructor errors
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_rs_code(F7, 7, True),  # was a bare TypeError
+        lambda: make_rs_code(F7, 7.0, 3),  # was a bare TypeError
+        lambda: make_repetition_code(F7, 3.0),  # was a bare TypeError
+        lambda: make_repetition_code(F7, -1),  # was numpy's ValueError
+        lambda: make_rs_code(F7, 7, 0),  # k out of range
+        lambda: make_rs_code(F7, 3, 4),  # k out of range
+        lambda: make_rs_code(F7, 3, 2, [0, 1]),  # too few evaluation points
+    ],
+    ids=["rs-k-bool", "rs-n-float", "rep-n-float", "rep-n-negative", "rs-k-zero", "rs-k-above-n",
+         "rs-point-count"],
+)
+def test_code_constructor_errors_are_typed(build):
+    with pytest.raises(InvalidInput):
+        build()
+
+
+# ----------------------------------------------------------------------
+# row_reduce against a pure-Python Gauss-Jordan
+# ----------------------------------------------------------------------
+
+def gauss_jordan_reference(field, M):
+    """RREF and rank by element operations, one row at a time."""
+    A = [[int(x) for x in row] for row in M]
+    rows, cols = len(A), len(A[0])
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if A[i][col]), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        inv = field.inv(A[r][col])
+        A[r] = [field.mul(inv, x) for x in A[r]]
+        for i in range(rows):
+            if i != r and A[i][col]:
+                f = A[i][col]
+                A[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(A[i], A[r])]
+        r += 1
+        if r == rows:
+            break
+    return A, r
+
+
+def field_matmul(field, A, B):
+    out = [[0] * len(B[0]) for _ in A]
+    for i, row in enumerate(A):
+        for j in range(len(B[0])):
+            for a, b_row in zip(row, B):
+                out[i][j] = field.add(out[i][j], field.mul(int(a), int(b_row[j])))
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("pm", [(2, 1), (7, 1), (3, 2), (2, 4), (2, 8)], ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_row_reduce_matches_reference(pm):
+    field = make_field(*pm)
+    rng = np.random.default_rng(sum(pm))
+    cases = [rng.integers(0, field.q, size=shape) for shape in [(1, 1), (5, 5), (4, 7), (7, 4), (6, 6)]]
+    swap = rng.integers(0, field.q, size=(5, 6))
+    swap[:3, 0] = 0  # the first pivot sits in row 3, so rows must swap
+    swap[3, 0] = 1
+    cases += [swap, np.zeros((3, 4), dtype=np.int64)]
+    # rank-deficient: a product through an inner dimension below both sides
+    deficient = [field_matmul(field, rng.integers(0, field.q, size=(6, r)), rng.integers(0, field.q, size=(r, 5)))
+                 for r in (1, 2, 3)]
+    for M in cases + deficient:
+        R, rank = fqangle.codes.row_reduce(field, M)
+        ref, ref_rank = gauss_jordan_reference(field, M)
+        assert rank == ref_rank
+        assert R.dtype == np.int64 and np.array_equal(R, np.array(ref, dtype=np.int64))
+    assert [fqangle.codes.row_reduce(field, M)[1] <= r for M, r in zip(deficient, (1, 2, 3))] == [True] * 3
+
+
+# ----------------------------------------------------------------------
+# Berlekamp-Welch fast path: every result checked against the scan
+# ----------------------------------------------------------------------
+
+BW_CODES = [
+    (F7, 7, 3, None),  # the default points include 0
+    (F7, 7, 1, None),  # k = 1
+    (make_field(5), 5, 5, None),  # k = n: t = 0
+    (F8, 7, 3, None),
+    (make_field(3, 2), 9, 3, None),
+    (make_field(11), 11, 5, None),
+    (make_field(2, 4), 8, 3, [1, 2, 4, 8, 3, 6, 12, 11]),  # custom points without 0
+    (make_field(11), 6, 2, [10, 3, 7, 0, 5, 9]),  # custom points with 0
+]
+
+
+def bw_words(code, rng):
+    """Seeded nonzero words: a direction plus an error of every weight <= t,
+    rescaled; uniform words; words of weight <= t."""
+    field, n = code.field, code.n
+    t = (min_distance(code) - 1) // 2
+    P = projective_codeword_matrix(code)
+    words = []
+    for w in range(t + 1):
+        for _ in range(3):
+            err = np.zeros(n, dtype=np.int64)
+            err[rng.choice(n, size=w, replace=False)] = rng.integers(1, field.q, size=w)
+            word = field.add_array(P[rng.integers(len(P))], err)
+            words.append(field.scalar_mul_array(int(rng.integers(1, field.q)), word))
+    words += list(rng.integers(0, field.q, size=(8, n)))
+    for w in range(1, t + 1):
+        low = np.zeros(n, dtype=np.int64)
+        low[rng.choice(n, size=w, replace=False)] = rng.integers(1, field.q, size=w)
+        words.append(low)
+    U = np.array(words)
+    return U[U.any(axis=1)]
+
+
+@pytest.mark.parametrize("case", BW_CODES, ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
+def test_berlekamp_welch_agrees_with_scan(case):
+    field, n, k, points = case
+    code = make_rs_code(field, n, k, points)
+    d = min_distance(code)
+    t = (d - 1) // 2
+    P = projective_codeword_matrix(code)
+    U = bw_words(code, np.random.default_rng(n * k))
+    best, angle, _ = decode_rows(code, U)
+    found_any = False
+    for u, b, a in zip(U, best, angle):
+        found = fqangle.codes.berlekamp_welch(code, u, t)
+        assert (found is not None) == (2 * a < d and np.count_nonzero(u) > t)
+        if found is not None:
+            c, dist = found
+            assert projectivize(Vector(field, c)) == projectivize(Vector(field, P[b]))
+            assert dist == a
+            found_any = True
+    assert found_any
+
+
+@pytest.mark.parametrize("case", BW_CODES, ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
+def test_forced_fast_path_outcome_equals_scan(case, monkeypatch):
+    field, n, k, points = case
+    code = make_rs_code(field, n, k, points)
+    words = [Vector(field, u) for u in bw_words(code, np.random.default_rng(7))]
+    monkeypatch.setattr(fqangle.codes, "_BW_MIN_SCAN", 1 << 62)
+    scan = [angular_decode(u, code) for u in words]
+    monkeypatch.setattr(fqangle.codes, "_BW_MIN_SCAN", 0)
+    assert [angular_decode(u, code) for u in words] == scan
+    # wrong points cost time, never the answer: the fallback scan decides
+    code.eval_points = np.roll(code.eval_points, 1)
+    t = (min_distance(code) - 1) // 2
+    assert any(fqangle.codes.berlekamp_welch(code, u.coords, t) is None for u in words)
+    assert [angular_decode(u, code) for u in words] == scan
+
+
+def test_fast_path_dispatch(monkeypatch):
+    calls = []
+    bw = fqangle.codes.berlekamp_welch
+    monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *a: calls.append(a) or bw(*a))
+    u = Vector(F7, [1, 1, 4, 2, 2, 4, 1])
+    angular_decode(u, rs733())  # 57 directions x 7: the scan is cheaper
+    angular_decode(u, make_code(F7, rs733().generator))  # not built as Reed-Solomon
+    assert calls == []
+    monkeypatch.setattr(fqangle.codes, "_BW_MIN_SCAN", 57 * 7)
+    angular_decode(u, rs733())
+    assert len(calls) == 1
+
+
+def test_fast_path_end_to_end_rs_15_5_gf16():
+    # the decode-large code: 69,905 directions, so angular_decode takes Berlekamp-Welch
+    field = make_field(2, 4)
+    code = make_rs_code(field, 15, 5)
+    assert 69905 * 15 >= fqangle.codes._BW_MIN_SCAN
+    d = min_distance(code)
+    P = projective_codeword_matrix(code)
+    rng = np.random.default_rng(15)
+    U = []
+    for w in (0, 2, 3, 5, 5):
+        err = np.zeros(15, dtype=np.int64)
+        err[rng.choice(15, size=w, replace=False)] = rng.integers(1, 16, size=w)
+        U.append(field.scalar_mul_array(int(rng.integers(1, 16)), field.add_array(P[rng.integers(len(P))], err)))
+    U += list(rng.integers(1, 16, size=(2, 15)))  # random words fall back to the scan
+    best, angle, _ = decode_rows(code, U)
+    for u, b, a in zip(U, best, angle):
+        out = angular_decode(Vector(field, u), code)
+        assert out.best[0] == (projectivize(Vector(field, P[b])), a)
+        assert out.unique == (2 * a < d) and out.min_distance == d

@@ -166,3 +166,10 @@ def test_parse_and_format_round_trip_property(case):
     assert u.values() == tuple(values)
     assert format_vector(u) == text
     assert parse_vector(field, format_vector(u)) == u
+
+
+def test_parse_vector_error_is_typed():
+    with pytest.raises(InvalidInput):  # was a bare ValueError
+        parse_vector(F3, "1,x,0")
+    with pytest.raises(InvalidInput):
+        parse_vector(F3, "")
