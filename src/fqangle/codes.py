@@ -4,7 +4,10 @@ distance/angle to a code, and the angular unique decoder.
 A code is given by a full-rank k x n generator matrix.  Every nonzero
 codeword is a multiple of a direction, so every code query scans the
 direction matrix (``projective_codeword_matrix``): the desk-scale regime
-the enumeration guard (q^k <= 2^20) permits.
+the enumeration guard (q^k <= 2^20) permits.  That matrix holds each
+direction's normalized representative (first nonzero coordinate 1) in the
+narrowest unsigned dtype that fits q - 1, so decoders return its rows as
+projective points as they stand.
 
 ``angular_decode`` has one fast path.  On a Reed-Solomon code whose scan
 covers at least ``_BW_MIN_SCAN`` positions (directions x length) it first
@@ -30,7 +33,7 @@ import numpy as np
 
 # angle_fast_rows is bound here for perfbench/selftest.py, which checks
 # that its fault injection is undone in every module that names the kernel
-from .angle import ProjectivePoint, _angle_table, angle_fast_rows, projectivize  # noqa: F401
+from .angle import ProjectivePoint, _angle_table, angle_fast_rows, normalize_rows, projectivize  # noqa: F401
 from .errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -50,6 +53,14 @@ ENUMERATION_CAP = 1 << 20
 # Kernel rows (words x directions) decode_rows passes to the angle kernel
 # at once, which bounds its memory whatever the number of words.
 _DECODE_CHUNK_ROWS = 1 << 18
+
+# Codeword elements per block when the direction matrix is encoded.  One
+# block's int64 temporaries (about 20 on GF(2^m)) stay under glibc's 128 KiB
+# mmap threshold and in cache, instead of each spanning the whole matrix.
+# Cold set-up of RS[15,5]/GF(16) (field, code, 69,905 directions, minimum
+# distance), fresh process, 2-core Xeon: 72 ms at 2^12, 64 at 2^13, 61 at
+# 2^14, 75 at 2^15, 93 at 2^16 and 110 unblocked.
+_ENCODE_BLOCK = 1 << 14
 
 # Least scan size, directions x length, at which angular_decode tries
 # Berlekamp-Welch before the scan on a Reed-Solomon code.  Warm
@@ -211,14 +222,21 @@ def codeword_matrix(code: LinearCode) -> np.ndarray:
 
 
 def projective_codeword_matrix(code: LinearCode) -> np.ndarray:
-    """One codeword per projective direction: rows are the encodings of the
-    (q^k - 1)/(q - 1) messages whose first nonzero entry is 1, ascending."""
+    """One normalized codeword per projective direction, write-protected
+    and in the narrowest unsigned dtype that holds q - 1.
+
+    Row i is the encoding of the i-th message, ascending, whose first
+    nonzero entry is 1, scaled so that its own first nonzero coordinate is
+    1: the representative ``ProjectivePoint`` holds."""
     _require_enumerable(code)
     if code._projective is None:
-        q = code.field.q
+        field, q = code.field, code.field.q
         # the first nonzero digit is 1 exactly for the indices in [q^e, 2 q^e)
         idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(code.k)])
-        M = _encode_messages(code, idx)
+        M = np.empty((idx.size, code.n), dtype=np.min_scalar_type(q - 1))
+        step = max(1, _ENCODE_BLOCK // code.n)
+        for s in range(0, idx.size, step):
+            M[s : s + step] = normalize_rows(field, _encode_messages(code, idx[s : s + step]))
         M.setflags(write=False)
         code._projective = M
     return code._projective
@@ -363,7 +381,7 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
             f"unique decoding violated: {tied.size} directions at angle {a} < d/2 = {d}/2"
         )
     P = projective_codeword_matrix(code)
-    best = tuple((projectivize(Vector(code.field, P[i])), a) for i in tied)
+    best = tuple((ProjectivePoint(Vector(code.field, P[i])), a) for i in tied)
     kind = DecodeKind.UNIQUE_DIRECTION if 2 * a < d else DecodeKind.BEYOND_RADIUS
     return DecodeOutcome(kind, best, d)
 
@@ -376,7 +394,7 @@ def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[
     hits = np.flatnonzero(angles < rho)
     hits = hits[np.argsort(angles[hits], kind="stable")]
     P = projective_codeword_matrix(code)
-    return [(projectivize(Vector(code.field, P[i])), int(angles[i])) for i in hits]
+    return [(ProjectivePoint(Vector(code.field, P[i])), int(angles[i])) for i in hits]
 
 
 def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -177,6 +177,65 @@ def test_sorting_path_triggers_naturally_at_large_q():
 
 
 # ----------------------------------------------------------------------
+# Row blocks of the bincount census: one row, a few rows, ragged tails
+# ----------------------------------------------------------------------
+
+def _census_rows(field, rng, T, n=11):
+    """Seeded nonzero pairs with zeros on either side and u = c*v runs."""
+    from fqangle.experiments import random_nonzero_rows
+
+    U = random_nonzero_rows(rng, field, T, n)
+    V = random_nonzero_rows(rng, field, T, n)
+    U[:, 0] = 0  # only v, or both zero
+    V[::3, 1] = 0  # only u, or both zero
+    U[:, 2:5] = field.scalar_mul_array(field.q - 1, V[:, 2:5])  # a ratio that wins
+    U[U.any(axis=1) == 0, -1] = 1
+    V[V.any(axis=1) == 0, -1] = 1
+    return U, V
+
+
+BLOCK_FIELDS = [(2, 1), (7, 1), (3, 2), (2, 4), (2, 8), (257, 1), (65521, 1)]
+
+
+@pytest.mark.parametrize("p,m", BLOCK_FIELDS)
+def test_bincount_blocks_match_oracle(p, m, monkeypatch):
+    field = make_field(p, m)
+    U, V = _census_rows(field, np.random.default_rng(field.q), 11)
+    naive = angle_naive_rows(field, U, V)
+    for rows in (1, 4):  # one row per block, or a few with ragged tails
+        monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", rows * (field.q + 2))
+        for T in sorted({1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 3}):
+            assert T * (field.q + 1) <= fqangle.angle._BINCOUNT_CELL_CAP
+            fast = angle_fast_rows(field, U[:T], V[:T])
+            assert fast.dtype == np.int64
+            assert np.array_equal(fast, naive[:T]), (rows, T)
+
+
+def test_sort_path_is_chosen_on_the_whole_input_past_the_cap(monkeypatch):
+    # the cap compares T * (q + 1) over all rows, so blocks small enough to
+    # fit under it must not move the input onto the bincount path
+    field = make_field(257)
+    T = 9
+    U, V = _census_rows(field, np.random.default_rng(5), T)
+    naive = angle_naive_rows(field, U, V)
+    calls = []
+
+    def spy(bins, q):
+        calls.append(bins.shape)
+        return sorted_census(bins, q)
+
+    sorted_census = fqangle.angle._sorted_census
+    monkeypatch.setattr(fqangle.angle, "_sorted_census", spy)
+    monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", 2 * (field.q + 2))
+    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", T * (field.q + 1))
+    assert np.array_equal(angle_fast_rows(field, U, V), naive)
+    assert calls == []  # at the cap: bincount, in 5 blocks
+    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", T * (field.q + 1) - 1)
+    assert np.array_equal(angle_fast_rows(field, U, V), naive)
+    assert calls == [(T, U.shape[1])]  # past it: one sort over every row
+
+
+# ----------------------------------------------------------------------
 # Narrow-dtype edges of the ratio-bin census: GF(2^8), where the pair
 # index u*q + v reaches 65535, and GF(2^16), whose sentinel bins q and
 # q + 1 do not fit uint16
@@ -503,6 +562,34 @@ def test_zero_vector_rejected():
         projectivize(zero)
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (257, 1), (2, 16)])
+def test_census_reads_zero_vectors_from_its_bins(p, m):
+    # u is zero iff bins 1..q are empty, v iff bins 1..q-1 and q+1 are
+    field = make_field(p, m)
+    q = field.q
+    zero = Vector(field, [0, 0, 0])
+    pairs = [  # (u, v) with at least one side zero
+        (zero, zero),
+        (zero, Vector(field, [0, q - 1, 0])),
+        (Vector(field, [0, 0, q - 1]), zero),
+        (Vector(field, [1]), Vector(field, [0])),
+    ]
+    for u, v in pairs:
+        for fn in (angle_fast, argmin_scalar, build_census, angle_naive, is_max_angle):
+            with pytest.raises(ZeroVector):
+                fn(u, v)
+    nonzero = [  # only_u and only_v bins alone, and one ratio bin alone
+        (Vector(field, [q - 1, 0]), Vector(field, [0, 1])),
+        (Vector(field, [0, 0, 1]), Vector(field, [0, 0, q - 1])),
+        (Vector(field, [1]), Vector(field, [1])),
+    ]
+    for u, v in nonzero:
+        expected = angle_naive(u, v)
+        assert angle_fast(u, v) == expected
+        assert argmin_scalar(u, v)[1] == expected
+        assert build_census(u, v).total() == len(u)
+
+
 def test_mismatch_rejected():
     from fqangle import FieldMismatch, LengthMismatch
 
@@ -510,6 +597,11 @@ def test_mismatch_rejected():
         angle_fast(vec([1, 2]), vec([1, 2, 0]))
     with pytest.raises(FieldMismatch):
         angle_fast(vec([1, 2]), Vector(F5, [1, 2]))
+    for fn in (angle_fast, argmin_scalar, build_census):  # before any zero check
+        with pytest.raises(LengthMismatch):
+            fn(vec([0, 0]), vec([0, 0, 0]))
+        with pytest.raises(FieldMismatch):
+            fn(vec([0, 0]), Vector(F5, [0, 0]))
 
 
 def test_unnormalized_projective_point_is_typed():

@@ -193,6 +193,40 @@ def test_enumeration_guard():
         projective_codeword_matrix(big)
 
 
+DIRECTION_CODES = [  # (p, m, n, k, dtype)
+    (2, 1, 5, 1, np.uint8),  # repetition code
+    (7, 1, 7, 3, np.uint8),
+    (3, 2, 9, 3, np.uint8),
+    (2, 4, 15, 3, np.uint8),
+    (2, 8, 10, 2, np.uint8),
+    (257, 1, 6, 2, np.uint16),
+    (2, 16, 9, 1, np.uint16),
+]
+
+
+@pytest.mark.parametrize("p,m,n,k,dtype", DIRECTION_CODES)
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_direction_matrix_is_narrow_normalized_and_read_only(p, m, n, k, dtype, block, monkeypatch):
+    from fqangle.angle import normalize_rows
+    from fqangle.codes import _encode_messages
+
+    field = make_field(p, m)
+    if block is not None:  # 1 row per encode block, or 3 with a ragged last block
+        monkeypatch.setattr(fqangle.codes, "_ENCODE_BLOCK", block * n + n - 1)
+    code = make_rs_code(field, n, k) if p > 2 or m > 1 else make_repetition_code(field, n)
+    P = projective_codeword_matrix(code)
+    q = field.q
+    idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(k)])
+    expected = normalize_rows(field, _encode_messages(code, idx))
+    assert P.dtype == dtype and expected.dtype == np.int64
+    assert P.shape == ((q**k - 1) // (q - 1), n)
+    assert np.array_equal(P, expected)
+    assert not P.flags.writeable
+    assert projective_codeword_matrix(code) is P
+    lead = P[np.arange(len(P)), (P != 0).argmax(axis=1)]
+    assert (lead == 1).all()
+
+
 # ----------------------------------------------------------------------
 # Minimum distance
 # ----------------------------------------------------------------------
