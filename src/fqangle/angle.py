@@ -30,7 +30,11 @@ bin b counts at b * rows + r, so the counts reshape to (q + 2, rows),
 counts[0] is both_zero and the best ratio count is the elementwise max of
 the q - 1 contiguous rows counts[1:q].  When T * (q + 1) cells would
 exceed ``_BINCOUNT_CELL_CAP`` over the whole input, a row-wise sort of the
-bins counts the same runs instead.  The pairwise API reads zero vectors
+bins counts the same runs instead.  A decode scans one word against every
+direction, passing the word as a stride-0 broadcast over the direction
+rows; the kernel then computes the word's half of the pair index (u_i * q,
+or A[u_i] above 256) once for the word and broadcast-adds it to the
+directions' half, instead of once per row.  The pairwise API reads zero vectors
 from the same counts: u is zero iff bins 1..q are empty, v iff bins
 1..q-1 and q+1 are.  Vectors hold int64 coordinates; the kernel also
 takes narrower integer rows, such as the uint8 or uint16 direction matrix.
@@ -102,11 +106,24 @@ def _check_nonzero_pair(u: Vector, v: Vector):
 # ----------------------------------------------------------------------
 
 def _ratio_bins(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Ratio bin of every position (see the module docstring), (T, n)."""
+    """Ratio bin of every position (see the module docstring), (T, n).
+
+    When the rows of U are one shared word (a stride-0 broadcast over more
+    than one row), the word's half of the pair index is computed once and
+    broadcast-added to V's half."""
     A, B, E = field.ratio_bin_tables
-    if field.q <= 256:  # A[u] + B[v] = u*q + v, which fits uint16
+    q = field.q
+    if U.shape[0] > 1 and U.strides[0] == 0:
+        u = U[:1]
+        if q <= 256:  # A[u] + B[v] = u*q + v, which fits uint16
+            idx = V.astype(np.uint16)
+            idx += u.astype(np.uint16) * np.uint16(q)
+        else:
+            idx = B.take(V)
+            idx += A.take(u)
+    elif q <= 256:
         idx = U.astype(np.uint16)
-        idx *= field.q
+        idx *= q
         idx += V.astype(np.uint16)
     else:
         idx = A.take(U)
@@ -182,8 +199,11 @@ def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     table and counting its mismatches with u, over row blocks of about
     ``_ORACLE_BLOCK`` elements.  For q <= 256 the table is the (q-1, q)
     uint8 product table from ``mul_array``; above that, row k maps log x
-    to g^k * x in uint16 (exp twice over, then zeros that every x = 0
-    reaches).  Never forms u_i / v_i, so it stays independent of the census.
+    to g^k * x in uint16, a window of the field's sentinel-log tables
+    (``Field.sentinel_log_tables``: log 0 = 2(q - 1), exp twice over the
+    group, then zeros that every x = 0 reaches), built per call so the
+    field keeps no tables for the oracle.  Never forms u_i / v_i, so it
+    stays independent of the census.
     """
     U = np.atleast_2d(U)
     V = np.atleast_2d(V)
@@ -194,13 +214,11 @@ def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         table = field.mul_array(np.arange(1, q)[:, None], np.arange(q)).astype(np.uint8)
         index = np.arange(q)
     else:
-        # table[k, index[x]] = ext[k + log x] = g^k * x for x != 0, and
+        # table[k, index[x]] = exp[k + log x] = g^k * x for x != 0, and
         # index[0] = 2(q - 1) lands in the zeros for every k
         L = q - 1
-        ext = np.concatenate([field.exp_table, field.exp_table, np.zeros(L, dtype=np.int64)])
-        table = sliding_window_view(ext.astype(np.uint16), 2 * L + 1)
-        index = field.log_table.copy()
-        index[0] = 2 * L
+        index, exp = field.sentinel_log_tables()
+        table = sliding_window_view(exp[: 3 * L].astype(np.uint16), 2 * L + 1)
     best = np.full(T, n, dtype=np.int64)
     rows = max(1, _ORACLE_BLOCK // max(n, 1))
     W = np.empty((min(rows, T), n), dtype=table.dtype)

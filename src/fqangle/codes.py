@@ -55,20 +55,23 @@ ENUMERATION_CAP = 1 << 20
 _DECODE_CHUNK_ROWS = 1 << 18
 
 # Codeword elements per block when the direction matrix is encoded.  One
-# block's int64 temporaries (about 20 on GF(2^m)) stay under glibc's 128 KiB
-# mmap threshold and in cache, instead of each spanning the whole matrix.
+# block's int64 temporaries (about 20 on GF(2^m) at k = 5: three per
+# generator row and three to normalize) stay under glibc's 128 KiB mmap
+# threshold and in cache, instead of each spanning the whole matrix.
 # Cold set-up of RS[15,5]/GF(16) (field, code, 69,905 directions, minimum
-# distance), fresh process, 2-core Xeon: 72 ms at 2^12, 64 at 2^13, 61 at
-# 2^14, 75 at 2^15, 93 at 2^16 and 110 unblocked.
+# distance), fresh process, median of 5, 2-core Xeon: 65 ms at 2^12, 55 at
+# 2^13, 52 at 2^14, 49 at 2^15, 71 at 2^16 and 99 unblocked.  2^14 and
+# 2^15 are within the run-to-run spread.
 _ENCODE_BLOCK = 1 << 14
 
 # Least scan size, directions x length, at which angular_decode tries
 # Berlekamp-Welch before the scan on a Reed-Solomon code.  Warm
-# angular_decode per near word, scan vs Berlekamp-Welch, 2-core Xeon:
-# RS[7,3]/GF(7) (399 positions) 73 vs 280 us, RS[8,4]/GF(8) (4,680)
-# 150 vs 558 us, RS[11,4]/GF(11) (16,104) 318 vs 366 us, RS[13,4]/GF(13)
-# (30,940) 509 vs 454 us, RS[10,4]/GF(16) (43,690) 814 vs 612 us,
-# RS[15,5]/GF(16) (1,048,575) 21.3 vs 1.0 ms.  The crossover lies near 2^15.
+# angular_decode, median over 40 near words, scan vs Berlekamp-Welch,
+# 2-core Xeon: RS[7,3]/GF(7) (399 positions) 78-87 vs 342-361 us,
+# RS[8,4]/GF(8) (4,680) 127-137 vs 365-453 us, RS[11,4]/GF(11) (16,104)
+# 229-264 vs 438-446 us, RS[13,4]/GF(13) (30,940) 584-590 vs 493-514 us,
+# RS[10,4]/GF(16) (43,690) 492-583 vs 403-422 us, RS[15,5]/GF(16)
+# (1,048,575) 9.2-9.4 vs 0.36-0.52 ms.  The crossover lies near 2^15.
 _BW_MIN_SCAN = 1 << 15
 
 

@@ -236,6 +236,64 @@ def test_sort_path_is_chosen_on_the_whole_input_past_the_cap(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# One shared word against many rows: the decode scan passes the word as a
+# stride-0 broadcast, and the kernel computes its half of the index once
+# ----------------------------------------------------------------------
+
+def _shared_word_rows(field, rng, T, n=10):
+    """A word with zeros, and T seeded nonzero rows including multiples of
+    the word, rows with the word's support and rows disjoint from it."""
+    from fqangle.experiments import random_nonzero_rows
+
+    u = random_nonzero_rows(rng, field, 1, n)[0]
+    u[[0, 3]] = 0
+    u[1] = field.q - 1
+    V = random_nonzero_rows(rng, field, T, n)
+    V[::5, 2] = 0
+    for i, c in enumerate((1, 2, field.q - 1)):
+        V[i] = field.scalar_mul_array(c, u)
+    V[3] = np.where(u == 0, 1, 0)  # disjoint supports: the maximal angle n
+    V[4] = u != 0  # same support
+    return u, V
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (257, 1)])
+def test_shared_word_scan_matches_tiled_rows_and_oracle(p, m):
+    field = make_field(p, m)
+    rows = fqangle.angle._CENSUS_BLOCK_CELLS // (field.q + 2)
+    T = 2 * rows + 3  # two full blocks and a ragged tail
+    u, V = _shared_word_rows(field, np.random.default_rng(field.q), T)
+    V.setflags(write=False)
+    shared = np.broadcast_to(u, V.shape)
+    assert shared.strides[0] == 0 and not shared.flags.writeable
+    tiled = np.tile(u, (T, 1))
+    assert np.array_equal(fqangle.angle._ratio_bins(field, shared, V),
+                          fqangle.angle._ratio_bins(field, tiled, V))
+    fast = angle_fast_rows(field, shared, V)
+    assert np.array_equal(fast, angle_fast_rows(field, tiled, V))
+    assert np.array_equal(fast, angle_naive_rows(field, tiled, V))
+    assert fast[:3].tolist() == [0, 0, 0] and fast[3] == V.shape[1]
+    assert np.array_equal(shared, tiled)  # the read-only word was never written
+    for dtype in (np.uint8, np.uint16) if field.q <= 256 else (np.uint16,):
+        narrow = V.astype(dtype)  # the direction matrix's dtypes
+        assert np.array_equal(angle_fast_rows(field, np.broadcast_to(u.astype(dtype), V.shape), narrow), fast)
+
+
+def test_shared_word_scan_on_the_sort_path():
+    field = make_field(65521)
+    T = 513
+    assert T * (field.q + 1) > fqangle.angle._BINCOUNT_CELL_CAP
+    u, V = _shared_word_rows(field, np.random.default_rng(513), T)
+    shared = np.broadcast_to(u, V.shape)
+    tiled = np.tile(u, (T, 1))
+    fast = angle_fast_rows(field, shared, V)
+    assert np.array_equal(fast, angle_fast_rows(field, tiled, V))
+    sample = np.r_[:5, 5:T:64]
+    assert np.array_equal(fast[sample], angle_naive_rows(field, tiled[sample], V[sample]))
+    assert np.array_equal(shared, tiled)
+
+
+# ----------------------------------------------------------------------
 # Narrow-dtype edges of the ratio-bin census: GF(2^8), where the pair
 # index u*q + v reaches 65535, and GF(2^16), whose sentinel bins q and
 # q + 1 do not fit uint16

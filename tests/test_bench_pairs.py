@@ -1,0 +1,65 @@
+"""The pair recorder's summary (tools/bench_pairs.py), on canned result lines.
+
+No perfbench process is started: the summary is a pure function of the
+result lines the runs print.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "call_p50_us", "unit": "us", "better": "lower", "bound": 0.25},
+    {"name": "cli_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def line(work, p50, failed=0, correct=True):
+    return {
+        "correct": correct,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {"work_per_s": {"value": work, "unit": "1/s"}, "call_p50_us": {"value": p50, "unit": "us"}},
+    }
+
+
+def test_quartiles_are_inclusive():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+    assert bench_pairs.quartiles([7.0]) == {"q1": 7.0, "median": 7.0, "q3": 7.0}
+
+
+def test_summary_ratios_and_wins_follow_each_metrics_direction():
+    parent = [line(100, 50), line(110, 40), line(90, 60), line(105, 45), line(95, 55)]
+    change = [line(130, 45), line(120, 42), line(140, 50), line(100, 40), line(135, 56)]
+    out = bench_pairs.summarize(parent, change, END_TO_END)
+    assert out["pairs"] == 5
+    assert out["failed"] == {"parent": [0] * 5, "change": [0] * 5}
+    assert out["correct"] == {"parent": True, "change": True}
+    assert set(out["metrics"]) == {"work_per_s", "call_p50_us"}  # no run reported cli_p50_ms
+    work = out["metrics"]["work_per_s"]
+    assert (work["unit"], work["better"], work["bound"]) == ("1/s", "higher", 0.25)
+    assert work["parent"] == {"q1": 95, "median": 100, "q3": 105}
+    assert work["change"] == {"q1": 120, "median": 130, "q3": 135}
+    assert work["change_over_parent"] == pytest.approx(1.3)
+    assert work["change_wins"] == 4  # pair 3: 100 < 105
+    assert work["runs"] == {"parent": [100, 110, 90, 105, 95], "change": [130, 120, 140, 100, 135]}
+    p50 = out["metrics"]["call_p50_us"]
+    assert p50["change_over_parent"] == pytest.approx(45 / 50)
+    assert p50["change_wins"] == 3  # lower is better: pairs 0, 2 and 3
+
+
+def test_summary_reports_failures_and_wrong_outputs_per_side():
+    parent = [line(100, 50), line(100, 50)]
+    change = [line(120, 40, failed=2), line(120, 40, correct=False)]
+    out = bench_pairs.summarize(parent, change, END_TO_END)
+    assert out["failed"] == {"parent": [0, 0], "change": [2, 0]}
+    assert out["correct"] == {"parent": True, "change": False}
+    assert out["metrics"]["work_per_s"]["change_wins"] == 2

@@ -380,3 +380,120 @@ def test_ratio_bin_tables_match_definition(p, m):
     assert np.iinfo(E.dtype).max >= q + 1
     if q <= 256:
         assert np.array_equal(A[a].astype(np.int64) + B[b], a * q + b)
+
+
+# ----------------------------------------------------------------------
+# mul_array: the sentinel-log product against the table-free product
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)])
+def test_mul_array_matches_raw_product_exhaustive(p, m):
+    f = make_field(p, m)
+    q = f.q
+    a = np.repeat(np.arange(q), q)
+    b = np.tile(np.arange(q), q)
+    expected = [f._mul_raw(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    got = f.mul_array(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+
+
+def _check_mul_array_samples(f, seed):
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([[0, 0, f.q - 1, 1], rng.integers(0, f.q, size=2000)])
+    b = np.concatenate([[0, f.q - 1, 0, f.q - 1], rng.integers(0, f.q, size=2000)])
+    expected = [f._mul_raw(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert f.mul_array(a, b).tolist() == expected
+
+
+def test_mul_array_matches_raw_product_gf65536():
+    _check_mul_array_samples(make_field(2, 16), 16)
+
+
+def test_mul_tables_built_on_first_product_gf59049():
+    from fqangle.gf import Field
+
+    f = Field(3, 10)  # fresh, not the make_field cache some other test has warmed
+    assert "mul_tables" not in vars(f)
+    _check_mul_array_samples(f, 310)
+    assert "mul_tables" in vars(f)
+    log, exp = f.mul_tables
+    L = f.q - 1
+    assert log[0] == 2 * L and exp.size == 4 * L + 1 and not exp[2 * L :].any()
+    assert not log.flags.writeable and not exp.flags.writeable
+
+
+def test_oracle_keeps_no_product_tables_gf59049():
+    from fqangle.angle import angle_fast_rows, angle_naive_rows
+    from fqangle.gf import Field
+
+    f = Field(3, 10)
+    rng = np.random.default_rng(5)
+    U = rng.integers(0, f.q, (30, 12))
+    V = rng.integers(1, f.q, (30, 12))
+    U[:, 0] = 0
+    assert angle_naive_rows(f, U, V).tolist() == angle_fast_rows(f, U, V).tolist()
+    assert "mul_tables" not in vars(f)  # the oracle's window is built per call
+    log, exp = f.sentinel_log_tables()
+    assert np.array_equal(log, f.mul_tables[0]) and np.array_equal(exp, f.mul_tables[1])
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 2), (2, 8)])
+def test_mul_array_zero_operands(p, m):
+    f = make_field(p, m)
+    x = np.arange(f.q)
+    zeros = np.zeros(f.q, dtype=np.int64)
+    for got in (f.mul_array(0, x), f.mul_array(x, 0), f.mul_array(zeros, x), f.mul_array(x, zeros)):
+        assert got.tolist() == zeros.tolist()
+    assert f.mul_array(x, 1).tolist() == x.tolist()
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 2), (2, 8)])
+def test_mul_array_broadcasts(p, m):
+    f = make_field(p, m)
+    q = f.q
+    x = np.arange(q)
+    table = [[f._mul_raw(a, b) for b in range(q)] for a in range(q)]
+    assert f.mul_array(x[:, None], x[None, :]).tolist() == table  # column x row
+    for c in (0, 1, q - 1):
+        assert f.mul_array(c, x).tolist() == table[c]  # scalar x array
+        assert f.mul_array(x, np.int64(c)).tolist() == [row[c] for row in table]
+    for a, b in ((q - 1, q - 1), (0, q - 1), (q - 1, 0)):
+        got = f.mul_array(np.array(a), np.array(b))  # 0-d inputs
+        assert np.ndim(got) == 0 and int(got) == table[a][b]
+        assert int(f.mul_array(a, b)) == f.mul(a, b) == table[a][b]
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 2), (2, 8), (2, 16)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_mul_array_narrow_inputs_give_int64(p, m, dtype):
+    f = make_field(p, m)
+    top = min(f.q, np.iinfo(dtype).max + 1)
+    rng = np.random.default_rng(f.q)
+    a = np.concatenate([[top - 1, top - 1, 0], rng.integers(0, top, size=300)])
+    b = np.concatenate([[top - 1, 0, top - 1], rng.integers(0, top, size=300)])
+    got = f.mul_array(a.astype(dtype), b.astype(dtype))
+    assert got.dtype == np.int64
+    assert got.tolist() == [f._mul_raw(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_mul_array_row_blocks_match_the_raw_product(block, monkeypatch):
+    # products above _MUL_BLOCK fill one output in row blocks
+    import fqangle.gf
+
+    monkeypatch.setattr(fqangle.gf, "_MUL_BLOCK", block)
+    f = make_field(2, 4)
+    rng = np.random.default_rng(block)
+    cases = [
+        (rng.integers(0, 16, (37, 5)), rng.integers(0, 16, (37, 5))),  # ragged last block
+        (rng.integers(0, 16, (37, 1)), rng.integers(0, 16, 5)),  # column x row
+        (3, rng.integers(0, 16, 300)),  # scalar x array
+        (rng.integers(0, 16, (1, 300)), rng.integers(0, 16, (4, 300))),  # broadcast first axis
+        (rng.integers(0, 16, (2, 3, 4)), rng.integers(0, 16, (3, 1))),
+    ]
+    for a, b in cases:
+        got = f.mul_array(a, b)
+        A, B = np.broadcast_arrays(a, b)
+        assert got.shape == A.shape and got.dtype == np.int64
+        assert got.ravel().tolist() == [f._mul_raw(x, y) for x, y in zip(A.ravel().tolist(), B.ravel().tolist())]

@@ -1,0 +1,180 @@
+"""Record alternating parent/change perfbench pairs into BENCH_<label>.json.
+
+Each revision is exported with ``git archive`` into its own temporary
+tree, and every run is a fresh ``perfbench/run.py`` process started in
+that tree, so both sides run their own benchmark and package code.  Pairs
+alternate their order: even pairs (0, 2, ...) run the parent first, odd
+pairs the change first.  Units, directions and bounds are read from
+``BENCHMARK.json`` at the repository root; nothing under ``perfbench/`` is
+touched.
+
+Usage, from the repository root:
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \\
+        --label my_change --note "what the change does"
+
+Every run lasts ``run_seconds`` from ``BENCHMARK.json``, and the file is
+written at the repository root.  Uncommitted work can be measured as the
+commit ``git stash create`` prints after ``git add -A``; it touches no
+branch, index or file.
+
+The output holds, per workload and end-to-end metric, the quartiles of
+both sides, the ratio of the medians and the number of pairs the change
+won, plus every run's raw value.  ``--fresh-seed`` adds a check of
+``FRESH_WORKLOAD`` on a second seed, over ``FRESH_PAIRS`` pairs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 perfbench/run.py --workload <name> --seed <seed> --seconds {seconds:g} --trace 0"
+METHOD = ("alternating parent/change pairs, each side run from its own exported tree in a fresh "
+          "process; even pairs (0, 2, ...) run the parent first, odd pairs the change first")
+ENV_KEYS = ("python", "numpy", "nproc", "cpu")
+FRESH_WORKLOAD = "decode-large"
+FRESH_PAIRS = 4
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract ``git archive rev`` into dest; returns the full commit sha."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout.strip()
+    dest.mkdir(parents=True)
+    archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One untraced perfbench run; returns (result line, environment)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"perfbench {workload} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    env = {}
+    for line in lines:
+        if line.startswith("env: "):
+            env = json.loads(line[len("env: "):])
+    return json.loads(lines[-1]), {k: env.get(k) for k in ENV_KEYS}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
+    """Summary of paired result lines (parent[i] and change[i] are pair i).
+
+    end_to_end is BENCHMARK.json's list of {"name", "unit", "better",
+    "bound"}; a metric missing from any run is left out.
+    """
+    out = {
+        "pairs": len(parent),
+        "failed": {"parent": [r["failed"] for r in parent], "change": [r["failed"] for r in change]},
+        "correct": {"parent": all(r["correct"] for r in parent),
+                    "change": all(r["correct"] for r in change)},
+        "metrics": {},
+    }
+    for spec in end_to_end:
+        name = spec["name"]
+        if not all(name in r["metrics"] for r in parent + change):
+            continue
+        p = [r["metrics"][name]["value"] for r in parent]
+        c = [r["metrics"][name]["value"] for r in change]
+        higher = spec["better"] == "higher"
+        p_sum, c_sum = quartiles(p), quartiles(c)
+        out["metrics"][name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "parent": p_sum,
+            "change": c_sum,
+            "change_over_parent": c_sum["median"] / p_sum["median"] if p_sum["median"] else None,
+            "change_wins": sum((b > a) if higher else (b < a) for a, b in zip(p, c)),
+            "runs": {"parent": p, "change": c},
+        }
+    return out
+
+
+def run_pairs(trees: dict, workload: str, seed: int, pairs: int, seconds: float,
+              end_to_end: list[dict]) -> tuple[dict, dict]:
+    runs = {"parent": [], "change": []}
+    env = {}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            line, env = run_once(trees[side], workload, seed, seconds)
+            runs[side].append(line)
+            value = line["metrics"].get("work_per_s", {}).get("value")
+            print(f"{workload} seed={seed} pair={i} {side}: work_per_s={value} failed={line['failed']}",
+                  file=sys.stderr, flush=True)
+    return summarize(runs["parent"], runs["change"], end_to_end), env
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="parent revision")
+    parser.add_argument("--change", required=True, help="changed revision")
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--note", default="", help="one line saying what the change does")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="a gain claim needs at least 10 pairs, 9 of them won")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", action="append",
+                        help="repeatable; default: every workload in BENCHMARK.json")
+    parser.add_argument("--fresh-seed", type=int, help=f"also run {FRESH_WORKLOAD} on this seed")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = bench["end_to_end"]
+    seconds = bench["run_seconds"]
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        parent_sha = export(args.parent, trees["parent"])
+        export(args.change, trees["change"])
+        record = {
+            "label": args.label,
+            "change": args.note,
+            "parent_commit": parent_sha,
+            "command": COMMAND.format(seconds=seconds),
+            "method": METHOD,
+            "environment": {},
+            "seed": args.seed,
+            "workloads": {},
+        }
+        for workload in workloads:
+            record["workloads"][workload], record["environment"] = run_pairs(
+                trees, workload, args.seed, args.pairs, seconds, end_to_end)
+        if args.fresh_seed is not None:
+            summary, _ = run_pairs(trees, FRESH_WORKLOAD, args.fresh_seed, FRESH_PAIRS,
+                                   seconds, end_to_end)
+            record["fresh_seed_check"] = {"workload": FRESH_WORKLOAD, "seed": args.fresh_seed,
+                                          **summary}
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {os.path.relpath(path)}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
