@@ -12,7 +12,10 @@ encoded order), so two fields with the same (p, m) are interchangeable.
 
 Every field carries exp/log tables realizing the cyclic group GF(q)^*;
 prime fields additionally use direct modular arithmetic, which is
-bit-identical to the table path.
+bit-identical to the table path.  The exp table is built by walking the
+first ``_TABLE_WALK`` powers of the generator, then doubling: the next s
+powers are the first s times g^s, one GF(p)-linear map on base-p digits,
+so each doubling is one small matrix product (see ``_build_tables``).
 
 Array products in extension fields are one *sentinel-log* gather:
 ``exp[log a + log b]``, where log 0 is the sentinel 2(q - 1) and the exp
@@ -39,6 +42,23 @@ MAX_FIELD_ORDER = 1 << 16
 # cache.  GF(2^8), 10^6 products by a scalar, 2-core Xeon: 3.1 ms and one
 # 8 MB array blocked, 3.4 ms and three unblocked.
 _MUL_BLOCK = 1 << 14
+
+# Powers of the generator that _build_tables walks, one _mul_raw each,
+# before it starts doubling; fields with q <= 257 only walk.  A doubling
+# costs about a dozen numpy calls: 15 us when warm, about 80 us on GF(251)
+# right after other numpy work, when every first call of a numpy function
+# costs 25-55 us.  A walked power costs 0.2-0.4 us on a prime field, 1-4 us
+# on a binary one and 10-40 us on an odd-p extension field.  So a long
+# walk keeps small fields as cheap to build as a plain walk, and costs the
+# largest odd-p fields a few ms.  Field construction, best of 9, 2-core
+# Xeon, walk 64 / 128 / 256 (plain walk): GF(251) 145 / 146 / 154 us (173),
+# GF(3^10) 24 / 29 / 42 ms (1.2 s), GF(2^16) 29 ms at all three (102 ms).
+_TABLE_WALK = 256
+# Digits per row block of _build_tables' matrix products and encode, so
+# its float64 temporaries stay at 128 KiB.  Same box, builder alone after
+# a walk of 16: GF(2^16) 11 ms and GF(3^10) 8.6 ms at 2^14 to 2^16 digits
+# per block, 17 and 11 ms at 2^17.
+_TABLE_BLOCK = 1 << 14
 
 
 def is_prime(n: int) -> bool:
@@ -138,6 +158,19 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {m} over GF({p})")
 
 
+def _float_mod(r: np.ndarray, p: int) -> np.ndarray:
+    """r mod p, in place, for float64 integers 0 <= r < 2^33.
+
+    Exact: r / p < 2^33 / p is rounded by less than 1/p, so never across an
+    integer.  np.floor is much faster than float64 %.
+    """
+    t = r / p
+    np.floor(t, out=t)
+    t *= p
+    r -= t
+    return r
+
+
 class Field:
     """The finite field GF(p^m); immutable after construction.
 
@@ -227,17 +260,28 @@ class Field:
         raise AssertionError("multiplicative group has no generator")
 
     def _build_tables(self):
+        """Build exp/log/inv from the powers of the generator g.
+
+        The walk takes g^0 .. g^(s-1), s = min(_TABLE_WALK, q - 1), with
+        one _mul_raw each; fields with q - 1 <= _TABLE_WALK only walk.
+        _double_powers doubles the rest.
+        """
         q = self.q
+        L = q - 1
         g = self._find_generator()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_raw(x, g)
-        if x != 1:
+        walk = [1]
+        for _ in range(min(_TABLE_WALK, L) - 1):
+            walk.append(self._mul_raw(walk[-1], g))
+        if len(walk) == L:
+            exp = np.array(walk, dtype=np.int64)
+        else:
+            exp = self._double_powers(walk, g)
+        if self._mul_raw(int(exp[-1]), g) != 1:
             raise AssertionError(f"generator {g} has order != q-1")
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(L)
+        if log[1:].min() < 0:
+            raise AssertionError(f"powers of {g} miss a nonzero element of GF({q})")
         inv = np.zeros(q, dtype=np.int64)
         inv[exp] = exp[(q - 1 - np.arange(q - 1)) % (q - 1)]
         for t in (exp, log, inv):
@@ -246,6 +290,42 @@ class Field:
         self.exp_table = exp
         self.log_table = log
         self.inv_table = inv
+
+    def _double_powers(self, walk: list[int], g: int) -> np.ndarray:
+        """g^0 .. g^(q-2) as int64, from walk = [g^0 .. g^(s-1)].
+
+        While s < L = q - 1, one doubling fills g^s .. g^(s+k-1),
+        k = min(s, L - s), from g^0 .. g^(k-1).  Multiplying by g^s is
+        GF(p)-linear on base-p digits: the digits of g^(s+i) are the digits
+        of g^i times the m x m matrix whose row j holds the digits of
+        g^s * x^j, mod p.  That matrix is built with m _mul_raw calls once,
+        then squared after each doubling; for m = 1 it is [[g^s]].  The
+        digits stay in the narrowest dtype that holds p - 1, and every
+        product and the final encode run in row blocks of _TABLE_BLOCK
+        digits.
+        """
+        p, m = self.p, self.m
+        L = self.q - 1
+        rows = max(1, _TABLE_BLOCK // m)
+        place = p ** np.arange(m, dtype=np.int64)
+        s = len(walk)
+        digits = np.zeros((L, m), dtype=np.min_scalar_type(p - 1))  # of g^i, digit 0 first
+        digits[:s] = np.array(walk)[:, None] // place % p
+        gs = self._mul_raw(walk[-1], g)
+        matrix = np.array([_digits(self._mul_raw(gs, p**j), p, m) for j in range(m)],
+                          dtype=np.float64)
+        while s < L:
+            k = min(s, L - s)
+            for a in range(0, k, rows):
+                b = min(a + rows, k)
+                digits[s + a : s + b] = _float_mod(digits[a:b].astype(np.float64) @ matrix, p)
+            s += k
+            if s < L:  # k = s: squared, the matrix multiplies by the new g^s
+                matrix = _float_mod(matrix @ matrix, p)
+        exp = np.empty(L, dtype=np.int64)
+        for a in range(0, L, rows):
+            np.matmul(digits[a : a + rows], place, out=exp[a : a + rows])
+        return exp
 
     # ------------------------------------------------------------------
     # Element operations (integers in [0, q))

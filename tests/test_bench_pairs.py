@@ -1,4 +1,5 @@
-"""The pair recorder's summary (tools/bench_pairs.py), on canned result lines.
+"""The pair recorder (tools/bench_pairs.py): its summary, on canned result
+lines, and its options.
 
 No perfbench process is started: the summary is a pure function of the
 result lines the runs print.
@@ -63,3 +64,28 @@ def test_summary_reports_failures_and_wrong_outputs_per_side():
     assert out["failed"] == {"parent": [0, 0], "change": [2, 0]}
     assert out["correct"] == {"parent": True, "change": False}
     assert out["metrics"]["work_per_s"]["change_wins"] == 2
+
+
+WORKLOADS = ["oracle-sweep", "angle-kernel", "decode-small", "decode-large"]
+REQUIRED = ["--parent", "HEAD~1", "--change", "HEAD", "--label", "x"]
+
+
+def test_claim_names_the_fresh_seed_workload():
+    args = bench_pairs.parse_args(REQUIRED + ["--claim", "angle-kernel", "--fresh-seed", "7"], WORKLOADS)
+    assert (args.claim, args.fresh_seed) == ("angle-kernel", 7)
+    args = bench_pairs.parse_args(REQUIRED, WORKLOADS)
+    assert (args.claim, args.fresh_seed, args.workload) == (None, None, None)
+    args = bench_pairs.parse_args(REQUIRED + ["--claim", "decode-large", "--workload", "oracle-sweep"], WORKLOADS)
+    assert (args.claim, args.workload) == ("decode-large", ["oracle-sweep"])
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fresh-seed", "7"],  # a fresh seed checks the claim, so needs one
+    ["--claim", "no-such-workload"],
+    ["--claim", "angle-kernel", "--workload", "no-such-workload"],
+])
+def test_claim_and_workloads_are_validated(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(REQUIRED + extra, WORKLOADS)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fqangle.cli import main
@@ -53,6 +54,24 @@ def test_angle_extension_field_flags(capsys):
     assert code == 0
     code2, doc2, _ = run_json(capsys, "angle", "--q", "4", "--u", "1,2", "--v", "2,3")
     assert doc == doc2
+
+
+def test_angle_on_a_large_odd_p_extension_field(capsys):
+    from fqangle import Vector, angle_naive, make_field
+    from fqangle.vectors import hamming_distance, scalar_mul
+
+    f = make_field(3, 10)
+    rng = np.random.default_rng(59049)
+    v = rng.integers(1, f.q, 12)
+    u = f.mul_array(12345, v)
+    u[[0, 5, 9]] = rng.integers(0, f.q, 3)  # three corruptions of 12345 * v
+    code, doc, _ = run_json(capsys, "angle", "--q", "59049", "--u", ",".join(map(str, u)),
+                            "--v", ",".join(map(str, v)))
+    assert code == 0
+    U, V = Vector(f, u), Vector(f, v)
+    assert doc["angle"] == angle_naive(U, V) <= 3
+    assert hamming_distance(U, scalar_mul(doc["argmin_c"], V)) == doc["angle"]
+    assert doc["is_max"] is False
 
 
 def test_angle_usage_errors(capsys):
@@ -157,6 +176,14 @@ def test_verify_oracle_at_a_large_prime(capsys):
     )
     assert code == 0
     assert doc["failures"] == [] and doc["checks_run"] == 20
+
+
+def test_verify_oracle_on_a_large_odd_p_extension_field(capsys):
+    code, doc, _ = run_json(
+        capsys, "verify", "--suite", "oracle", "--q", "59049", "--n", "50", "--trials", "5",
+    )
+    assert code == 0
+    assert doc["failures"] == [] and doc["checks_run"] == 5
 
 
 def test_verify_decoding(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fqangle import CompositeP, DivisionByZero, FieldTooLarge, InvalidInput, make_field
-from fqangle.gf import field_from_order
+from fqangle.gf import Field, field_from_order, is_prime
 
 
 # ----------------------------------------------------------------------
@@ -497,3 +497,115 @@ def test_mul_array_row_blocks_match_the_raw_product(block, monkeypatch):
         A, B = np.broadcast_arrays(a, b)
         assert got.shape == A.shape and got.dtype == np.int64
         assert got.ravel().tolist() == [f._mul_raw(x, y) for x, y in zip(A.ravel().tolist(), B.ravel().tolist())]
+
+
+# ----------------------------------------------------------------------
+# Table builder: a walk of _TABLE_WALK powers, then doublings
+# ----------------------------------------------------------------------
+
+def _prime_powers(limit):
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            m = 1
+            while p**m <= limit:
+                yield p, m
+                m += 1
+
+
+def walk_tables(f):
+    """(generator, exp, log, inv) by one _mul_raw per element, as lists.
+
+    The generator is the smallest g whose walk 1, g, g^2, ... first returns
+    to 1 after q - 1 steps.
+    """
+    L = f.q - 1
+    for g in range(1, f.q):
+        exp = [1]
+        x = f._mul_raw(1, g)
+        while x != 1:
+            exp.append(x)
+            x = f._mul_raw(x, g)
+        if len(exp) == L:
+            break
+    log = [-1] * f.q
+    inv = [0] * f.q
+    for i, x in enumerate(exp):
+        log[x] = i
+        inv[x] = exp[-i % L]
+    return g, exp, log, inv
+
+
+def _assert_tables_match_walk(f):
+    g, exp, log, inv = walk_tables(f)
+    assert f.generator == g, f"GF({f.q})"
+    for got, want in ((f.exp_table, exp), (f.log_table, log), (f.inv_table, inv)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == want, f"GF({f.q})"
+
+
+def test_tables_match_the_walk_for_every_q_up_to_1024():
+    for p, m in _prime_powers(1 << 10):
+        _assert_tables_match_walk(Field(p, m))
+
+
+@pytest.mark.parametrize("block", [1, 5, 23])
+def test_tables_match_the_walk_in_ragged_row_blocks(block, monkeypatch):
+    import fqangle.gf
+
+    # _TABLE_BLOCK // m rows per block: a few, so most last blocks are short
+    monkeypatch.setattr(fqangle.gf, "_TABLE_BLOCK", block)
+    for p, m in [(2, 10), (3, 6), (5, 4), (31, 2), (1021, 1), (2, 9), (509, 1)]:
+        _assert_tables_match_walk(Field(p, m))
+
+
+def _seams(L):
+    """Indices i where exp[i + 1] is the walk's hand-over or a doubling's edge."""
+    from fqangle.gf import _TABLE_WALK
+
+    s = min(_TABLE_WALK, L)
+    out = {s - 1}
+    while s < L:
+        k = min(s, L - s)
+        out |= {s - 1, s, s + k - 1}
+        s += k
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p,m", [(3, 10), (239, 2), (5, 6), (2, 16), (65521, 1)])
+def test_large_field_tables_are_the_powers_of_the_generator(p, m):
+    f = Field(p, m)
+    g, L, exp = f.generator, f.q - 1, f.exp_table
+    assert exp[0] == 1 and np.array_equal(np.sort(exp), np.arange(1, f.q))
+    assert f._mul_raw(int(exp[-1]), g) == 1
+    rng = np.random.default_rng(f.q)
+    seams = _seams(L)
+    assert len(seams) > 10  # the walk hands over, then at least 4 doublings
+    for i in rng.integers(0, L, 4096).tolist() + seams:
+        assert f._mul_raw(int(exp[i]), g) == exp[(i + 1) % L], (f.q, i)
+    assert np.array_equal(f.log_table[exp], np.arange(L)) and f.log_table[0] == -1
+    assert np.array_equal(f.mul_array(exp, f.inv_table[exp]), np.ones(L, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 8), (3, 6), (263, 1)])  # walk only, then doubling
+def test_builder_rejects_a_generator_of_smaller_order(p, m, monkeypatch):
+    from fqangle.gf import _prime_factors
+
+    f = make_field(p, m)
+    fake = int(f.exp_table[_prime_factors(f.q - 1)[0]])  # order (q - 1) / r
+    monkeypatch.setattr(Field, "_find_generator", lambda self: fake)
+    with pytest.raises(AssertionError, match="miss a nonzero element"):
+        Field(p, m)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 8), (3, 6), (263, 1)])
+def test_builder_checks_that_g_times_the_last_power_is_one(p, m, monkeypatch):
+    # A _mul_raw wrong on the one product g * g^(q-2) alone: the tables are
+    # still a permutation, and only that check can see the fault.
+    f = make_field(p, m)
+    last, g = int(f.exp_table[-1]), f.generator
+    mul_raw = Field._mul_raw
+    monkeypatch.setattr(
+        Field, "_mul_raw", lambda self, a, b: 2 if (a, b) == (last, g) else mul_raw(self, a, b)
+    )
+    with pytest.raises(AssertionError, match="order != q-1"):
+        Field(p, m)

@@ -20,8 +20,9 @@ branch, index or file.
 
 The output holds, per workload and end-to-end metric, the quartiles of
 both sides, the ratio of the medians and the number of pairs the change
-won, plus every run's raw value.  ``--fresh-seed`` adds a check of
-``FRESH_WORKLOAD`` on a second seed, over ``FRESH_PAIRS`` pairs.
+won, plus every run's raw value.  ``--claim WORKLOAD`` names the workload
+whose metric the change claims to improve; ``--fresh-seed`` then adds a
+check of that workload on a second seed, over ``FRESH_PAIRS`` pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ COMMAND = "python3 perfbench/run.py --workload <name> --seed <seed> --seconds {s
 METHOD = ("alternating parent/change pairs, each side run from its own exported tree in a fresh "
           "process; even pairs (0, 2, ...) run the parent first, odd pairs the change first")
 ENV_KEYS = ("python", "numpy", "nproc", "cpu")
-FRESH_WORKLOAD = "decode-large"
 FRESH_PAIRS = 4
 
 
@@ -130,7 +130,8 @@ def run_pairs(trees: dict, workload: str, seed: int, pairs: int, seconds: float,
     return summarize(runs["parent"], runs["change"], end_to_end), env
 
 
-def main(argv=None) -> int:
+def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
+    """Parsed options; workloads are the names BENCHMARK.json declares."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--change", required=True, help="changed revision")
@@ -139,15 +140,24 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10,
                         help="a gain claim needs at least 10 pairs, 9 of them won")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append",
+    parser.add_argument("--workload", action="append", choices=workloads,
                         help="repeatable; default: every workload in BENCHMARK.json")
-    parser.add_argument("--fresh-seed", type=int, help=f"also run {FRESH_WORKLOAD} on this seed")
+    parser.add_argument("--claim", choices=workloads,
+                        help="the workload whose metric the change claims to improve")
+    parser.add_argument("--fresh-seed", type=int, help="also run the --claim workload on this seed")
     args = parser.parse_args(argv)
+    if args.fresh_seed is not None and args.claim is None:
+        parser.error("--fresh-seed needs --claim")
+    return args
 
+
+def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     end_to_end = bench["end_to_end"]
     seconds = bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    names = [w["name"] for w in bench["workloads"]]
+    args = parse_args(argv, names)
+    workloads = args.workload or names
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         parent_sha = export(args.parent, trees["parent"])
@@ -160,15 +170,16 @@ def main(argv=None) -> int:
             "method": METHOD,
             "environment": {},
             "seed": args.seed,
+            "claim": args.claim,
             "workloads": {},
         }
         for workload in workloads:
             record["workloads"][workload], record["environment"] = run_pairs(
                 trees, workload, args.seed, args.pairs, seconds, end_to_end)
         if args.fresh_seed is not None:
-            summary, _ = run_pairs(trees, FRESH_WORKLOAD, args.fresh_seed, FRESH_PAIRS,
+            summary, _ = run_pairs(trees, args.claim, args.fresh_seed, FRESH_PAIRS,
                                    seconds, end_to_end)
-            record["fresh_seed_check"] = {"workload": FRESH_WORKLOAD, "seed": args.fresh_seed,
+            record["fresh_seed_check"] = {"workload": args.claim, "seed": args.fresh_seed,
                                           **summary}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
