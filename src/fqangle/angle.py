@@ -21,23 +21,24 @@ One census kernel serves ``angle_fast_rows``, ``argmin_scalar`` and
 ``build_census``.  It maps every position to a *ratio bin* in a narrow
 unsigned dtype: 0 when u_i = v_i = 0, the ratio u_i / v_i in [1, q) when
 both are nonzero, q when only u_i is nonzero and q + 1 when only v_i is
-(``Field.ratio_bin_tables``; one gather from a q*q pair table for
-q <= 256, shifted log tables above).  One bincount then gives both_zero,
-only_u, only_v and every ratio count of each row.  It runs over blocks of
-``rows = max(1, _CENSUS_BLOCK_CELLS // (q + 2))`` rows, so a block's
-counts stay in cache, and is laid out bin-major: position i of row r in
-bin b counts at b * rows + r, so the counts reshape to (q + 2, rows),
-counts[0] is both_zero and the best ratio count is the elementwise max of
-the q - 1 contiguous rows counts[1:q].  When T * (q + 1) cells would
-exceed ``_BINCOUNT_CELL_CAP`` over the whole input, a row-wise sort of the
-bins counts the same runs instead.  A decode scans one word against every
-direction, passing the word as a stride-0 broadcast over the direction
-rows; the kernel then computes the word's half of the pair index (u_i * q,
-or A[u_i] above 256) once for the word and broadcast-adds it to the
-directions' half, instead of once per row.  The pairwise API reads zero vectors
-from the same counts: u is zero iff bins 1..q are empty, v iff bins
-1..q-1 and q+1 are.  Vectors hold int64 coordinates; the kernel also
-takes narrower integer rows, such as the uint8 or uint16 direction matrix.
+(``Field.ratio_bin_tables``; one gather from a q*q pair table at
+u_i + v_i*q for q <= 256, shifted log tables above).  One bincount then
+gives both_zero, only_u, only_v and every ratio count of each row.  It
+runs over blocks of ``rows = max(1, _CENSUS_BLOCK_CELLS // (q + 2))``
+rows, so a block's counts stay in cache, and is laid out bin-major:
+position i of row r in bin b counts at b * rows + r, so the counts
+reshape to (q + 2, rows), counts[0] is both_zero and the best ratio
+count is the elementwise max of the q - 1 contiguous rows counts[1:q].
+When T * (q + 1) cells would exceed ``_BINCOUNT_CELL_CAP`` over the
+whole input, a row-wise sort of the bins counts the same runs instead.
+V may be one row shared by every row of U: its half of the pair index
+(v_i * q, or B[v_i] above 256) is then computed once and broadcast onto
+U's half.  A decode scans one word against every direction so, the
+directions as U and the word as V, as the angle is symmetric.  The
+pairwise API reads zero vectors from the same counts: u is zero iff bins
+1..q are empty, v iff bins 1..q-1 and q+1 are.  Vectors hold int64
+coordinates; the kernel also takes narrower integer rows, such as the
+uint8 or uint16 direction matrix.
 
 The angle is invariant under nonzero rescaling of either argument and so
 descends to the projective space; ``ProjectivePoint`` holds the canonical
@@ -52,7 +53,7 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInput, ZeroVector
+from .errors import InvalidInput, LengthMismatch, ZeroVector
 from .gf import Field
 from .vectors import Vector, _require_same_space, scalar_mul
 
@@ -108,26 +109,18 @@ def _check_nonzero_pair(u: Vector, v: Vector):
 def _ratio_bins(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Ratio bin of every position (see the module docstring), (T, n).
 
-    When the rows of U are one shared word (a stride-0 broadcast over more
-    than one row), the word's half of the pair index is computed once and
-    broadcast-added to V's half."""
+    V is U's shape or one row shared by every row of U; V's half of the
+    pair index is broadcast onto U's half."""
     A, B, E = field.ratio_bin_tables
-    q = field.q
-    if U.shape[0] > 1 and U.strides[0] == 0:
-        u = U[:1]
-        if q <= 256:  # A[u] + B[v] = u*q + v, which fits uint16
-            idx = V.astype(np.uint16)
-            idx += u.astype(np.uint16) * np.uint16(q)
-        else:
-            idx = B.take(V)
-            idx += A.take(u)
-    elif q <= 256:
+    if field.q <= 256:  # A[u] + B[v] = u + v*q, which fits uint16
         idx = U.astype(np.uint16)
-        idx *= q
-        idx += V.astype(np.uint16)
+        half = V.astype(np.uint16)
+        half *= field.q
     else:
         idx = A.take(U)
-        idx += B.take(V)
+        half = B.take(V)
+    idx += half
+    del half  # before the gather: a long row then peaks at one index array, not two
     return E.take(idx)
 
 
@@ -166,10 +159,23 @@ def _census_angles(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return U.shape[1] - counts[0] - counts[1:q].max(axis=0)
 
 
-def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-wise single-pass angle for paired rows of U and V."""
+def _row_pairs(U, V, shared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """U and V as (T, n) rows that pair up: V has U's shape or, if shared,
+    is one row for every row of U.  Raises LengthMismatch / InvalidInput."""
     U = np.atleast_2d(U)
     V = np.atleast_2d(V)
+    if U.shape[-1] != V.shape[-1]:
+        raise LengthMismatch(f"rows of length {U.shape[-1]} and {V.shape[-1]}")
+    if U.ndim != 2 or not (U.shape == V.shape or shared and V.shape == (1, U.shape[1])):
+        raise InvalidInput(f"rows of shape {U.shape} cannot pair with rows of shape {V.shape}")
+    return U, V
+
+
+def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise single-pass angle for paired rows of U and V.
+
+    V has U's shape, or is one row shared by every row of U."""
+    U, V = _row_pairs(U, V, shared=True)
     T, n = U.shape
     q = field.q
     if T * (q + 1) > _BINCOUNT_CELL_CAP:
@@ -180,14 +186,15 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         return _census_angles(field, U, V)
     out = np.empty(T, dtype=np.int64)
     for s in range(0, T, rows):
-        out[s : s + rows] = _census_angles(field, U[s : s + rows], V[s : s + rows])
+        v = V if len(V) == 1 else V[s : s + rows]
+        out[s : s + rows] = _census_angles(field, U[s : s + rows], v)
     return out
 
 
 def _angle_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(len A, len B) angles from every row of A to every row of B."""
-    if len(A) == 1:  # a plain broadcast view: one-word decodes are bound by per-call overhead
-        return angle_fast_rows(field, np.broadcast_to(A, B.shape), B)[None, :]
+    if len(A) == 1:  # angle(a, b) = angle(b, a): the word is V's one shared row
+        return angle_fast_rows(field, B, A)[None, :]
     pairs = angle_fast_rows(field, np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1)))
     return pairs.reshape(len(A), len(B))
 
@@ -203,10 +210,9 @@ def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     (``Field.sentinel_log_tables``: log 0 = 2(q - 1), exp twice over the
     group, then zeros that every x = 0 reaches), built per call so the
     field keeps no tables for the oracle.  Never forms u_i / v_i, so it
-    stays independent of the census.
+    stays independent of the census.  U and V must have the same shape.
     """
-    U = np.atleast_2d(U)
-    V = np.atleast_2d(V)
+    U, V = _row_pairs(U, V, shared=False)
     T, n = U.shape
     q = field.q
     if q <= 256:

@@ -392,6 +392,7 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
 def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[ProjectivePoint, int]]:
     """All codeword directions with angle < rho, sorted by angle then
     enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance."""
+    rho = _integer("rho", rho)
     _check_word(u, code)
     angles = _word_angles(u, code)
     hits = np.flatnonzero(angles < rho)

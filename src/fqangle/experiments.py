@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .codes import (
     projective_codeword_matrix,
 )
 from .errors import InvalidInput, SuiteTooLarge
-from .gf import Field
+from .gf import Field, _integer
 from .vectors import Vector
 
 # Triple loops over all nonzero vectors stay tractable up to this many.
@@ -65,18 +65,7 @@ class SuiteReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "q": self.q,
-            "n": self.n,
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "checks_run": self.checks_run,
-            "failures": self.failures,
-            "wall_time": self.wall_time,
-            "observations": self.observations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -94,14 +83,7 @@ class BenchRecord:
         return self.n / (self.median_ns * 1e-9)
 
     def to_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "q": self.q,
-            "n": self.n,
-            "repetitions": self.repetitions,
-            "median_ns": self.median_ns,
-            "positions_per_second": self.positions_per_second,
-        }
+        return {**asdict(self), "positions_per_second": self.positions_per_second}
 
 
 _MAX_REPORTED_FAILURES = 25
@@ -115,22 +97,24 @@ def _fmt_row(row: np.ndarray) -> str:
 # Input construction
 # ----------------------------------------------------------------------
 
-def _require_length(n: int):
-    if n < 1:
-        raise InvalidInput(f"vector length must be >= 1, got n = {n}")
+def _at_least(name: str, value, least: int) -> int:
+    """value as an int; raises InvalidInput unless it is an integer >= least."""
+    value = _integer(name, value)
+    if value < least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def all_nonzero_vectors(field: Field, n: int) -> np.ndarray:
     """All q^n - 1 nonzero vectors as rows, ascending encoded order."""
-    _require_length(n)
+    n = _at_least("n", n, 1)
     return digit_rows(np.arange(1, field.q**n), field.q, n)
 
 
 def random_nonzero_rows(rng: np.random.Generator, field: Field, trials: int, n: int) -> np.ndarray:
     """(trials, n) random rows, with all-zero rows patched deterministically."""
-    _require_length(n)
-    if trials < 1:
-        raise InvalidInput(f"the number of trials must be >= 1, got {trials}")
+    n = _at_least("n", n, 1)
+    trials = _at_least("the number of trials", trials, 1)
     U = rng.integers(0, field.q, size=(trials, n), dtype=np.int64)
     zero_rows = np.flatnonzero(~U.any(axis=1))
     if zero_rows.size:
@@ -157,12 +141,14 @@ def error_patterns(field: Field, n: int, t: int) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _guard_exhaustive(field: Field, n: int):
-    count = field.q**n - 1
+def _exhaustive_vectors(field: Field, n: int) -> np.ndarray:
+    """all_nonzero_vectors, refused past the triple-loop guard."""
+    count = field.q ** _at_least("n", n, 1) - 1
     if count > MAX_EXHAUSTIVE_VECTORS:
         raise SuiteTooLarge(
             f"q^n - 1 = {count} nonzero vectors exceed the {MAX_EXHAUSTIVE_VECTORS} triple-loop guard"
         )
+    return all_nonzero_vectors(field, n)
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +159,7 @@ def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
     """Scalar identifiability, symmetry and the triangle inequality over
     every ordered pair/triple of nonzero vectors in GF(q)^n."""
     t0 = time.perf_counter()
-    _guard_exhaustive(field, n)
-    M = all_nonzero_vectors(field, n)
+    M = _exhaustive_vectors(field, n)
     N = M.shape[0]
     A = _angle_table(field, M, M)
     failures: list[str] = []
@@ -195,9 +180,10 @@ def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
             f"symmetry: {A[i, j]} != {A[j, i]} for u={_fmt_row(M[i])} v={_fmt_row(M[j])}"
         )
 
-    # (3) triangle inequality over all ordered triples
-    viol = A[:, None, :] > A[:, :, None] + A[None, :, :]
-    for i, j, k in np.argwhere(viol)[:_MAX_REPORTED_FAILURES]:
+    # (3) triangle inequality over all ordered triples, in (i, j, k) order,
+    # one i at a time so the temporaries stay (N, N)
+    viol = ((i, j, k) for i in range(N) for j, k in np.argwhere(A[i, None, :] > A[i, :, None] + A))
+    for i, j, k in itertools.islice(viol, _MAX_REPORTED_FAILURES):
         failures.append(
             f"triangle: angle(u,w)={A[i, k]} > {A[i, j]}+{A[j, k]} for "
             f"u={_fmt_row(M[i])} v={_fmt_row(M[j])} w={_fmt_row(M[k])}"
@@ -221,8 +207,7 @@ def verify_projective_descent(field: Field, n: int) -> SuiteReport:
     """Invariance of the angle under independent rescaling of both arguments,
     and agreement with the metric computed on canonical representatives."""
     t0 = time.perf_counter()
-    _guard_exhaustive(field, n)
-    M = all_nonzero_vectors(field, n)
+    M = _exhaustive_vectors(field, n)
     N = M.shape[0]
     A = _angle_table(field, M, M)
     failures: list[str] = []
@@ -269,6 +254,7 @@ def verify_oracle_equivalence(field: Field, n: int, trials: int, seed: int) -> S
     """The single-pass algorithm against the brute-force definition on
     seeded random nonzero pairs."""
     t0 = time.perf_counter()
+    seed = _at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     U = random_nonzero_rows(rng, field, trials, n)
     V = random_nonzero_rows(rng, field, trials, n)
@@ -302,6 +288,7 @@ def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
     are recorded as observations, never as failures.
     """
     t0 = time.perf_counter()
+    seed = _at_least("seed", seed, 0)
     field = code.field
     d = min_distance(code)
     t_max = (d - 1) // 2
@@ -373,6 +360,7 @@ def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> Suite
     check both against a scan of every codeword, and verify they agree
     exactly when the classical minimum is attained at a nonzero codeword."""
     t0 = time.perf_counter()
+    seed = _at_least("seed", seed, 0)
     field = code.field
     rng = np.random.default_rng(seed)
     U = random_nonzero_rows(rng, field, sample_size, code.n)
@@ -423,7 +411,8 @@ def bench_angle(field: Field, n_values: list[int], repetitions: int = 9) -> list
 
     At least 5 repetitions, medians taken over warm runs.
     """
-    reps = max(5, repetitions)
+    reps = max(5, _integer("repetitions", repetitions))
+    n_values = [_at_least("n", n, 1) for n in n_values]
     rng = np.random.default_rng(_BENCH_SEED)
     records = []
     for n in n_values:

@@ -363,6 +363,7 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
+        e = _integer("the exponent", e)
         if a == 0:
             if e < 0:
                 raise DivisionByZero("0 cannot be raised to a negative power")
@@ -465,9 +466,10 @@ class Field:
         The ratio bin is 0 when a = b = 0, a / b in [1, q) when both are
         nonzero, q when only a is nonzero and q + 1 when only b is.  E
         holds bins in the narrowest unsigned dtype that fits q + 1.  For
-        q <= 256, A[a] + B[b] = a*q + b, which fits uint16, and E is the
-        q*q pair table; above that A and B are int32 shifted log tables
-        and E is indexed by log a - log b plus sentinel offsets.
+        q <= 256, A[a] + B[b] = a + b*q, which fits uint16 (the multiply
+        falls on b, the side the angle kernel may share across rows), and
+        E is the q*q pair table; above that A and B are int32 shifted log
+        tables and E is indexed by log a - log b plus sentinel offsets.
 
         Built on first use, not in __init__, so fields that never reach
         the angle kernel stay cheap to construct.
@@ -486,9 +488,9 @@ class Field:
         E[2 * L + 1 : 3 * L + 1] = q + 1
         E[3 * L + 1 : 4 * L + 1] = q
         if q <= 256:
-            E = E[A[:, None] + B[None, :]].ravel()
-            A = np.arange(0, q * q, q, dtype=np.uint16)
-            B = np.arange(q, dtype=np.uint16)
+            E = E[A[None, :] + B[:, None]].ravel()
+            A = np.arange(q, dtype=np.uint16)
+            B = np.arange(0, q * q, q, dtype=np.uint16)
         else:
             A = A.astype(np.int32)
             B = B.astype(np.int32)

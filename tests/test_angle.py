@@ -236,8 +236,9 @@ def test_sort_path_is_chosen_on_the_whole_input_past_the_cap(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# One shared word against many rows: the decode scan passes the word as a
-# stride-0 broadcast, and the kernel computes its half of the index once
+# One shared word against many rows: V may be one row for every row of U,
+# and the kernel computes that row's half of the index once.  A stride-0
+# view of the word, as U or V, is an ordinary paired input.
 # ----------------------------------------------------------------------
 
 def _shared_word_rows(field, rng, T, n=10):
@@ -264,19 +265,30 @@ def test_shared_word_scan_matches_tiled_rows_and_oracle(p, m):
     T = 2 * rows + 3  # two full blocks and a ragged tail
     u, V = _shared_word_rows(field, np.random.default_rng(field.q), T)
     V.setflags(write=False)
+    u.setflags(write=False)
     shared = np.broadcast_to(u, V.shape)
     assert shared.strides[0] == 0 and not shared.flags.writeable
     tiled = np.tile(u, (T, 1))
-    assert np.array_equal(fqangle.angle._ratio_bins(field, shared, V),
-                          fqangle.angle._ratio_bins(field, tiled, V))
+    one_row = u[None, :]
+    ratio_bins = fqangle.angle._ratio_bins
+    assert np.array_equal(ratio_bins(field, V, one_row), ratio_bins(field, V, tiled))
+    assert np.array_equal(ratio_bins(field, shared, V), ratio_bins(field, tiled, V))
     fast = angle_fast_rows(field, shared, V)
     assert np.array_equal(fast, angle_fast_rows(field, tiled, V))
     assert np.array_equal(fast, angle_naive_rows(field, tiled, V))
+    assert np.array_equal(fast, angle_naive_rows(field, V, tiled))
     assert fast[:3].tolist() == [0, 0, 0] and fast[3] == V.shape[1]
+    # the one-row V form: several blocks with a ragged tail, one full
+    # block and a short single block
+    for k in (T, rows, 5):
+        assert np.array_equal(angle_fast_rows(field, V[:k], one_row), fast[:k])
+    assert np.array_equal(angle_fast_rows(field, V, u), fast)  # a 1-D row is one row
     assert np.array_equal(shared, tiled)  # the read-only word was never written
     for dtype in (np.uint8, np.uint16) if field.q <= 256 else (np.uint16,):
         narrow = V.astype(dtype)  # the direction matrix's dtypes
         assert np.array_equal(angle_fast_rows(field, np.broadcast_to(u.astype(dtype), V.shape), narrow), fast)
+        assert np.array_equal(angle_fast_rows(field, narrow, u.astype(dtype)[None, :]), fast)
+        assert np.array_equal(angle_fast_rows(field, narrow, one_row), fast)  # int64 word, as a decode passes it
 
 
 def test_shared_word_scan_on_the_sort_path():
@@ -288,14 +300,33 @@ def test_shared_word_scan_on_the_sort_path():
     tiled = np.tile(u, (T, 1))
     fast = angle_fast_rows(field, shared, V)
     assert np.array_equal(fast, angle_fast_rows(field, tiled, V))
+    for dtype in (np.int64, np.uint16):
+        assert np.array_equal(angle_fast_rows(field, V.astype(dtype), u[None, :].astype(dtype)), fast)
     sample = np.r_[:5, 5:T:64]
     assert np.array_equal(fast[sample], angle_naive_rows(field, tiled[sample], V[sample]))
+    assert np.array_equal(fast[sample], angle_naive_rows(field, V[sample], tiled[sample]))
     assert np.array_equal(shared, tiled)
+
+
+def test_row_kernels_raise_typed_errors_on_unpaired_shapes():
+    from fqangle import LengthMismatch
+
+    U = np.ones((3, 5), dtype=np.int64)
+    for kernel in (angle_fast_rows, angle_naive_rows):
+        for V in (np.ones((3, 4), dtype=np.int64), np.ones((1, 6), dtype=np.int64)):
+            with pytest.raises(LengthMismatch):
+                kernel(F5, U, V)
+        for bad_U, bad_V in ((U, U[:2]), (U[:1], U), (U[:2], U), (U[None], U[None])):
+            with pytest.raises(InvalidInput):
+                kernel(F5, bad_U, bad_V)
+    with pytest.raises(InvalidInput):  # only the fast kernel shares a one-row V
+        angle_naive_rows(F5, U, U[:1])
+    assert angle_fast_rows(F5, U, U[:1]).tolist() == [0, 0, 0]
 
 
 # ----------------------------------------------------------------------
 # Narrow-dtype edges of the ratio-bin census: GF(2^8), where the pair
-# index u*q + v reaches 65535, and GF(2^16), whose sentinel bins q and
+# index u + v*q reaches 65535, and GF(2^16), whose sentinel bins q and
 # q + 1 do not fit uint16
 # ----------------------------------------------------------------------
 

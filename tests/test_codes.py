@@ -454,6 +454,15 @@ def test_list_decode_rho_zero_and_everything():
     assert angles == sorted(angles)
 
 
+def test_list_decode_rho_must_be_an_integer():
+    code = rs733()
+    u = Vector(F7, [1, 0, 0, 0, 0, 0, 0])
+    assert projective_list_decode(u, code, np.int64(1)) == projective_list_decode(u, code, 1)
+    for bad in ("2", 2.5, True):
+        with pytest.raises(InvalidInput):
+            projective_list_decode(u, code, bad)
+
+
 def test_list_decode_sorted_by_angle_then_enumeration_order():
     code = make_rs_code(F7, 7, 2)
     u = Vector(F7, [1, 1, 0, 2, 0, 0, 3])

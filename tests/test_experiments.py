@@ -93,6 +93,47 @@ def test_metric_suite_guard():
         verify_metric_axioms(F3, 7)  # 3^7 - 1 = 2186 > 1024
 
 
+def test_metric_suite_triangle_check_keeps_its_temporaries_small():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = verify_metric_axioms(make_field(2), 8)  # N = 255: N^3 int64 would be 127 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.observations["triples"] == 255**3
+    assert peak < 32 << 20
+
+
+def test_metric_suite_reports_triangle_violations_in_order(monkeypatch):
+    import fqangle.experiments
+
+    real = fqangle.experiments._angle_table
+
+    def tampered(field, A, B):
+        table = real(field, A, B).copy()
+        table[2, 5] = table[7, 1] = 3 * A.shape[1]  # far past every two-step path
+        return table
+
+    monkeypatch.setattr(fqangle.experiments, "_angle_table", tampered)
+    report = verify_metric_axioms(F3, 3)
+    M = all_nonzero_vectors(F3, 3)
+    A = tampered(F3, M, M)
+
+    def row(i):
+        return ",".join(map(str, M[i]))
+
+    # reference: every violation of the whole (N, N, N) cube, in argwhere order
+    expected = [
+        f"triangle: angle(u,w)={A[i, k]} > {A[i, j]}+{A[j, k]} for u={row(i)} v={row(j)} w={row(k)}"
+        for i, j, k in np.argwhere(A[:, None, :] > A[:, :, None] + A[None, :, :])[:25]
+    ]
+    assert len(expected) == 25
+    assert expected[-1].split(" for ")[1].startswith(f"u={row(7)} ")  # the cap cuts into the second row
+    assert [f for f in report.failures if f.startswith("triangle")] == expected
+
+
 # ----------------------------------------------------------------------
 # Projective descent
 # ----------------------------------------------------------------------
@@ -232,14 +273,8 @@ def test_bench_records():
         assert r.repetitions >= 5
         assert r.median_ns > 0
         assert r.positions_per_second > 0
-        assert set(r.to_dict()) == {
-            "algo",
-            "q",
-            "n",
-            "repetitions",
-            "median_ns",
-            "positions_per_second",
-        }
+        assert list(r.to_dict()) == ["algo", "q", "n", "repetitions", "median_ns", "positions_per_second"]
+        assert r.to_dict()["positions_per_second"] == r.positions_per_second
 
 
 def test_bench_minimum_reps_enforced():
@@ -252,3 +287,47 @@ def test_bench_q2_algorithms_comparable():
     records = {r.algo: r.median_ns for r in bench_angle(make_field(2), [1 << 16], repetitions=9)}
     ratio = records["fast"] / records["naive"]
     assert 1 / 3 <= ratio <= 3
+
+
+# ----------------------------------------------------------------------
+# Integer parameters
+# ----------------------------------------------------------------------
+
+BAD_INTEGERS = ("2", 2.0, 2.5, True, None)
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS)
+def test_suite_and_bench_arguments_must_be_integers(bad):
+    code = make_repetition_code(F3, 3)
+    calls = [
+        lambda: verify_metric_axioms(F3, bad),
+        lambda: verify_projective_descent(F3, bad),
+        lambda: verify_oracle_equivalence(F7, bad, 5, 0),
+        lambda: verify_oracle_equivalence(F7, 5, bad, 0),
+        lambda: verify_oracle_equivalence(F7, 5, 5, bad),
+        lambda: verify_angular_decoding(code, bad),
+        lambda: angle_vs_dist_census(code, bad, 0),
+        lambda: angle_vs_dist_census(code, 5, bad),
+        lambda: bench_angle(F7, [8, bad], 5),
+        lambda: bench_angle(F7, [8], bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput):
+            call()
+
+
+def test_suite_arguments_below_their_least_value_are_typed():
+    code = make_repetition_code(F3, 3)
+    for call in (
+        lambda: verify_metric_axioms(F3, 0),
+        lambda: verify_oracle_equivalence(F7, 5, 0, 0),
+        lambda: verify_oracle_equivalence(F7, 5, 5, -1),
+        lambda: verify_angular_decoding(code, -1),
+        lambda: angle_vs_dist_census(code, 0, 0),
+        lambda: bench_angle(F7, [0], 5),
+    ):
+        with pytest.raises(InvalidInput):
+            call()
+    report = verify_oracle_equivalence(F7, np.int64(5), np.int64(4), np.int64(1))
+    assert report.passed and (report.n, report.trials, report.seed) == (5, 4, 1)
+    assert type(report.seed) is int

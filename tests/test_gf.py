@@ -312,6 +312,14 @@ def test_array_ops_match_scalar_ops(p, m):
             f.add(bad, 0)
 
 
+def test_pow_takes_only_integer_exponents():
+    f = make_field(7)
+    assert f.pow(3, 2) == 2 and f.pow(3, -1) == 5 and f.pow(3, np.int64(6)) == 1
+    for bad in (1.5, "2", True, None):
+        with pytest.raises(InvalidInput):
+            f.pow(3, bad)
+
+
 @pytest.mark.parametrize("p,dtype", [(251, np.uint8), (257, np.uint16), (65521, np.uint16)])
 def test_prime_array_ops_take_narrow_inputs_in_int64(p, dtype):
     # u*v and u+v of two encodings can overflow the narrow dtype that holds
@@ -379,7 +387,8 @@ def test_ratio_bin_tables_match_definition(p, m):
     assert np.array_equal(E[A[a].astype(np.int64) + B[b]], expected)
     assert np.iinfo(E.dtype).max >= q + 1
     if q <= 256:
-        assert np.array_equal(A[a].astype(np.int64) + B[b], a * q + b)
+        # the multiply by q falls on b, the side the angle kernel shares
+        assert np.array_equal(A[a].astype(np.int64) + B[b], a + b * q)
 
 
 # ----------------------------------------------------------------------
