@@ -2,29 +2,50 @@
 distance/angle to a code, and the angular unique decoder.
 
 A code is given by a full-rank k x n generator matrix.  Every nonzero
-codeword is a multiple of a direction, so every code query scans the
-direction matrix (``projective_codeword_matrix``): the desk-scale regime
-the enumeration guard (q^k <= 2^20) permits.  That matrix holds each
-direction's normalized representative (first nonzero coordinate 1) in the
-narrowest unsigned dtype that fits q - 1, so decoders return its rows as
-projective points as they stand.
+codeword is a multiple of a direction, so the reference answer to every
+code query is a scan of the direction matrix
+(``projective_codeword_matrix``): the desk-scale regime the enumeration
+guard (q^k <= 2^20) permits.  That matrix holds each direction's
+normalized representative (first nonzero coordinate 1) in the narrowest
+unsigned dtype that fits q - 1, so decoders return its rows as projective
+points as they stand.
 
-``angular_decode`` has one fast path.  On a Reed-Solomon code whose scan
-covers at least ``_BW_MIN_SCAN`` positions (directions x length) it first
-runs Berlekamp-Welch with radius t = (min_distance - 1) // 2.  If that
-yields a nonzero codeword c with d_H(u, c) <= t, the outcome is
-UNIQUE_DIRECTION with the direction of c at angle d_H(u, c), and no scan
-runs.  This is sound whatever Berlekamp-Welch computed: c = f G is a
-codeword by construction and its distance is counted, and every other
-nonzero codeword, beta c included, lies at distance >= d - t > t.  So the
-outcome is the scan's, bit for bit.  Otherwise (no codeword within t, or
-c = 0 because wt(u) <= t) the call falls back to the scan.
-``decode_rows``, ``projective_list_decode`` and ``min_distance`` always
-scan.
+One-word queries try two exact shortcuts before the scan, in this order,
+and only where the scan covers at least ``_FAST_MIN_SCAN`` positions
+(directions x length):
+
+1. Berlekamp-Welch (``angular_decode`` on a Reed-Solomon code), with
+   radius t = (d - 1) // 2.  If it yields a nonzero codeword c with
+   d_H(u, c) <= t, the outcome is UNIQUE_DIRECTION with the direction of
+   c at angle d_H(u, c).  This is sound whatever Berlekamp-Welch
+   computed: c = f G is a codeword by construction and its distance is
+   counted, and every other nonzero codeword, beta c included, lies at
+   distance >= d - t > t.
+2. Information sets (``angular_decode``, ``angle_to_code``,
+   ``dist_to_code`` and ``projective_list_decode`` for rho <= d), on MDS
+   codes (d = n - k + 1, every Reed-Solomon code) where C(n, k) (k + 1)
+   <= D, the number of directions.  Take a direction at angle a <= d - 1
+   from u: some beta c agrees with u on n - a >= n - d + 1 positions.  No
+   nonzero codeword vanishes on n - d + 1 positions, so those positions
+   hold an information set S, and the codeword u_S G_S^-1 G that
+   re-encodes u from S is beta c (Prange, "The use of information sets in
+   decoding cyclic codes", IRE Trans. IT 1962).  So the candidates
+   u_S G_S^-1 G, one per information set, hold every direction at angle
+   <= d - 1, each with its exact angle.  If the least candidate angle a is
+   <= d - 1, a and the directions tied at it are exactly the scan's; on an
+   MDS code every k-subset is an information set and some candidate
+   agrees with u on k positions, so a <= n - k = d - 1 always.  A least
+   candidate angle above d - 1 falls back to the scan.  The maps
+   G_S^-1 G are built on a code's first such query (``_information_sets``).
+
+Otherwise, and always for ``decode_rows`` and ``min_distance``, the
+direction matrix is scanned.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -54,7 +75,8 @@ ENUMERATION_CAP = 1 << 20
 # at once, which bounds its memory whatever the number of words.
 _DECODE_CHUNK_ROWS = 1 << 18
 
-# Codeword elements per block when the direction matrix is encoded.  One
+# Codeword elements per block when the direction matrix is encoded, and
+# matrix elements per block when the information sets are reduced.  One
 # block's int64 temporaries (about 20 on GF(2^m) at k = 5: three per
 # generator row and three to normalize) stay under glibc's 128 KiB mmap
 # threshold and in cache, instead of each spanning the whole matrix.
@@ -64,15 +86,15 @@ _DECODE_CHUNK_ROWS = 1 << 18
 # 2^15 are within the run-to-run spread.
 _ENCODE_BLOCK = 1 << 14
 
-# Least scan size, directions x length, at which angular_decode tries
-# Berlekamp-Welch before the scan on a Reed-Solomon code.  Warm
+# Least scan size, directions x length, at which one-word queries try
+# Berlekamp-Welch and the information sets before the scan.  Warm
 # angular_decode, median over 40 near words, scan vs Berlekamp-Welch,
 # 2-core Xeon: RS[7,3]/GF(7) (399 positions) 78-87 vs 342-361 us,
 # RS[8,4]/GF(8) (4,680) 127-137 vs 365-453 us, RS[11,4]/GF(11) (16,104)
 # 229-264 vs 438-446 us, RS[13,4]/GF(13) (30,940) 584-590 vs 493-514 us,
 # RS[10,4]/GF(16) (43,690) 492-583 vs 403-422 us, RS[15,5]/GF(16)
 # (1,048,575) 9.2-9.4 vs 0.36-0.52 ms.  The crossover lies near 2^15.
-_BW_MIN_SCAN = 1 << 15
+_FAST_MIN_SCAN = 1 << 15
 
 
 def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
@@ -103,6 +125,33 @@ def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
     return A, r
 
 
+def _reduce_leading(field: Field, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan on a (B, k, w) stack of matrices, pivoting on the
+    leading k columns of each; returns (reduced stack, invertible).
+
+    Where the leading k x k block X is invertible, the reduced matrix is
+    X^-1 A, so its leading block is the identity.  Each pivot column is one
+    broadcast elimination over the whole stack; a singular block meets a
+    zero pivot, which zeroes its pivot row, and is flagged False."""
+    A = np.array(A, dtype=np.int64)
+    B, k, _ = A.shape
+    stack = np.arange(B)
+    invertible = np.ones(B, dtype=bool)
+    for c in range(k):
+        nonzero = A[:, c:, c] != 0
+        invertible &= nonzero.any(axis=1)
+        i = c + nonzero.argmax(axis=1)  # the first pivot candidate at or below row c
+        # rows at or below c are zero left of c, so only columns c.. change
+        pivot = A[stack, i, c:]
+        A[stack, i, c:] = A[:, c, c:]  # swap: row c moves to row i, and row c is set below
+        pivot = field.mul_array(field.inv_table[pivot[:, 0]][:, None], pivot)
+        factors = A[:, :, c].copy()
+        factors[:, c] = 0
+        A[:, :, c:] = field.sub_array(A[:, :, c:], field.mul_array(factors[:, :, None], pivot[:, None, :]))
+        A[:, c, c:] = pivot
+    return A, invertible
+
+
 class LinearCode:
     """A linear code held by a full-rank generator matrix."""
 
@@ -122,6 +171,7 @@ class LinearCode:
         self._min_distance: int | None = None
         self._codewords: np.ndarray | None = None
         self._projective: np.ndarray | None = None
+        self._infosets: _InfoSets | None = None
 
     def __repr__(self):
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -199,18 +249,17 @@ def digit_rows(idx: np.ndarray, base: int, width: int) -> np.ndarray:
 def _encode_messages(code: LinearCode, idx: np.ndarray) -> np.ndarray:
     """Codewords of the messages whose base-q digits (first most significant)
     spell the indices idx."""
-    return _encode(code, digit_rows(idx, code.field.q, code.k))
+    return _matmul(code.field, digit_rows(idx, code.field.q, code.k), code.generator)
 
 
-def _encode(code: LinearCode, messages: np.ndarray) -> np.ndarray:
-    """Codewords m G of the rows m of a (T, k) message array."""
-    field = code.field
-    G = code.generator
+def _matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The (T, n) product A B over the field of a (T, k) and a (k, n) array;
+    codewords m G when A holds messages and B is the generator."""
     if field.m == 1:
-        return messages @ G % field.p
-    acc = np.zeros((messages.shape[0], code.n), dtype=np.int64)
-    for j in range(code.k):
-        acc = field.add_array(acc, field.mul_array(messages[:, j : j + 1], G[j][None, :]))
+        return A @ B % field.p
+    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for j in range(B.shape[0]):
+        acc = field.add_array(acc, field.mul_array(A[:, j : j + 1], B[j][None, :]))
     return acc
 
 
@@ -254,6 +303,140 @@ def min_distance(code: LinearCode) -> int:
 
 
 # ----------------------------------------------------------------------
+# Information sets (see the module docstring)
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _InfoSets:
+    """Per-code tables of the information-set candidates.
+
+    ``maps[j, :, s]`` is row j of G_S^-1 G for the s-th information set
+    S, whose positions are ``subsets[:, s]`` (k-subsets in
+    itertools.combinations order, singular ones dropped).  The sets run
+    along the last axis, so a word's per-set logs broadcast along it.
+    ``maps`` and ``log`` hold sentinel logs (``Field.sentinel_log_tables``),
+    so one gather of ``exp`` multiplies, in the narrowest unsigned dtype
+    that holds 4(q - 1), the largest sum of two logs; ``exp`` is in the
+    narrowest dtype that holds q - 1.  Together they take 345 KB on
+    RS[15,5]/GF(16).  ``first`` is one information set and ``first_inv``
+    its G_S^-1, which reads a codeword's message.
+    """
+
+    subsets: np.ndarray
+    maps: np.ndarray
+    log: np.ndarray
+    exp: np.ndarray
+    first: np.ndarray
+    first_inv: np.ndarray
+
+
+def _information_sets(code: LinearCode) -> _InfoSets:
+    """The code's information-set tables, built on first use and cached.
+
+    Every k-subset S is tried: the stack of [G_S | G] is reduced on its
+    leading k columns in blocks of about ``_ENCODE_BLOCK`` elements, and
+    where G_S is invertible the rest of the reduced block is G_S^-1 G."""
+    if code._infosets is None:
+        field, k, n, G = code.field, code.k, code.n, code.generator
+        log, exp = field.sentinel_log_tables()
+        dtype = np.min_scalar_type(4 * (field.q - 1))
+        log = log.astype(dtype)
+        subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                              dtype=np.intp).reshape(-1, k)
+        step = max(1, _ENCODE_BLOCK // (k * (k + n)))
+        maps, kept = [], []
+        for s in range(0, len(subsets), step):
+            S = subsets[s : s + step]
+            stack = np.concatenate([G[:, S].transpose(1, 0, 2), np.broadcast_to(G, (len(S), k, n))], axis=2)
+            R, invertible = _reduce_leading(field, stack)
+            maps.append(log.take(R[invertible, :, k:]))
+            kept.append(invertible)
+        subsets = subsets[np.concatenate(kept)]
+        first = subsets[0]
+        first_inv = row_reduce(field, np.hstack([G[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
+        tables = _InfoSets(
+            subsets=np.ascontiguousarray(subsets.T),
+            maps=np.concatenate(maps).transpose(1, 2, 0).copy(),
+            log=log,
+            exp=exp.astype(np.min_scalar_type(field.q - 1)),
+            first=first,
+            first_inv=first_inv,
+        )
+        for t in (tables.subsets, tables.maps, tables.log, tables.exp, tables.first, tables.first_inv):
+            t.setflags(write=False)
+        code._infosets = tables
+    return code._infosets
+
+
+def _large_scan(code: LinearCode) -> bool:
+    """True when a one-word scan covers at least ``_FAST_MIN_SCAN`` positions."""
+    q = code.field.q
+    return (q**code.k - 1) // (q - 1) * code.n >= _FAST_MIN_SCAN
+
+
+def _infosets_pay(code: LinearCode) -> bool:
+    """True when the C(n, k) candidates, k gathers and one census row each,
+    number at most the D directions of the scan."""
+    q = code.field.q
+    return math.comb(code.n, code.k) * (code.k + 1) <= (q**code.k - 1) // (q - 1)
+
+
+def _infosets_apply(code: LinearCode, d: int) -> bool:
+    """The gate of the candidate path: a large scan, an MDS code
+    (d = n - k + 1), and candidates that cost less than the scan."""
+    return _large_scan(code) and d == code.n - code.k + 1 and _infosets_pay(code)
+
+
+def _infoset_candidates(u: np.ndarray, code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """(C, angles): the nonzero candidates u_S G_S^-1 G over every
+    information set S, as rows, and their angles to the nonzero word u.
+
+    Every direction at angle <= d - 1 from u is among them, with its
+    exact angle; the least angle may exceed d - 1 only on a non-MDS code."""
+    field, tables = code.field, _information_sets(code)
+    u_S = u.take(tables.subsets)  # (k, sets)
+    logs = tables.log.take(u_S)
+    # one term u_{S_j} (G_S^-1 G)_j at a time: take copies its index to intp
+    C = tables.exp.take(logs[0] + tables.maps[0])
+    for j in range(1, code.k):
+        C = field.add_array(C, tables.exp.take(logs[j] + tables.maps[j]))
+    C = np.ascontiguousarray(C.T)
+    nonzero = u_S.any(axis=0)  # the candidate is 0 where u vanishes on S
+    if not nonzero.all():
+        C = C[nonzero]
+    return C, angle_fast_rows(field, C, u[None, :])
+
+
+def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:
+    """Row of projective_codeword_matrix of each nonzero codeword row of C.
+
+    A normalized message whose first nonzero digit sits at exponent e
+    spells a value in [q^e, 2 q^e), and the direction rows list those
+    ranges for e = 0, 1, ...: so its row is (q^e - 1)/(q - 1) + value - q^e."""
+    field, q, k = code.field, code.field.q, code.k
+    tables = _information_sets(code)
+    messages = normalize_rows(field, _matmul(field, C[:, tables.first], tables.first_inv))
+    e = k - 1 - (messages != 0).argmax(axis=1)
+    value = messages @ q ** np.arange(k - 1, -1, -1)
+    return (q**e - 1) // (q - 1) + value - q**e
+
+
+def _infoset_least(u: Vector, code: LinearCode, d: int) -> tuple[int, np.ndarray] | None:
+    """(a, tied): the least angle a from u to a direction and the ascending
+    rows of the directions at a, from the information sets; None where the
+    candidate path does not apply or its least angle exceeds d - 1, so the
+    scan must decide."""
+    if not _infosets_apply(code, d):
+        return None
+    C, angles = _infoset_candidates(u.coords, code)
+    a = int(angles.min(initial=d))  # d, too, when u vanishes on every information set
+    if a >= d:
+        return None
+    tied = np.sort(_direction_indices(code, C[angles == a]))
+    return a, tied[np.diff(tied, prepend=-1) != 0]
+
+
+# ----------------------------------------------------------------------
 # Distance and angle to a code
 # ----------------------------------------------------------------------
 
@@ -284,7 +467,9 @@ def dist_to_code(u: Vector, code: LinearCode) -> int:
 def angle_to_code(u: Vector, code: LinearCode) -> int:
     """min over NONZERO codewords of d_H(u, c); at least dist_to_code(u, code)."""
     _check_word(u, code)
-    return int(_word_angles(u, code).min())
+    d = min_distance(code)
+    found = _infoset_least(u, code, d)
+    return found[0] if found is not None else int(_word_angles(u, code).min())
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +536,7 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
         Q[i : i + t + 1] = field.sub_array(Q[i : i + t + 1], field.mul_array(f[i], E))
     if Q.any():  # a nonzero remainder
         return None
-    c = _encode(code, f[None, :])[0]
+    c = _matmul(field, f[None, :], code.generator)[0]
     dist = int(np.count_nonzero(c != u))
     if dist > t or not c.any():
         return None
@@ -361,24 +546,28 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
 def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
     """Find the closest codeword direction(s) to u.
 
-    On a Reed-Solomon code with a large scan, Berlekamp-Welch is tried
-    first (see the module docstring); its answer is exact or absent.
-    Otherwise every direction is scanned, and if the best angle a
-    satisfies 2a < d (strictly inside the unique decoding radius) the
-    uniqueness is asserted, not assumed.
+    Where the scan is large, Berlekamp-Welch (on a Reed-Solomon code) and
+    then the information sets (on an MDS code) are tried first, as the
+    module docstring sets out; each answer is exact or absent.  Otherwise
+    every direction is scanned.  If the best angle a satisfies 2a < d
+    (strictly inside the unique decoding radius) the uniqueness is
+    asserted, not assumed.
     """
     _check_word(u, code)
     d = min_distance(code)
-    q = code.field.q
-    if code.eval_points is not None and (q**code.k - 1) // (q - 1) * code.n >= _BW_MIN_SCAN:
+    if code.eval_points is not None and _large_scan(code):
         found = berlekamp_welch(code, u.coords, (d - 1) // 2)
         if found is not None:
             c, a = found
             point = projectivize(Vector(code.field, c))
             return DecodeOutcome(DecodeKind.UNIQUE_DIRECTION, ((point, a),), d)
-    angles = _word_angles(u, code)
-    a = int(angles.min())
-    tied = np.flatnonzero(angles == a)
+    found = _infoset_least(u, code, d)
+    if found is not None:
+        a, tied = found
+    else:
+        angles = _word_angles(u, code)
+        a = int(angles.min())
+        tied = np.flatnonzero(angles == a)
     if 2 * a < d and tied.size > 1:
         raise UniqueDecodingViolated(
             f"unique decoding violated: {tied.size} directions at angle {a} < d/2 = {d}/2"
@@ -391,14 +580,30 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
 
 def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[ProjectivePoint, int]]:
     """All codeword directions with angle < rho, sorted by angle then
-    enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance."""
+    enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance.
+
+    For rho <= d on an MDS code whose scan is large, the directions come
+    from the information-set candidates, which hold every direction at
+    angle <= d - 1 (see the module docstring); otherwise from the scan."""
     rho = _integer("rho", rho)
     _check_word(u, code)
-    angles = _word_angles(u, code)
-    hits = np.flatnonzero(angles < rho)
-    hits = hits[np.argsort(angles[hits], kind="stable")]
+    d = min_distance(code)
+    if rho <= d and _infosets_apply(code, d):
+        C, angles = _infoset_candidates(u.coords, code)
+        near = angles < rho
+        hits, angles = _direction_indices(code, C[near]), angles[near]
+        order = np.lexsort((hits, angles))
+        hits, angles = hits[order], angles[order]
+        # a direction's repeats carry its angle, so they sort next to each other
+        first = np.diff(hits, prepend=-1) != 0
+        hits, angles = hits[first], angles[first]
+    else:
+        angles = _word_angles(u, code)
+        hits = np.flatnonzero(angles < rho)
+        hits = hits[np.argsort(angles[hits], kind="stable")]
+        angles = angles[hits]
     P = projective_codeword_matrix(code)
-    return [(ProjectivePoint(Vector(code.field, P[i])), int(angles[i])) for i in hits]
+    return [(ProjectivePoint(Vector(code.field, P[i])), int(a)) for i, a in zip(hits, angles)]
 
 
 def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

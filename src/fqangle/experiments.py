@@ -142,8 +142,8 @@ def error_patterns(field: Field, n: int, t: int) -> np.ndarray:
 
 
 def _exhaustive_vectors(field: Field, n: int) -> np.ndarray:
-    """all_nonzero_vectors, refused past the triple-loop guard."""
-    count = field.q ** _at_least("n", n, 1) - 1
+    """all_nonzero_vectors, refused past the triple-loop guard; n is an int >= 1."""
+    count = field.q**n - 1
     if count > MAX_EXHAUSTIVE_VECTORS:
         raise SuiteTooLarge(
             f"q^n - 1 = {count} nonzero vectors exceed the {MAX_EXHAUSTIVE_VECTORS} triple-loop guard"
@@ -159,6 +159,7 @@ def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
     """Scalar identifiability, symmetry and the triangle inequality over
     every ordered pair/triple of nonzero vectors in GF(q)^n."""
     t0 = time.perf_counter()
+    n = _at_least("n", n, 1)
     M = _exhaustive_vectors(field, n)
     N = M.shape[0]
     A = _angle_table(field, M, M)
@@ -181,8 +182,11 @@ def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
         )
 
     # (3) triangle inequality over all ordered triples, in (i, j, k) order,
-    # one i at a time so the temporaries stay (N, N)
-    viol = ((i, j, k) for i in range(N) for j, k in np.argwhere(A[i, None, :] > A[i, :, None] + A))
+    # one i at a time so the temporaries stay (N, N), on a copy of the table
+    # in the narrowest dtype that holds a sum of two angles (<= 2n)
+    narrow = A.astype(np.min_scalar_type(2 * n))
+    viol = ((i, j, k) for i in range(N)
+            for j, k in np.argwhere(narrow[i, None, :] > narrow[i, :, None] + narrow))
     for i, j, k in itertools.islice(viol, _MAX_REPORTED_FAILURES):
         failures.append(
             f"triangle: angle(u,w)={A[i, k]} > {A[i, j]}+{A[j, k]} for "
@@ -207,6 +211,7 @@ def verify_projective_descent(field: Field, n: int) -> SuiteReport:
     """Invariance of the angle under independent rescaling of both arguments,
     and agreement with the metric computed on canonical representatives."""
     t0 = time.perf_counter()
+    n = _at_least("n", n, 1)
     M = _exhaustive_vectors(field, n)
     N = M.shape[0]
     A = _angle_table(field, M, M)
@@ -254,6 +259,8 @@ def verify_oracle_equivalence(field: Field, n: int, trials: int, seed: int) -> S
     """The single-pass algorithm against the brute-force definition on
     seeded random nonzero pairs."""
     t0 = time.perf_counter()
+    n = _at_least("n", n, 1)
+    trials = _at_least("the number of trials", trials, 1)
     seed = _at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     U = random_nonzero_rows(rng, field, trials, n)
@@ -360,6 +367,7 @@ def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> Suite
     check both against a scan of every codeword, and verify they agree
     exactly when the classical minimum is attained at a nonzero codeword."""
     t0 = time.perf_counter()
+    sample_size = _at_least("sample_size", sample_size, 1)
     seed = _at_least("seed", seed, 0)
     field = code.field
     rng = np.random.default_rng(seed)

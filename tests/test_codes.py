@@ -33,6 +33,7 @@ from fqangle import (
     projectivize,
     scalar_mul,
 )
+from fqangle.angle import normalize_rows
 from fqangle.codes import codeword_matrix, projective_codeword_matrix
 
 F3 = make_field(3)
@@ -694,9 +695,9 @@ def test_forced_fast_path_outcome_equals_scan(case, monkeypatch):
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
     words = [Vector(field, u) for u in bw_words(code, np.random.default_rng(7))]
-    monkeypatch.setattr(fqangle.codes, "_BW_MIN_SCAN", 1 << 62)
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 1 << 62)
     scan = [angular_decode(u, code) for u in words]
-    monkeypatch.setattr(fqangle.codes, "_BW_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
     assert [angular_decode(u, code) for u in words] == scan
     # wrong points cost time, never the answer: the fallback scan decides
     code.eval_points = np.roll(code.eval_points, 1)
@@ -713,7 +714,7 @@ def test_fast_path_dispatch(monkeypatch):
     angular_decode(u, rs733())  # 57 directions x 7: the scan is cheaper
     angular_decode(u, make_code(F7, rs733().generator))  # not built as Reed-Solomon
     assert calls == []
-    monkeypatch.setattr(fqangle.codes, "_BW_MIN_SCAN", 57 * 7)
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 57 * 7)
     angular_decode(u, rs733())
     assert len(calls) == 1
 
@@ -722,7 +723,7 @@ def test_fast_path_end_to_end_rs_15_5_gf16():
     # the decode-large code: 69,905 directions, so angular_decode takes Berlekamp-Welch
     field = make_field(2, 4)
     code = make_rs_code(field, 15, 5)
-    assert 69905 * 15 >= fqangle.codes._BW_MIN_SCAN
+    assert 69905 * 15 >= fqangle.codes._FAST_MIN_SCAN
     d = min_distance(code)
     P = projective_codeword_matrix(code)
     rng = np.random.default_rng(15)
@@ -731,9 +732,182 @@ def test_fast_path_end_to_end_rs_15_5_gf16():
         err = np.zeros(15, dtype=np.int64)
         err[rng.choice(15, size=w, replace=False)] = rng.integers(1, 16, size=w)
         U.append(field.scalar_mul_array(int(rng.integers(1, 16)), field.add_array(P[rng.integers(len(P))], err)))
-    U += list(rng.integers(1, 16, size=(2, 15)))  # random words fall back to the scan
+    U += list(rng.integers(1, 16, size=(2, 15)))  # random words take the information sets
     best, angle, _ = decode_rows(code, U)
     for u, b, a in zip(U, best, angle):
         out = angular_decode(Vector(field, u), code)
         assert out.best[0] == (projectivize(Vector(field, P[b])), a)
         assert out.unique == (2 * a < d) and out.min_distance == d
+
+
+# ----------------------------------------------------------------------
+# Information-set candidates: every result checked against the scan
+# ----------------------------------------------------------------------
+
+def enumerable_rs_codes(q):
+    """(n, k) of every Reed-Solomon code over GF(q) the enumeration guard allows."""
+    return [(n, k) for n in range(1, q + 1) for k in range(1, n + 1) if q**k <= fqangle.codes.ENUMERATION_CAP]
+
+
+def grid_words(code, rng):
+    """Seeded nonzero words: uniform words, words of weight 1 and k - 1,
+    and a direction plus an error inside the radius, rescaled."""
+    field, n, k = code.field, code.n, code.k
+    P = projective_codeword_matrix(code)
+    words = list(rng.integers(0, field.q, size=(3, n)))
+    for w in sorted({1, max(k - 1, 1)}):
+        low = np.zeros(n, dtype=np.int64)
+        low[rng.choice(n, size=w, replace=False)] = rng.integers(1, field.q, size=w)
+        words.append(low)
+    t = (min_distance(code) - 1) // 2
+    err = np.zeros(n, dtype=np.int64)
+    err[rng.choice(n, size=t, replace=False)] = rng.integers(1, field.q, size=t)
+    words.append(field.scalar_mul_array(int(rng.integers(1, field.q)), field.add_array(P[rng.integers(len(P))], err)))
+    return [Vector(field, u) for u in words if u.any()]
+
+
+def one_word_answers(u, code, rho):
+    return angular_decode(u, code), projective_list_decode(u, code, rho)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_infoset_candidates_equal_scan_on_every_rs_code(q, monkeypatch):
+    # the scan alone, then the candidates alone (Berlekamp-Welch finds
+    # nothing on both sides), on every enumerable RS code over GF(q) and on
+    # repetition codes, which are MDS too
+    from fqangle import field_from_order
+
+    field = field_from_order(q)
+    codes = [make_rs_code(field, n, k) for n, k in enumerable_rs_codes(q)]
+    codes += [make_repetition_code(field, n) for n in (2, 5)]
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *args: None)
+    taken = []
+    candidates = fqangle.codes._infoset_candidates
+    monkeypatch.setattr(fqangle.codes, "_infoset_candidates", lambda u, code: taken.append(code) or candidates(u, code))
+    ties = 0
+    for i, code in enumerate(codes):
+        d = min_distance(code)
+        assert d == code.n - code.k + 1
+        words = grid_words(code, np.random.default_rng(100 * q + i))
+        # lists up to rho = d for a uniform and the near word, up to about
+        # d / 2 for the rest: near d a list can hold thousands of directions
+        top = [d if j in (0, len(words) - 1) else (d + 1) // 2 for j in range(len(words))]
+        monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: False)
+        scan = [one_word_answers(u, code, rho) for u, rho in zip(words, top)]
+        assert taken == []
+        monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
+        for u, rho_top, (outcome, listed) in zip(words, top, scan):
+            assert angular_decode(u, code) == outcome
+            angle = outcome.best[0][1]  # the scan's least angle
+            assert (angle_to_code(u, code), dist_to_code(u, code)) == (angle, min(angle, hamming_weight(u)))
+            for rho in range(rho_top + 1):
+                assert projective_list_decode(u, code, rho) == [(pt, a) for pt, a in listed if a < rho]
+            ties += outcome.kind is DecodeKind.BEYOND_RADIUS and len(outcome.best) > 1
+        assert taken
+        taken.clear()
+    assert q == 2 or ties  # beyond-radius words with several tied directions were compared
+
+
+def planted_non_mds_code(field, n, k, seed):
+    """A seeded random generator whose first row vanishes on n - 2
+    positions, so d <= 2 < n - k + 1: never MDS."""
+    while True:
+        G = np.random.default_rng(seed).integers(0, field.q, size=(k, n))
+        G[0, : n - 2] = 0
+        try:
+            return make_code(field, G)
+        except RankDeficient:
+            seed += 1000
+
+
+NON_MDS = [(2, 6, 2), (3, 8, 3), (4, 6, 3), (7, 6, 3), (8, 7, 3), (16, 8, 3)]
+
+
+@pytest.mark.parametrize("q,n,k", NON_MDS, ids=lambda x: str(x))
+def test_non_mds_codes_never_take_the_candidates(q, n, k, monkeypatch):
+    from fqangle import field_from_order
+
+    field = field_from_order(q)
+    code = planted_non_mds_code(field, n, k, seed=q * n)
+    assert min_distance(code) < n - k + 1
+    taken = []
+    candidates = fqangle.codes._infoset_candidates
+    monkeypatch.setattr(fqangle.codes, "_infoset_candidates", lambda u, code: taken.append(code) or candidates(u, code))
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
+    for u in grid_words(code, np.random.default_rng(q)):
+        one_word_answers(u, code, min_distance(code))
+        angle_to_code(u, code)
+        dist_to_code(u, code)
+    assert taken == []
+
+
+@pytest.mark.parametrize("q,n,k", NON_MDS, ids=lambda x: str(x))
+def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypatch):
+    # every direction at angle <= d - 1 is among the candidates with its
+    # exact angle, on any code; but the least candidate angle can exceed
+    # d - 1 on a non-MDS code, where the scan must decide
+    from fqangle import field_from_order
+
+    field = field_from_order(q)
+    code = planted_non_mds_code(field, n, k, seed=q * n)
+    d = min_distance(code)
+    P = projective_codeword_matrix(code)
+    rng = np.random.default_rng(n)
+    U = np.vstack([rng.integers(0, field.q, size=(60, n)), np.eye(n, dtype=np.int64)])  # and weight 1
+    words = [Vector(field, u) for u in U[U.any(axis=1)]]
+    above = 0
+    for u in words:
+        C, angles = fqangle.codes._infoset_candidates(u.coords, code)
+        scan = fqangle.codes._word_angles(u, code)
+        rows = fqangle.codes._direction_indices(code, C)
+        assert np.array_equal(scan[rows], angles)  # each candidate's angle is exact
+        assert set(np.flatnonzero(scan < d)) <= set(rows.tolist())
+        assert np.array_equal(P[rows], normalize_rows(field, C))
+        above += int(angles.min(initial=n)) > d - 1  # no candidate where u vanishes on every information set
+    assert above
+    # forced past the MDS gate, the guard still hands those words to the scan
+    scan = [(angular_decode(u, code), angle_to_code(u, code), projective_list_decode(u, code, d)) for u in words]
+    monkeypatch.setattr(fqangle.codes, "_infosets_apply", lambda code, d: True)
+    assert [(angular_decode(u, code), angle_to_code(u, code), projective_list_decode(u, code, d)) for u in words] == scan
+
+
+def test_infoset_dispatch(monkeypatch):
+    taken = []
+    candidates = fqangle.codes._infoset_candidates
+    monkeypatch.setattr(fqangle.codes, "_infoset_candidates", lambda u, code: taken.append(code) or candidates(u, code))
+    scanned = []
+    word_angles = fqangle.codes._word_angles
+    monkeypatch.setattr(fqangle.codes, "_word_angles", lambda u, code: scanned.append(code) or word_angles(u, code))
+    small = rs733()  # 57 directions x 7 positions: the scan is cheaper
+    mid = make_rs_code(make_field(13), 13, 4)  # 2,380 directions, 715 x 5 candidate rows
+    large = make_rs_code(make_field(2, 4), 15, 5)  # 69,905 directions, 3,003 x 6 candidate rows
+    rng = np.random.default_rng(3)
+    for code in (small, mid):
+        u = Vector(code.field, rng.integers(1, code.field.q, size=code.n))
+        angular_decode(u, code)
+        assert (taken, scanned) == ([], [code])
+        scanned.clear()
+    u = Vector(large.field, rng.integers(1, 16, size=15))
+    out = angular_decode(u, large)
+    assert (taken, scanned) == ([large], [])
+    assert angle_to_code(u, large) == out.best[0][1]
+    assert projective_list_decode(u, large, min_distance(large) + 1) and scanned == [large]  # rho > d scans
+    assert large._infosets.maps.nbytes + large._infosets.subsets.nbytes < 1 << 20
+
+
+def test_reduce_leading_matches_row_reduce():
+    for field in (F7, make_field(2, 4), make_field(3, 2)):
+        rng = np.random.default_rng(field.q)
+        A = rng.integers(0, field.q, size=(40, 3, 7))
+        A[:10, :, 0] = 0  # singular leading blocks
+        A[10:20, 2, :3] = field.add_array(A[10:20, 0, :3], A[10:20, 1, :3])
+        A[20:25, 0, 0] = 0  # a row swap is needed
+        R, invertible = fqangle.codes._reduce_leading(field, A)
+        assert not invertible[:20].any()
+        for M, r, ok in zip(A, R, invertible):
+            rref, rank = fqangle.codes.row_reduce(field, M)
+            assert ok == (fqangle.codes.row_reduce(field, M[:, :3])[1] == 3)
+            if ok:
+                assert np.array_equal(r, rref)

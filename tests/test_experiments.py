@@ -1,6 +1,7 @@
 """Verification suites: zero-failure runs, determinism, guards, bench records."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -331,3 +332,21 @@ def test_suite_arguments_below_their_least_value_are_typed():
     report = verify_oracle_equivalence(F7, np.int64(5), np.int64(4), np.int64(1))
     assert report.passed and (report.n, report.trials, report.seed) == (5, 4, 1)
     assert type(report.seed) is int
+
+
+def test_suite_reports_with_numpy_integer_arguments_are_json():
+    code = make_repetition_code(F3, 3)
+    i = np.int64
+    reports = [
+        verify_metric_axioms(F3, i(2)),
+        verify_projective_descent(F3, i(2)),
+        verify_oracle_equivalence(F7, i(5), i(4), i(1)),
+        verify_angular_decoding(code, i(1)),
+        angle_vs_dist_census(code, i(6), i(0)),
+    ]
+    for report in reports:
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert report.passed and doc["suite"] == report.suite
+        for key in ("n", "k", "trials", "seed"):
+            assert doc[key] is None or type(report.to_dict()[key]) is int
+    assert (reports[2].n, reports[2].trials, reports[4].trials) == (5, 4, 6)
