@@ -10,36 +10,35 @@ normalized representative (first nonzero coordinate 1) in the narrowest
 unsigned dtype that fits q - 1, so decoders return its rows as projective
 points as they stand.
 
-One-word queries try two exact shortcuts before the scan, in this order,
-and only where the scan covers at least ``_FAST_MIN_SCAN`` positions
-(directions x length):
+``angular_decode`` tries two exact shortcuts before the scan, in this
+order, on a Reed-Solomon code whose scan covers at least
+``_FAST_MIN_SCAN`` positions (directions x length):
 
-1. Berlekamp-Welch (``angular_decode`` on a Reed-Solomon code), with
-   radius t = (d - 1) // 2.  If it yields a nonzero codeword c with
-   d_H(u, c) <= t, the outcome is UNIQUE_DIRECTION with the direction of
-   c at angle d_H(u, c).  This is sound whatever Berlekamp-Welch
-   computed: c = f G is a codeword by construction and its distance is
-   counted, and every other nonzero codeword, beta c included, lies at
-   distance >= d - t > t.
-2. Information sets (``angular_decode``, ``angle_to_code``,
-   ``dist_to_code`` and ``projective_list_decode`` for rho <= d), on MDS
-   codes (d = n - k + 1, every Reed-Solomon code) where C(n, k) (k + 1)
-   <= D, the number of directions.  Take a direction at angle a <= d - 1
-   from u: some beta c agrees with u on n - a >= n - d + 1 positions.  No
-   nonzero codeword vanishes on n - d + 1 positions, so those positions
-   hold an information set S, and the codeword u_S G_S^-1 G that
-   re-encodes u from S is beta c (Prange, "The use of information sets in
-   decoding cyclic codes", IRE Trans. IT 1962).  So the candidates
-   u_S G_S^-1 G, one per information set, hold every direction at angle
-   <= d - 1, each with its exact angle.  If the least candidate angle a is
-   <= d - 1, a and the directions tied at it are exactly the scan's; on an
-   MDS code every k-subset is an information set and some candidate
-   agrees with u on k positions, so a <= n - k = d - 1 always.  A least
-   candidate angle above d - 1 falls back to the scan.  The maps
-   G_S^-1 G are built on a code's first such query (``_information_sets``).
+1. Berlekamp-Welch, with radius t = (d - 1) // 2.  If it yields a
+   nonzero codeword c with d_H(u, c) <= t, the outcome is
+   UNIQUE_DIRECTION with the direction of c at angle d_H(u, c).  This is
+   sound whatever Berlekamp-Welch computed: c = f G is a codeword by
+   construction and its distance is counted, and every other nonzero
+   codeword, beta c included, lies at distance >= d - t > t.
+2. Information sets, where C(n, k) (k + 1) <= D, the number of
+   directions.  Take a direction at angle a <= d - 1 from u: some beta c
+   agrees with u on n - a >= n - d + 1 positions.  No nonzero codeword
+   vanishes on n - d + 1 positions, so those positions hold an
+   information set S, and the codeword u_S G_S^-1 G that re-encodes u
+   from S is beta c (Prange, "The use of information sets in decoding
+   cyclic codes", IRE Trans. IT 1962).  So the candidates u_S G_S^-1 G,
+   one per information set, hold every direction at angle <= d - 1, each
+   with its exact angle.  If the least candidate angle a is <= d - 1, a
+   and the directions tied at it are exactly the scan's.  A Reed-Solomon
+   code with distinct points is MDS (d = n - k + 1), so every k-subset is
+   an information set, and some candidate agrees with u on k positions:
+   a <= n - k = d - 1 always.  A least candidate angle above d - 1 still
+   falls back to the scan, as the guard of that argument.  The maps
+   G_S^-1 G are Lagrange basis polynomials evaluated at the points, built
+   on a code's first such query (``_information_sets``).
 
-Otherwise, and always for ``decode_rows`` and ``min_distance``, the
-direction matrix is scanned.
+Otherwise, and always for ``angle_to_code``, ``projective_list_decode``,
+``decode_rows`` and ``min_distance``, the direction matrix is scanned.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ ENUMERATION_CAP = 1 << 20
 # at once, which bounds its memory whatever the number of words.
 _DECODE_CHUNK_ROWS = 1 << 18
 
-# Codeword elements per block when the direction matrix is encoded, and
-# matrix elements per block when the information sets are reduced.  One
+# Codeword elements per block when the direction matrix is encoded.  One
 # block's int64 temporaries (about 20 on GF(2^m) at k = 5: three per
 # generator row and three to normalize) stay under glibc's 128 KiB mmap
 # threshold and in cache, instead of each spanning the whole matrix.
@@ -86,8 +84,9 @@ _DECODE_CHUNK_ROWS = 1 << 18
 # 2^15 are within the run-to-run spread.
 _ENCODE_BLOCK = 1 << 14
 
-# Least scan size, directions x length, at which one-word queries try
-# Berlekamp-Welch and the information sets before the scan.  Warm
+# Least scan size, directions x length, at which angular_decode tries
+# Berlekamp-Welch and the information sets before the scan on a
+# Reed-Solomon code.  Warm
 # angular_decode, median over 40 near words, scan vs Berlekamp-Welch,
 # 2-core Xeon: RS[7,3]/GF(7) (399 positions) 78-87 vs 342-361 us,
 # RS[8,4]/GF(8) (4,680) 127-137 vs 365-453 us, RS[11,4]/GF(11) (16,104)
@@ -123,33 +122,6 @@ def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
             A[:, col:] = field.sub_array(A[:, col:], field.mul_array(factors[:, None], A[r, col:]))
         r += 1
     return A, r
-
-
-def _reduce_leading(field: Field, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan on a (B, k, w) stack of matrices, pivoting on the
-    leading k columns of each; returns (reduced stack, invertible).
-
-    Where the leading k x k block X is invertible, the reduced matrix is
-    X^-1 A, so its leading block is the identity.  Each pivot column is one
-    broadcast elimination over the whole stack; a singular block meets a
-    zero pivot, which zeroes its pivot row, and is flagged False."""
-    A = np.array(A, dtype=np.int64)
-    B, k, _ = A.shape
-    stack = np.arange(B)
-    invertible = np.ones(B, dtype=bool)
-    for c in range(k):
-        nonzero = A[:, c:, c] != 0
-        invertible &= nonzero.any(axis=1)
-        i = c + nonzero.argmax(axis=1)  # the first pivot candidate at or below row c
-        # rows at or below c are zero left of c, so only columns c.. change
-        pivot = A[stack, i, c:]
-        A[stack, i, c:] = A[:, c, c:]  # swap: row c moves to row i, and row c is set below
-        pivot = field.mul_array(field.inv_table[pivot[:, 0]][:, None], pivot)
-        factors = A[:, :, c].copy()
-        factors[:, c] = 0
-        A[:, :, c:] = field.sub_array(A[:, :, c:], field.mul_array(factors[:, :, None], pivot[:, None, :]))
-        A[:, c, c:] = pivot
-    return A, invertible
 
 
 class LinearCode:
@@ -212,13 +184,18 @@ def make_rs_code(field: Field, n: int, k: int, eval_points: Iterable[int] | None
             raise InvalidInput(f"expected {n} evaluation points, got {points.size}")
         if len(set(points.tolist())) != n:
             raise DuplicatePoints("evaluation points must be pairwise distinct")
-    G = np.empty((k, n), dtype=np.int64)
+    code = LinearCode(field, _powers(field, points, k))
+    code.eval_points = points
+    return code
+
+
+def _powers(field: Field, points: np.ndarray, k: int) -> np.ndarray:
+    """The k x n matrix whose row i holds the i-th powers of the points."""
+    G = np.empty((k, points.size), dtype=np.int64)
     G[0] = 1  # x^0 = 1, including at x = 0
     for i in range(1, k):
         G[i] = field.mul_array(G[i - 1], points)
-    code = LinearCode(field, G)
-    code.eval_points = points
-    return code
+    return G
 
 
 def make_repetition_code(field: Field, n: int) -> LinearCode:
@@ -312,14 +289,14 @@ class _InfoSets:
 
     ``maps[j, :, s]`` is row j of G_S^-1 G for the s-th information set
     S, whose positions are ``subsets[:, s]`` (k-subsets in
-    itertools.combinations order, singular ones dropped).  The sets run
-    along the last axis, so a word's per-set logs broadcast along it.
-    ``maps`` and ``log`` hold sentinel logs (``Field.sentinel_log_tables``),
-    so one gather of ``exp`` multiplies, in the narrowest unsigned dtype
-    that holds 4(q - 1), the largest sum of two logs; ``exp`` is in the
-    narrowest dtype that holds q - 1.  Together they take 345 KB on
-    RS[15,5]/GF(16).  ``first`` is one information set and ``first_inv``
-    its G_S^-1, which reads a codeword's message.
+    itertools.combinations order).  The sets run along the last axis, so
+    a word's per-set logs broadcast along it.  ``maps`` and ``log`` hold
+    sentinel logs (``Field.sentinel_log_tables``), so one gather of
+    ``exp`` multiplies, in the narrowest unsigned dtype that holds
+    4(q - 1), the largest sum of two logs; ``exp`` is in the narrowest
+    dtype that holds q - 1.  Together they take 345 KB on RS[15,5]/GF(16).
+    ``first`` is one information set and ``first_inv`` its G_S^-1, which
+    reads a codeword's message.
     """
 
     subsets: np.ndarray
@@ -330,35 +307,46 @@ class _InfoSets:
     first_inv: np.ndarray
 
 
-def _information_sets(code: LinearCode) -> _InfoSets:
-    """The code's information-set tables, built on first use and cached.
+def _information_sets(code: LinearCode) -> _InfoSets | None:
+    """The Reed-Solomon code's information-set tables, built on first use
+    and cached; None while its generator is not the powers of its
+    ``eval_points``, since the tables are built from the points.
 
-    Every k-subset S is tried: the stack of [G_S | G] is reduced on its
-    leading k columns in blocks of about ``_ENCODE_BLOCK`` elements, and
-    where G_S is invertible the rest of the reduced block is G_S^-1 G."""
+    Row j of G_S^-1 G maps a codeword's value at position S_j to its values
+    at every position, so at position i it is the Lagrange basis polynomial
+    prod over t in S - {S_j} of (x - x_t) / (x_{S_j} - x_t), at x = x_i.
+    With D[i, t] = log(x_i - x_t), D[i, i] = 0 and N[i] the sum of D[i, t]
+    over t in S, its log is N[i] - D[i, S_j] - N[S_j] off S; on S it is
+    1 at S_j and 0 elsewhere."""
     if code._infosets is None:
-        field, k, n, G = code.field, code.k, code.n, code.generator
+        field, k, n, points = code.field, code.k, code.n, code.eval_points
+        if points is None or not np.array_equal(code.generator, _powers(field, points, k)):
+            return None
+        L = field.q - 1
         log, exp = field.sentinel_log_tables()
-        dtype = np.min_scalar_type(4 * (field.q - 1))
-        log = log.astype(dtype)
+        log = log.astype(np.min_scalar_type(4 * L))
+        # unsigned sums below 3L, so x - L and x - 2L wrap above x where x < L
+        w = np.min_scalar_type(3 * L)
+        D = field.log_table[field.sub_array(points[:, None], points[None, :])].astype(w)
+        np.fill_diagonal(D, 0)
         subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                              dtype=np.intp).reshape(-1, k)
-        step = max(1, _ENCODE_BLOCK // (k * (k + n)))
-        maps, kept = [], []
-        for s in range(0, len(subsets), step):
-            S = subsets[s : s + step]
-            stack = np.concatenate([G[:, S].transpose(1, 0, 2), np.broadcast_to(G, (len(S), k, n))], axis=2)
-            R, invertible = _reduce_leading(field, stack)
-            maps.append(log.take(R[invertible, :, k:]))
-            kept.append(invertible)
-        subsets = subsets[np.concatenate(kept)]
-        first = subsets[0]
-        first_inv = row_reduce(field, np.hstack([G[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
+                              dtype=np.intp).reshape(-1, k).T.copy()  # (k, sets)
+        at_S = D[:, subsets]  # (n, k, sets): D[i, S_j]
+        N = (at_S.sum(axis=1, dtype=np.min_scalar_type(k * L)) % L).astype(w)  # (n, sets)
+        x = (N + w.type(2 * L))[:, None, :] - at_S
+        x -= np.take_along_axis(N, subsets, axis=0)
+        x = np.minimum(x, np.minimum(x - w.type(L), x - w.type(2 * L)))  # x mod L
+        maps = x.transpose(1, 0, 2).astype(log.dtype)
+        sets = np.arange(subsets.shape[1])
+        maps[:, subsets, sets] = 2 * L  # the sentinel log of 0 on S,
+        maps[np.arange(k)[:, None], subsets, sets] = 0  # but 1 at S_j
+        first = subsets[:, 0]
+        first_inv = row_reduce(field, np.hstack([code.generator[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
         tables = _InfoSets(
-            subsets=np.ascontiguousarray(subsets.T),
-            maps=np.concatenate(maps).transpose(1, 2, 0).copy(),
+            subsets=subsets,
+            maps=maps,
             log=log,
-            exp=exp.astype(np.min_scalar_type(field.q - 1)),
+            exp=exp.astype(np.min_scalar_type(L)),
             first=first,
             first_inv=first_inv,
         )
@@ -381,19 +369,13 @@ def _infosets_pay(code: LinearCode) -> bool:
     return math.comb(code.n, code.k) * (code.k + 1) <= (q**code.k - 1) // (q - 1)
 
 
-def _infosets_apply(code: LinearCode, d: int) -> bool:
-    """The gate of the candidate path: a large scan, an MDS code
-    (d = n - k + 1), and candidates that cost less than the scan."""
-    return _large_scan(code) and d == code.n - code.k + 1 and _infosets_pay(code)
-
-
-def _infoset_candidates(u: np.ndarray, code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+def _infoset_candidates(u: np.ndarray, code: LinearCode, tables: _InfoSets) -> tuple[np.ndarray, np.ndarray]:
     """(C, angles): the nonzero candidates u_S G_S^-1 G over every
     information set S, as rows, and their angles to the nonzero word u.
 
     Every direction at angle <= d - 1 from u is among them, with its
-    exact angle; the least angle may exceed d - 1 only on a non-MDS code."""
-    field, tables = code.field, _information_sets(code)
+    exact angle."""
+    field = code.field
     u_S = u.take(tables.subsets)  # (k, sets)
     logs = tables.log.take(u_S)
     # one term u_{S_j} (G_S^-1 G)_j at a time: take copies its index to intp
@@ -407,14 +389,13 @@ def _infoset_candidates(u: np.ndarray, code: LinearCode) -> tuple[np.ndarray, np
     return C, angle_fast_rows(field, C, u[None, :])
 
 
-def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:
+def _direction_indices(code: LinearCode, tables: _InfoSets, C: np.ndarray) -> np.ndarray:
     """Row of projective_codeword_matrix of each nonzero codeword row of C.
 
     A normalized message whose first nonzero digit sits at exponent e
     spells a value in [q^e, 2 q^e), and the direction rows list those
     ranges for e = 0, 1, ...: so its row is (q^e - 1)/(q - 1) + value - q^e."""
     field, q, k = code.field, code.field.q, code.k
-    tables = _information_sets(code)
     messages = normalize_rows(field, _matmul(field, C[:, tables.first], tables.first_inv))
     e = k - 1 - (messages != 0).argmax(axis=1)
     value = messages @ q ** np.arange(k - 1, -1, -1)
@@ -424,15 +405,16 @@ def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:
 def _infoset_least(u: Vector, code: LinearCode, d: int) -> tuple[int, np.ndarray] | None:
     """(a, tied): the least angle a from u to a direction and the ascending
     rows of the directions at a, from the information sets; None where the
-    candidate path does not apply or its least angle exceeds d - 1, so the
+    code has no tables or the least candidate angle exceeds d - 1, so the
     scan must decide."""
-    if not _infosets_apply(code, d):
+    tables = _information_sets(code)
+    if tables is None:
         return None
-    C, angles = _infoset_candidates(u.coords, code)
+    C, angles = _infoset_candidates(u.coords, code, tables)
     a = int(angles.min(initial=d))  # d, too, when u vanishes on every information set
     if a >= d:
         return None
-    tied = np.sort(_direction_indices(code, C[angles == a]))
+    tied = np.sort(_direction_indices(code, tables, C[angles == a]))
     return a, tied[np.diff(tied, prepend=-1) != 0]
 
 
@@ -467,9 +449,7 @@ def dist_to_code(u: Vector, code: LinearCode) -> int:
 def angle_to_code(u: Vector, code: LinearCode) -> int:
     """min over NONZERO codewords of d_H(u, c); at least dist_to_code(u, code)."""
     _check_word(u, code)
-    d = min_distance(code)
-    found = _infoset_least(u, code, d)
-    return found[0] if found is not None else int(_word_angles(u, code).min())
+    return int(_word_angles(u, code).min())
 
 
 # ----------------------------------------------------------------------
@@ -546,22 +526,24 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
 def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
     """Find the closest codeword direction(s) to u.
 
-    Where the scan is large, Berlekamp-Welch (on a Reed-Solomon code) and
-    then the information sets (on an MDS code) are tried first, as the
-    module docstring sets out; each answer is exact or absent.  Otherwise
-    every direction is scanned.  If the best angle a satisfies 2a < d
+    On a Reed-Solomon code with a large scan, Berlekamp-Welch and then
+    the information sets are tried first, as the module docstring sets
+    out; each answer is exact or absent.  Otherwise every direction is
+    scanned.  If the best angle a satisfies 2a < d
     (strictly inside the unique decoding radius) the uniqueness is
     asserted, not assumed.
     """
     _check_word(u, code)
     d = min_distance(code)
+    found = None
     if code.eval_points is not None and _large_scan(code):
-        found = berlekamp_welch(code, u.coords, (d - 1) // 2)
-        if found is not None:
-            c, a = found
+        near = berlekamp_welch(code, u.coords, (d - 1) // 2)
+        if near is not None:
+            c, a = near
             point = projectivize(Vector(code.field, c))
             return DecodeOutcome(DecodeKind.UNIQUE_DIRECTION, ((point, a),), d)
-    found = _infoset_least(u, code, d)
+        if _infosets_pay(code):
+            found = _infoset_least(u, code, d)
     if found is not None:
         a, tied = found
     else:
@@ -580,30 +562,14 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
 
 def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[ProjectivePoint, int]]:
     """All codeword directions with angle < rho, sorted by angle then
-    enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance.
-
-    For rho <= d on an MDS code whose scan is large, the directions come
-    from the information-set candidates, which hold every direction at
-    angle <= d - 1 (see the module docstring); otherwise from the scan."""
+    enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance."""
     rho = _integer("rho", rho)
     _check_word(u, code)
-    d = min_distance(code)
-    if rho <= d and _infosets_apply(code, d):
-        C, angles = _infoset_candidates(u.coords, code)
-        near = angles < rho
-        hits, angles = _direction_indices(code, C[near]), angles[near]
-        order = np.lexsort((hits, angles))
-        hits, angles = hits[order], angles[order]
-        # a direction's repeats carry its angle, so they sort next to each other
-        first = np.diff(hits, prepend=-1) != 0
-        hits, angles = hits[first], angles[first]
-    else:
-        angles = _word_angles(u, code)
-        hits = np.flatnonzero(angles < rho)
-        hits = hits[np.argsort(angles[hits], kind="stable")]
-        angles = angles[hits]
+    angles = _word_angles(u, code)
+    hits = np.flatnonzero(angles < rho)
+    hits = hits[np.argsort(angles[hits], kind="stable")]
     P = projective_codeword_matrix(code)
-    return [(ProjectivePoint(Vector(code.field, P[i])), int(a)) for i, a in zip(hits, angles)]
+    return [(ProjectivePoint(Vector(code.field, P[i])), int(angles[i])) for i in hits]
 
 
 def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -766,47 +766,84 @@ def grid_words(code, rng):
     return [Vector(field, u) for u in words if u.any()]
 
 
-def one_word_answers(u, code, rho):
-    return angular_decode(u, code), projective_list_decode(u, code, rho)
+def record_candidates(monkeypatch):
+    """The codes _infoset_candidates is called on, in call order."""
+    taken = []
+    candidates = fqangle.codes._infoset_candidates
+    monkeypatch.setattr(fqangle.codes, "_infoset_candidates",
+                        lambda u, code, tables: taken.append(code) or candidates(u, code, tables))
+    return taken
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_infoset_candidates_equal_scan_on_every_rs_code(q, monkeypatch):
     # the scan alone, then the candidates alone (Berlekamp-Welch finds
-    # nothing on both sides), on every enumerable RS code over GF(q) and on
-    # repetition codes, which are MDS too
+    # nothing on both sides), on every enumerable RS code over GF(q)
     from fqangle import field_from_order
 
     field = field_from_order(q)
-    codes = [make_rs_code(field, n, k) for n, k in enumerable_rs_codes(q)]
-    codes += [make_repetition_code(field, n) for n in (2, 5)]
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
     monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *args: None)
-    taken = []
-    candidates = fqangle.codes._infoset_candidates
-    monkeypatch.setattr(fqangle.codes, "_infoset_candidates", lambda u, code: taken.append(code) or candidates(u, code))
+    taken = record_candidates(monkeypatch)
     ties = 0
-    for i, code in enumerate(codes):
-        d = min_distance(code)
-        assert d == code.n - code.k + 1
+    for i, (n, k) in enumerate(enumerable_rs_codes(q)):
+        code = make_rs_code(field, n, k)
+        assert min_distance(code) == n - k + 1
         words = grid_words(code, np.random.default_rng(100 * q + i))
-        # lists up to rho = d for a uniform and the near word, up to about
-        # d / 2 for the rest: near d a list can hold thousands of directions
-        top = [d if j in (0, len(words) - 1) else (d + 1) // 2 for j in range(len(words))]
         monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: False)
-        scan = [one_word_answers(u, code, rho) for u, rho in zip(words, top)]
+        scan = [angular_decode(u, code) for u in words]
         assert taken == []
         monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
-        for u, rho_top, (outcome, listed) in zip(words, top, scan):
-            assert angular_decode(u, code) == outcome
-            angle = outcome.best[0][1]  # the scan's least angle
-            assert (angle_to_code(u, code), dist_to_code(u, code)) == (angle, min(angle, hamming_weight(u)))
-            for rho in range(rho_top + 1):
-                assert projective_list_decode(u, code, rho) == [(pt, a) for pt, a in listed if a < rho]
-            ties += outcome.kind is DecodeKind.BEYOND_RADIUS and len(outcome.best) > 1
+        assert [angular_decode(u, code) for u in words] == scan
         assert taken
         taken.clear()
+        ties += sum(out.kind is DecodeKind.BEYOND_RADIUS and len(out.best) > 1 for out in scan)
     assert q == 2 or ties  # beyond-radius words with several tied directions were compared
+
+
+def reference_tables(code):
+    """The code's _InfoSets from one row_reduce of [G_S | G] per k-subset
+    S, on any code: where G_S is invertible the reduced block is
+    [I | G_S^-1 G]; other subsets are dropped."""
+    field, k, n, G = code.field, code.k, code.n, code.generator
+    log, exp = field.sentinel_log_tables()
+    log = log.astype(np.min_scalar_type(4 * (field.q - 1)))
+    subsets, maps = [], []
+    for S in itertools.combinations(range(n), k):
+        R = fqangle.codes.row_reduce(field, np.hstack([G[:, S], G]))[0]
+        if np.array_equal(R[:, :k], np.eye(k)):
+            subsets.append(S)
+            maps.append(log.take(R[:, k:]))
+    subsets = np.array(subsets).T
+    first = subsets[:, 0]
+    first_inv = fqangle.codes.row_reduce(field, np.hstack([G[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
+    return fqangle.codes._InfoSets(subsets=subsets, maps=np.stack(maps, axis=2), log=log,
+                                   exp=exp.astype(np.min_scalar_type(field.q - 1)), first=first, first_inv=first_inv)
+
+
+@pytest.mark.parametrize("case", BW_CODES + [(make_field(2, 4), 15, 5, None), (make_field(13), 13, 4, None)],
+                         ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
+def test_lagrange_tables_equal_row_reduce(case):
+    field, n, k, points = case
+    code = make_rs_code(field, n, k, points)
+    tables, reference = fqangle.codes._information_sets(code), reference_tables(code)
+    for name in ("subsets", "maps", "log", "exp", "first", "first_inv"):
+        assert np.array_equal(getattr(tables, name), getattr(reference, name)), name
+        assert getattr(tables, name).dtype == getattr(reference, name).dtype, name
+    assert fqangle.codes._information_sets(code) is tables  # cached
+
+
+def test_tables_need_the_generator_of_the_points(monkeypatch):
+    # points that are not the generator's cost time, never the answer
+    code = make_rs_code(F7, 6, 3)
+    code.eval_points = np.roll(code.eval_points, 1)
+    assert fqangle.codes._information_sets(code) is None
+    words = grid_words(code, np.random.default_rng(6))
+    scan = [angular_decode(u, code) for u in words]
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
+    taken = record_candidates(monkeypatch)
+    assert [angular_decode(u, code) for u in words] == scan and taken == []
 
 
 def planted_non_mds_code(field, n, k, seed):
@@ -825,21 +862,20 @@ NON_MDS = [(2, 6, 2), (3, 8, 3), (4, 6, 3), (7, 6, 3), (8, 7, 3), (16, 8, 3)]
 
 
 @pytest.mark.parametrize("q,n,k", NON_MDS, ids=lambda x: str(x))
-def test_non_mds_codes_never_take_the_candidates(q, n, k, monkeypatch):
+def test_codes_not_built_as_rs_never_take_the_candidates(q, n, k, monkeypatch):
+    # non-MDS codes, and MDS codes without evaluation points
     from fqangle import field_from_order
 
     field = field_from_order(q)
     code = planted_non_mds_code(field, n, k, seed=q * n)
     assert min_distance(code) < n - k + 1
-    taken = []
-    candidates = fqangle.codes._infoset_candidates
-    monkeypatch.setattr(fqangle.codes, "_infoset_candidates", lambda u, code: taken.append(code) or candidates(u, code))
+    codes = [code, make_repetition_code(field, n), make_code(field, make_rs_code(field, min(n, q), 2).generator)]
+    taken = record_candidates(monkeypatch)
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
     monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
-    for u in grid_words(code, np.random.default_rng(q)):
-        one_word_answers(u, code, min_distance(code))
-        angle_to_code(u, code)
-        dist_to_code(u, code)
+    for code in codes:
+        for u in grid_words(code, np.random.default_rng(q)):
+            angular_decode(u, code)
     assert taken == []
 
 
@@ -854,29 +890,33 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
     code = planted_non_mds_code(field, n, k, seed=q * n)
     d = min_distance(code)
     P = projective_codeword_matrix(code)
+    tables = reference_tables(code)
     rng = np.random.default_rng(n)
     U = np.vstack([rng.integers(0, field.q, size=(60, n)), np.eye(n, dtype=np.int64)])  # and weight 1
     words = [Vector(field, u) for u in U[U.any(axis=1)]]
     above = 0
     for u in words:
-        C, angles = fqangle.codes._infoset_candidates(u.coords, code)
+        C, angles = fqangle.codes._infoset_candidates(u.coords, code, tables)
         scan = fqangle.codes._word_angles(u, code)
-        rows = fqangle.codes._direction_indices(code, C)
+        rows = fqangle.codes._direction_indices(code, tables, C)
         assert np.array_equal(scan[rows], angles)  # each candidate's angle is exact
         assert set(np.flatnonzero(scan < d)) <= set(rows.tolist())
         assert np.array_equal(P[rows], normalize_rows(field, C))
         above += int(angles.min(initial=n)) > d - 1  # no candidate where u vanishes on every information set
     assert above
-    # forced past the MDS gate, the guard still hands those words to the scan
-    scan = [(angular_decode(u, code), angle_to_code(u, code), projective_list_decode(u, code, d)) for u in words]
-    monkeypatch.setattr(fqangle.codes, "_infosets_apply", lambda code, d: True)
-    assert [(angular_decode(u, code), angle_to_code(u, code), projective_list_decode(u, code, d)) for u in words] == scan
+    # forced past the Reed-Solomon gate, the guard still hands those words to the scan
+    scan = [angular_decode(u, code) for u in words]
+    code.eval_points = np.arange(n)
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
+    monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *args: None)
+    monkeypatch.setattr(fqangle.codes, "_information_sets", lambda code: tables)
+    taken = record_candidates(monkeypatch)
+    assert [angular_decode(u, code) for u in words] == scan and len(taken) == len(words)
 
 
 def test_infoset_dispatch(monkeypatch):
-    taken = []
-    candidates = fqangle.codes._infoset_candidates
-    monkeypatch.setattr(fqangle.codes, "_infoset_candidates", lambda u, code: taken.append(code) or candidates(u, code))
+    taken = record_candidates(monkeypatch)
     scanned = []
     word_angles = fqangle.codes._word_angles
     monkeypatch.setattr(fqangle.codes, "_word_angles", lambda u, code: scanned.append(code) or word_angles(u, code))
@@ -892,22 +932,8 @@ def test_infoset_dispatch(monkeypatch):
     u = Vector(large.field, rng.integers(1, 16, size=15))
     out = angular_decode(u, large)
     assert (taken, scanned) == ([large], [])
-    assert angle_to_code(u, large) == out.best[0][1]
-    assert projective_list_decode(u, large, min_distance(large) + 1) and scanned == [large]  # rho > d scans
     assert large._infosets.maps.nbytes + large._infosets.subsets.nbytes < 1 << 20
-
-
-def test_reduce_leading_matches_row_reduce():
-    for field in (F7, make_field(2, 4), make_field(3, 2)):
-        rng = np.random.default_rng(field.q)
-        A = rng.integers(0, field.q, size=(40, 3, 7))
-        A[:10, :, 0] = 0  # singular leading blocks
-        A[10:20, 2, :3] = field.add_array(A[10:20, 0, :3], A[10:20, 1, :3])
-        A[20:25, 0, 0] = 0  # a row swap is needed
-        R, invertible = fqangle.codes._reduce_leading(field, A)
-        assert not invertible[:20].any()
-        for M, r, ok in zip(A, R, invertible):
-            rref, rank = fqangle.codes.row_reduce(field, M)
-            assert ok == (fqangle.codes.row_reduce(field, M[:, :3])[1] == 3)
-            if ok:
-                assert np.array_equal(r, rref)
+    # the other one-word queries scan
+    assert angle_to_code(u, large) == out.best[0][1] and scanned == [large]
+    assert projective_list_decode(u, large, out.best[0][1] + 1) and scanned == [large, large]
+    assert taken == [large]
