@@ -34,7 +34,10 @@ whole input, a row-wise sort of the bins counts the same runs instead.
 V may be one row shared by every row of U: its half of the pair index
 (v_i * q, or B[v_i] above 256) is then computed once and broadcast onto
 U's half.  A decode scans one word against every direction so, the
-directions as U and the word as V, as the angle is symmetric.  The
+directions as U and the word as V, as the angle is symmetric.  An
+all-pairs table (``_angle_table``) makes one such call per row of its
+shorter side, shared against the whole longer side, so it copies
+neither side.  The
 pairwise API reads zero vectors from the same counts: u is zero iff bins
 1..q are empty, v iff bins 1..q-1 and q+1 are.  Vectors hold int64
 coordinates; the kernel also takes narrower integer rows, such as the
@@ -192,11 +195,18 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _angle_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len A, len B) angles from every row of A to every row of B."""
-    if len(A) == 1:  # angle(a, b) = angle(b, a): the word is V's one shared row
-        return angle_fast_rows(field, B, A)[None, :]
-    pairs = angle_fast_rows(field, np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1)))
-    return pairs.reshape(len(A), len(B))
+    """(len A, len B) angles from every row of A to every row of B.
+
+    One kernel call per row of the shorter side, that row shared as V by
+    every row of the longer side: the angle is symmetric, so the table is
+    filled row by row with the shorter side along its first axis and is
+    returned as its transposed view when A is the longer side."""
+    if len(A) > len(B):
+        return _angle_table(field, B, A).T
+    table = np.empty((len(A), len(B)), dtype=np.int64)
+    for i in range(len(A)):
+        table[i] = angle_fast_rows(field, B, A[i : i + 1])
+    return table
 
 
 def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:

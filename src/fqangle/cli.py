@@ -4,9 +4,11 @@ Subcommands: angle, decode, verify, bench, mindist.  In json mode (the
 default) a single document is written to stdout and diagnostics go to
 stderr; json keys are stable API, plain mode is for humans.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure,
-enumeration/suite guard violation or a violated unique-decoding
-assertion, 3 decode landed beyond the unique decoding radius.
+Exit codes: 0 success, 1 usage or input error (an input too large to
+allocate included), 2 verification failure, enumeration/suite guard
+violation or a violated unique-decoding assertion, 3 decode landed beyond
+the unique decoding radius.  Every error is one ``error:`` line on
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationTooLarge, SuiteTooLarge, UniqueDecodingViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (FqAngleError, ValueError, OSError) as exc:
+    except (FqAngleError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":

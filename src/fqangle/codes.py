@@ -51,9 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# angle_fast_rows is bound here for perfbench/selftest.py, which checks
-# that its fault injection is undone in every module that names the kernel
-from .angle import ProjectivePoint, _angle_table, angle_fast_rows, normalize_rows, projectivize  # noqa: F401
+from .angle import ProjectivePoint, _angle_table, angle_fast_rows, normalize_rows, projectivize
 from .errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -70,8 +68,10 @@ from .vectors import Vector, coordinate_array, hamming_weight
 
 ENUMERATION_CAP = 1 << 20
 
-# Kernel rows (words x directions) decode_rows passes to the angle kernel
-# at once, which bounds its memory whatever the number of words.
+# Cells (words x directions) of the int64 angle table decode_rows builds
+# per chunk of words: 2 MiB, whatever the number of words.  Each kernel
+# call within a chunk holds one row of the shorter side against the
+# longer side.
 _DECODE_CHUNK_ROWS = 1 << 18
 
 # Codeword elements per block when the direction matrix is encoded.  One
@@ -436,8 +436,9 @@ def _check_word(u: Vector, code: LinearCode):
 
 
 def _word_angles(u: Vector, code: LinearCode) -> np.ndarray:
-    """(D,) angles from a checked nonzero word u to each codeword direction."""
-    return _angle_table(code.field, u.coords[None, :], projective_codeword_matrix(code))[0]
+    """(D,) angles from a checked nonzero word u to each codeword direction:
+    one kernel call, the directions as U and the word as V's shared row."""
+    return angle_fast_rows(code.field, projective_codeword_matrix(code), u.coords[None, :])
 
 
 def dist_to_code(u: Vector, code: LinearCode) -> int:
@@ -496,10 +497,7 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
     """
     field, k = code.field, code.k
     width = t + k  # coefficients of Q
-    powers = np.empty((code.n, width), dtype=np.int64)  # powers[j, i] = x_j^i
-    powers[:, 0] = 1  # x^0 = 1, including at x = 0
-    for i in range(1, width):
-        powers[:, i] = field.mul_array(powers[:, i - 1], code.eval_points)
+    powers = _powers(field, code.eval_points, width).T  # powers[j, i] = x_j^i
     uE = field.mul_array(u[:, None], powers[:, : t + 1])  # u_j x_j^i, i <= t
     system = np.concatenate([powers, field.neg_array(uE[:, :t]), uE[:, t:]], axis=1)
     R, rank = row_reduce(field, system)

@@ -454,7 +454,7 @@ class Field:
         log = self.log_table.copy()
         log[0] = 2 * L
         exp = np.zeros(4 * L + 1, dtype=np.int64)
-        exp[: 2 * L] = np.tile(self.exp_table, 2)
+        exp[: 2 * L].reshape(2, L)[:] = self.exp_table  # g^i twice over
         for t in (log, exp):
             t.setflags(write=False)
         return log, exp

@@ -133,8 +133,10 @@ def test_row_kernels_match_pairwise_api():
 
 
 @pytest.mark.parametrize("field", [F5, make_field(2, 3), make_field(3, 2)])
-@pytest.mark.parametrize("T,D", [(1, 40), (1, 1), (9, 1), (9, 40)])
+@pytest.mark.parametrize("T,D", [(1, 40), (1, 1), (9, 1), (9, 40), (40, 9), (2, 9400), (9400, 2)])
 def test_angle_table_matches_row_kernel(field, T, D):
+    # 9,400 rows span two census blocks (2^16 // (q + 2) <= 9,362 rows
+    # here) on whichever side is longer
     from fqangle.experiments import random_nonzero_rows
 
     rng = np.random.default_rng(T * D)
@@ -142,9 +144,24 @@ def test_angle_table_matches_row_kernel(field, T, D):
     B = random_nonzero_rows(rng, field, D, 8)
     table = _angle_table(field, A, B)
     assert table.shape == (T, D)
-    for i in range(T):
-        for j in range(D):
-            assert table[i, j] == angle_fast_rows(field, A[i], B[j])[0]
+    pairs = angle_naive_rows(field, np.repeat(A, D, axis=0), np.tile(B, (T, 1)))
+    assert np.array_equal(table, pairs.reshape(T, D))
+
+
+def test_angle_table_holds_no_copy_of_its_sides():
+    # the (1023, 1023) int64 table itself takes 8 MiB; a copy of each side
+    # for every pair would take 80 MiB more per side
+    import tracemalloc
+
+    F2 = make_field(2)
+    M = all_nonzero_vectors(F2, 10)
+    tracemalloc.start()
+    try:
+        _angle_table(F2, M, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_sorting_fallback_matches_bincount(monkeypatch):

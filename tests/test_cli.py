@@ -216,8 +216,8 @@ def test_unique_decoding_violation_exit_2(capsys, monkeypatch):
 
     import fqangle.codes
 
-    # an angle table that ties every direction at angle 0, inside the radius
-    monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
+    # a one-word scan that ties all 57 directions at angle 0, inside the radius
+    monkeypatch.setattr(fqangle.codes, "_word_angles", lambda u, code: np.zeros(57, dtype=np.int64))
     code, out, err = run(
         capsys, "decode", "--q", "7", "--code", "rs", "--n", "7", "--k", "3", "--u", "1,1,4,2,2,4,1",
     )
@@ -247,6 +247,30 @@ def test_verify_failures_exit_2(capsys, monkeypatch):
     )
     assert code == 2
     assert doc["failures"]
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("verify_oracle_equivalence", ("verify", "--suite", "oracle", "--q", "7", "--n", "99999999999", "--trials", "2")),
+        ("angle_vs_dist_census",
+         ("verify", "--suite", "census", "--q", "7", "--code", "rs", "--n", "7", "--k", "3", "--trials", "99999999999")),
+        ("bench_angle", ("bench", "--q", "7", "--n", "99999999999")),
+    ],
+)
+def test_unallocatable_input_exit_1(capsys, monkeypatch, target, argv):
+    import fqangle.cli
+
+    # raised in place of the allocation itself, which a host that
+    # overcommits memory might grant and then fail to back
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 5.09 TiB for an array with shape (99999999999, 7)")
+
+    monkeypatch.setattr(fqangle.cli, target, too_large)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: Unable to allocate 5.09 TiB for an array with shape (99999999999, 7)"]
 
 
 def test_verify_byte_identical_modulo_timing(capsys):

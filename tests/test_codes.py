@@ -542,8 +542,10 @@ def test_decode_rows_validates_like_vector():
 
 
 def test_unique_decoding_violation_is_typed(monkeypatch):
-    # an angle table that puts every direction at angle 0 ties them inside the radius
+    # angles that put every direction at 0 tie them inside the radius: the
+    # one-word scan's and decode_rows's table
     code = rs733()
+    monkeypatch.setattr(fqangle.codes, "_word_angles", lambda u, code: np.zeros(57, dtype=np.int64))
     monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
     u = Vector(F7, [1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(UniqueDecodingViolated):
