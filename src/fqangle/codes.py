@@ -14,12 +14,14 @@ points as they stand.
 order, on a Reed-Solomon code whose scan covers at least
 ``_FAST_MIN_SCAN`` positions (directions x length):
 
-1. Berlekamp-Welch, with radius t = (d - 1) // 2.  If it yields a
-   nonzero codeword c with d_H(u, c) <= t, the outcome is
+1. Berlekamp-Welch, with radius t = (d - 1) // 2, solved by Gao's
+   extended-Euclid algorithm on Python ints (``berlekamp_welch``).  If it
+   yields a nonzero codeword c with d_H(u, c) <= t, the outcome is
    UNIQUE_DIRECTION with the direction of c at angle d_H(u, c).  This is
    sound whatever Berlekamp-Welch computed: c = f G is a codeword by
    construction and its distance is counted, and every other nonzero
-   codeword, beta c included, lies at distance >= d - t > t.
+   codeword, beta c included, lies at distance >= d - t > t.  Its
+   per-code tables (``_gao_tables``) are built on a code's first call.
 2. Information sets, where C(n, k) (k + 1) <= D, the number of
    directions.  Take a direction at angle a <= d - 1 from u: some beta c
    agrees with u on n - a >= n - d + 1 positions.  No nonzero codeword
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -86,14 +89,21 @@ _ENCODE_BLOCK = 1 << 14
 
 # Least scan size, directions x length, at which angular_decode tries
 # Berlekamp-Welch and the information sets before the scan on a
-# Reed-Solomon code.  Warm
-# angular_decode, median over 40 near words, scan vs Berlekamp-Welch,
-# 2-core Xeon: RS[7,3]/GF(7) (399 positions) 78-87 vs 342-361 us,
-# RS[8,4]/GF(8) (4,680) 127-137 vs 365-453 us, RS[11,4]/GF(11) (16,104)
-# 229-264 vs 438-446 us, RS[13,4]/GF(13) (30,940) 584-590 vs 493-514 us,
-# RS[10,4]/GF(16) (43,690) 492-583 vs 403-422 us, RS[15,5]/GF(16)
-# (1,048,575) 9.2-9.4 vs 0.36-0.52 ms.  The crossover lies near 2^15.
-_FAST_MIN_SCAN = 1 << 15
+# Reed-Solomon code.  Warm angular_decode, median over 40 words, range of
+# 3 interleaved rounds, scan vs shortcuts, 2-core Xeon, near words then
+# uniform words, in us: RS[7,3]/GF(7) (399 positions) 34-39 vs 37-42 and
+# 56-64 vs 82-94; RS[8,4]/GF(8) (4,680) 60-64 vs 33-37 and 81-89 vs
+# 177-186; RS[9,4]/GF(9) (7,380) 73-74 vs 63-65 and 74-78 vs 216-232;
+# RS[10,4]/GF(11) (14,640) 114-124 vs 44-50 and 117-126 vs 210-219;
+# RS[11,4]/GF(11) (16,104) 109-118 vs 44-49 and 117-126 vs 156-172;
+# RS[13,4]/GF(13) (30,940) 193-196 vs 50-57 and 220-231 vs 265-276;
+# RS[10,4]/GF(16) (43,690) 315-316 vs 40-46 and 320-370 vs 211-225;
+# RS[15,5]/GF(16) (1,048,575) 5.9-6.0 ms vs 55-83 and 5.8-5.9 ms vs
+# 0.94-0.96 ms.  Near words gain from 4,680 positions on, uniform words
+# (which fail Berlekamp-Welch first) only above 30,940.  Three near words
+# to one uniform, the decode benchmarks' mix, gain from 14,640 on and
+# lose at 7,380, so the gate sits between the two.
+_FAST_MIN_SCAN = 1 << 13
 
 
 def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
@@ -144,6 +154,7 @@ class LinearCode:
         self._codewords: np.ndarray | None = None
         self._projective: np.ndarray | None = None
         self._infosets: _InfoSets | None = None
+        self._gao: _GaoTables | None = None
 
     def __repr__(self):
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -485,38 +496,185 @@ class DecodeOutcome:
         return self.kind is DecodeKind.UNIQUE_DIRECTION
 
 
+@dataclass(frozen=True)
+class _GaoTables:
+    """Per-code tables of ``berlekamp_welch``, built from the evaluation
+    points x_0 .. x_(n-1).
+
+    ``g0`` holds the coefficients of g0 = prod (x - x_i), constant term
+    first.  ``lagrange[i, j]`` is the sentinel log (``Field.mul_tables``)
+    of the x^j coefficient of the Lagrange basis polynomial of x_i, and
+    ``generator`` holds the generator's sentinel logs, so the interpolant
+    of a word and a message's codeword are each one ``_log_vecmat``.
+    ``poly`` holds the field's tables as tuples of ints, for the Euclid's
+    Python-int steps.
+    """
+
+    points: np.ndarray
+    g0: tuple[int, ...]
+    lagrange: np.ndarray
+    generator: np.ndarray
+    poly: _Poly
+
+
+class _Poly:
+    """Polynomials over the field as lists of Python ints, constant term
+    first and without leading zeros (the zero polynomial is []).
+
+    Products are exp[log a + log b] over the sentinel-log tables; sums are
+    a ^ b for p = 2, (a + b) % p for m = 1 and the Zech-log gather of
+    ``Field.add_tables`` otherwise, the formula ``add_array`` uses."""
+
+    def __init__(self, field: Field):
+        log, exp = field.mul_tables
+        self.log, self.exp = tuple(log.tolist()), tuple(exp.tolist())
+        self.L = field.q - 1
+        self.neg = self.log[field.p - 1]  # log(-1): p - 1 encodes -1
+        if field.p == 2:
+            self.add = operator.xor
+        elif field.m == 1:
+            p = field.p
+            self.add = lambda a, b: (a + b) % p
+        else:
+            lg, ex = self.log, self.exp
+            B, Z = (tuple(t.tolist()) for t in field.add_tables)
+            self.add = lambda a, b: ex[lg[a] + Z[B[b] - lg[a]]]
+
+    def divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+        """(quotient, remainder) of a by the nonzero b."""
+        lg, ex, add, L = self.log, self.exp, self.add, self.L
+        a = list(a)
+        db = len(b) - 1
+        low = [lg[c] for c in b[:db]]
+        inv = L - lg[b[db]]  # log of 1 / lead(b)
+        quo = [0] * max(len(a) - db, 0)
+        for s in range(len(a) - 1 - db, -1, -1):
+            top = a[s + db]
+            if top:
+                lq = (lg[top] + inv) % L
+                quo[s] = ex[lq]
+                lq = (lq + self.neg) % L  # a -= quo_s x^s b
+                for j, l in enumerate(low):
+                    a[s + j] = add(a[s + j], ex[lq + l])
+        return quo, _trim(a[:db])
+
+    def sub_mul(self, a: list[int], b: list[int], c: list[int]) -> list[int]:
+        """a - b c."""
+        lg, ex, add, L = self.log, self.exp, self.add, self.L
+        out = list(a) + [0] * max(len(b) + len(c) - 1 - len(a), 0)
+        lc = [lg[x] for x in c]
+        for i, x in enumerate(b):
+            if x:
+                lb = (lg[x] + self.neg) % L
+                for j, l in enumerate(lc):
+                    out[i + j] = add(out[i + j], ex[lb + l])
+        return _trim(out)
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _log_vecmat(field: Field, v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The product v M over the field of a vector and a matrix given as
+    sentinel logs: one exp gather of the terms, then their field sum over
+    rows, by one reduction for p = 2 or m = 1, else by add_array calls
+    that halve the rows each time."""
+    A = field.mul_tables[1].take(v[:, None] + M)
+    if field.m == 1:
+        return A.sum(axis=0) % field.p
+    if field.p == 2:
+        return np.bitwise_xor.reduce(A, axis=0)
+    while len(A) > 1:
+        half = len(A) // 2
+        A = np.concatenate([field.add_array(A[:half], A[half : 2 * half]), A[2 * half :]])
+    return A[0]
+
+
+def _gao_tables(code: LinearCode) -> _GaoTables:
+    """The code's ``_GaoTables``, built on first use and cached; rebuilt
+    when ``eval_points`` is replaced.
+
+    The Lagrange basis polynomial of x_i is w_i g0 / (x - x_i), with
+    w_i = 1 / prod over j != i of (x_i - x_j).  The quotients come from
+    one synthetic division per coefficient, over every point at once; the
+    weights from the log differences, as in ``_information_sets``."""
+    tables = code._gao
+    if tables is None or tables.points is not code.eval_points:
+        field, n, x = code.field, code.n, code.eval_points
+        L = field.q - 1
+        log, _ = field.mul_tables
+        g0 = np.zeros(n + 1, dtype=np.int64)
+        g0[0] = 1
+        for xi in x.tolist():  # g0 (x - x_i): its top coefficient is 0 until the last step
+            g0 = field.sub_array(np.roll(g0, 1), field.mul_array(xi, g0))
+        Q = np.empty((n, n), dtype=np.int64)  # Q[i] = g0 / (x - x_i)
+        Q[:, n - 1] = 1
+        for j in range(n - 1, 0, -1):
+            Q[:, j - 1] = field.add_array(g0[j], field.mul_array(x, Q[:, j]))
+        D = field.log_table[field.sub_array(x[:, None], x[None, :])]
+        np.fill_diagonal(D, 0)
+        w = field.exp_table[-D.sum(axis=1) % L]
+        tables = _GaoTables(
+            points=x,
+            g0=tuple(g0.tolist()),
+            lagrange=log.take(field.mul_array(w[:, None], Q)),
+            generator=log.take(code.generator),
+            poly=_Poly(field),
+        )
+        for t in (tables.lagrange, tables.generator):
+            t.setflags(write=False)
+        code._gao = tables
+    return tables
+
+
 def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray, int] | None:
     """(c, d_H(u, c)) for a nonzero codeword c within distance t of the word
-    u, found by Berlekamp-Welch on the code's evaluation points; else None.
+    u, found on the code's evaluation points; else None.  Needs
+    0 <= t <= (n - k) // 2, the unique decoding radius of an RS code.
 
-    Solves Q(x_j) = u_j E(x_j) for E monic of degree t and deg Q < t + k
-    (n equations, 2t + k unknowns, free unknowns set to 0) and divides
-    f = Q / E.  c = f G is a codeword whatever the points, and it is
-    returned only once d_H(u, c) <= t is counted; a word beyond radius t,
-    wrong points or c = 0 give None.
+    Solves the Welch-Berlekamp key equation by Gao's algorithm ("A new
+    algorithm for decoding Reed-Solomon codes", 2003): g1 interpolates u
+    at the points and g0 = prod (x - x_i); the extended Euclidean
+    algorithm on (g0, g1) stops at the first remainder r = v g1 mod g0 of
+    degree < n - t, where deg v <= t.  If f agrees with u outside at most t
+    positions, the error locator E satisfies E g1 = E f mod g0 with
+    deg(E f) < n - t, so (E f, E) is a multiple of (r, v) and f = r / v.
+    f is taken only from an exact division with deg f < k.  c = f G is a
+    codeword whatever the points, and it is returned only once
+    d_H(u, c) <= t is counted; a word beyond radius t, wrong points or
+    c = 0 give None.
+
+    Per word: one gather and field sum for g1, at most about t + 1 Euclid
+    divisions and one final division on Python ints (O(n t) products and
+    sums), and one gather for c.  The tables (``_gao_tables``) are built
+    on the code's first call.
     """
-    field, k = code.field, code.k
-    width = t + k  # coefficients of Q
-    powers = _powers(field, code.eval_points, width).T  # powers[j, i] = x_j^i
-    uE = field.mul_array(u[:, None], powers[:, : t + 1])  # u_j x_j^i, i <= t
-    system = np.concatenate([powers, field.neg_array(uE[:, :t]), uE[:, t:]], axis=1)
-    R, rank = row_reduce(field, system)
-    pivot_cols = (R[:rank] != 0).argmax(axis=1)
-    if pivot_cols[-1] == width + t:  # a pivot in the right-hand side: no solution
+    field, n, k = code.field, code.n, code.k
+    t = _integer("t", t)
+    if code.eval_points is None:
+        raise InvalidInput("berlekamp_welch needs a code built by make_rs_code")
+    if not 0 <= t <= (n - k) // 2:
+        raise InvalidInput(f"need 0 <= t <= (n - k) // 2 = {(n - k) // 2}, got t = {t}")
+    tables = _gao_tables(code)
+    poly = tables.poly
+    g1 = _log_vecmat(field, field.mul_tables[0].take(u), tables.lagrange)
+    r0, r1 = tables.g0, _trim(g1.tolist())
+    v0, v1 = [], [1]
+    while len(r1) > n - t:
+        quo, rem = poly.divmod(r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, poly.sub_mul(v0, quo, v1)
+    f, rem = poly.divmod(r1, v1)
+    if rem or not f or len(f) > k:
         return None
-    solution = np.zeros(width + t, dtype=np.int64)
-    solution[pivot_cols] = R[:rank, -1]
-    Q = solution[:width]
-    E = np.append(solution[width:], 1)
-    f = np.zeros(k, dtype=np.int64)
-    for i in range(k - 1, -1, -1):  # long division by the monic E
-        f[i] = Q[i + t]
-        Q[i : i + t + 1] = field.sub_array(Q[i : i + t + 1], field.mul_array(f[i], E))
-    if Q.any():  # a nonzero remainder
-        return None
-    c = _matmul(field, f[None, :], code.generator)[0]
+    f_log = np.full(k, 2 * (field.q - 1), dtype=np.int64)  # the sentinel log of 0
+    f_log[: len(f)] = [poly.log[a] for a in f]
+    c = _log_vecmat(field, f_log, tables.generator)
     dist = int(np.count_nonzero(c != u))
-    if dist > t or not c.any():
+    if dist > t:
         return None
     return c, dist
 

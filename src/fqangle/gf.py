@@ -23,7 +23,9 @@ table runs twice over the group, then holds zeros that any sum with a
 zero factor lands in.  No reduction mod q - 1, zero mask or select runs.
 Those tables (``Field.mul_tables``) are built on first use.
 A product of more than ``_MUL_BLOCK`` elements is gathered in row blocks
-into one int64 output.
+into one int64 output.  Sums are XOR for p = 2 and a residue for m = 1;
+for odd p with m > 1 they go through the same exp table with Zech
+logarithms, log(1 + g^k) (``Field.add_tables``, built on first use).
 """
 
 from __future__ import annotations
@@ -184,6 +186,8 @@ class Field:
         inv_table: multiplicative inverses; inv_table[0] = 0 sentinel.
         mul_tables: sentinel-log tables of mul_array for m > 1, built
             on first use (see the property).
+        add_tables: Zech-log tables of add_array for odd p with m > 1,
+            built on first use (see the property).
         ratio_bin_tables: lookup tables of the angle kernel, built on
             first use (see the property).
     """
@@ -388,12 +392,10 @@ class Field:
             return np.add(a, b, dtype=np.int64) % self.p
         if self.p == 2:
             return a ^ b
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        scale = 1
-        for _ in range(self.m):
-            out += ((a // scale % self.p + b // scale % self.p) % self.p) * scale
-            scale *= self.p
-        return out
+        log, exp = self.mul_tables
+        B, Z = self.add_tables
+        la = log.take(a)
+        return exp.take(la + Z.take(B.take(b) - la))
 
     def neg_array(self, a: np.ndarray) -> np.ndarray:
         if self.p == 2:  # -x = x in characteristic 2
@@ -440,6 +442,40 @@ class Field:
         field's construction does not pay for tables it may never read.
         """
         return self.sentinel_log_tables()
+
+    @functools.cached_property
+    def add_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zech-log tables (B, Z) of add_array for odd p with m > 1.
+
+        With (log, exp) = mul_tables, a + b = exp[log a + Z[B[b] - log a]]:
+        a + b = a (1 + b / a), and Z holds the Zech logarithm
+        log(1 + g^k) of k = log b - log a.  B[b] = log b + 2L, L = q - 1,
+        and B[0] = 5L, so the index B[b] - log a falls in one of four
+        disjoint ranges:
+
+        - [L + 1, 3L - 1] for a, b != 0, where it is k mod L and Z holds
+          log(1 + g^k), or 2L where 1 + g^k = 0 (a zero product in exp);
+        - [0, L) for a = 0, where it is log b and Z holds log b - 2L, so
+          that log a + Z = log b;
+        - 3L for a = b = 0 and [4L + 1, 5L] for b = 0 alone, where Z is 0
+          and exp[log a] is a (0 at the sentinel log 2L).
+
+        1 + g^k adds 1 to the constant digit of g^k, so Z is one gather
+        of the log table.  Built on first use, not in __init__, as
+        mul_tables is.
+        """
+        p, L = self.p, self.q - 1
+        log, _ = self.mul_tables
+        e = self.exp_table
+        Z = np.zeros(5 * L + 1, dtype=np.int64)
+        Z[:L] = np.arange(L) - 2 * L
+        k = np.arange(L + 1, 3 * L) % L
+        Z[L + 1 : 3 * L] = log[e[k] - e[k] % p + (e[k] + 1) % p]
+        B = log + 2 * L
+        B[0] = 5 * L
+        for t in (B, Z):
+            t.setflags(write=False)
+        return B, Z
 
     def sentinel_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """New read-only tables (log, exp) with exp[log[a] + log[b]] = a * b.

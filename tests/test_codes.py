@@ -1,5 +1,6 @@
 """Linear codes: construction, enumeration, minimum distance, decoding."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -646,6 +647,8 @@ BW_CODES = [
     (make_field(11), 11, 5, None),
     (make_field(2, 4), 8, 3, [1, 2, 4, 8, 3, 6, 12, 11]),  # custom points without 0
     (make_field(11), 6, 2, [10, 3, 7, 0, 5, 9]),  # custom points with 0
+    (make_field(2, 4), 15, 5, None),  # the decode-large code
+    (make_field(3, 2), 9, 5, None),  # odd p^m: Zech-log sums
 ]
 
 
@@ -673,23 +676,76 @@ def bw_words(code, rng):
 
 @pytest.mark.parametrize("case", BW_CODES, ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
 def test_berlekamp_welch_agrees_with_scan(case):
+    # at every radius t up to (d - 1) // 2, where a <= t is 2a < d
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
     d = min_distance(code)
-    t = (d - 1) // 2
     P = projective_codeword_matrix(code)
     U = bw_words(code, np.random.default_rng(n * k))
     best, angle, _ = decode_rows(code, U)
-    found_any = False
-    for u, b, a in zip(U, best, angle):
-        found = fqangle.codes.berlekamp_welch(code, u, t)
-        assert (found is not None) == (2 * a < d and np.count_nonzero(u) > t)
-        if found is not None:
-            c, dist = found
-            assert projectivize(Vector(field, c)) == projectivize(Vector(field, P[b]))
-            assert dist == a
-            found_any = True
-    assert found_any
+    for t in range((d - 1) // 2 + 1):
+        found_any = False
+        for u, b, a in zip(U, best, angle):
+            found = fqangle.codes.berlekamp_welch(code, u, t)
+            assert (found is not None) == (2 * a < d and a <= t and np.count_nonzero(u) > t)
+            if found is not None:
+                c, dist = found
+                assert projectivize(Vector(field, c)) == projectivize(Vector(field, P[b]))
+                assert dist == a
+                found_any = True
+        assert found_any
+
+
+def test_berlekamp_welch_validates_t():
+    code = rs733()  # (n - k) // 2 = 2
+    u = np.array([1, 1, 4, 2, 2, 4, 1])
+    assert fqangle.codes.berlekamp_welch(code, u, 0) is None
+    assert fqangle.codes.berlekamp_welch(code, u, np.int64(2)) is not None
+    for bad in (-1, 3, 4, 1.5, True, None):
+        with pytest.raises(InvalidInput):
+            fqangle.codes.berlekamp_welch(code, u, bad)
+    with pytest.raises(InvalidInput):  # no evaluation points
+        fqangle.codes.berlekamp_welch(make_code(F7, code.generator), u, 1)
+
+
+@pytest.mark.parametrize("case", BW_CODES, ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
+def test_gao_tables_interpolate(case):
+    # g0 is monic of degree n and vanishes at every point; the Lagrange
+    # rows times the Vandermonde matrix give the identity
+    field, n, k, points = case
+    code = make_rs_code(field, n, k, points)
+    tables = fqangle.codes._gao_tables(code)
+    x = code.eval_points
+    assert len(tables.g0) == n + 1 and tables.g0[-1] == 1
+    for xi in x.tolist():
+        value = 0
+        for coef in reversed(tables.g0):  # Horner
+            value = field.add(field.mul(value, xi), coef)
+        assert value == 0
+    _, exp = field.mul_tables
+    V = np.array([[field.pow(int(xi), j) for xi in x] for j in range(n)])
+    assert np.array_equal(field_matmul(field, exp[tables.lagrange], V), np.eye(n, dtype=np.int64))
+    assert np.array_equal(exp[tables.generator], code.generator)
+
+
+def test_gao_tables_built_once_and_read_only(monkeypatch):
+    built = []
+    poly = fqangle.codes._Poly
+    monkeypatch.setattr(fqangle.codes, "_Poly", lambda field: built.append(field) or poly(field))
+    code = make_rs_code(make_field(3, 2), 9, 5)
+    for u in bw_words(code, np.random.default_rng(9)):
+        fqangle.codes.berlekamp_welch(code, u, 2)
+    assert len(built) == 1
+    tables = fqangle.codes._gao_tables(code)
+    assert code._gao is tables and len(built) == 1
+    assert not tables.lagrange.flags.writeable and not tables.generator.flags.writeable
+    assert isinstance(tables.g0, tuple) and isinstance(tables.poly.log, tuple) and isinstance(tables.poly.exp, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tables.g0 = ()
+    code.eval_points = np.roll(code.eval_points, 1)  # other points: rebuilt once
+    fqangle.codes.berlekamp_welch(code, u, 2)
+    fqangle.codes.berlekamp_welch(code, u, 2)
+    assert len(built) == 2 and code._gao.points is code.eval_points
 
 
 @pytest.mark.parametrize("case", BW_CODES, ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
@@ -823,7 +879,7 @@ def reference_tables(code):
                                    exp=exp.astype(np.min_scalar_type(field.q - 1)), first=first, first_inv=first_inv)
 
 
-@pytest.mark.parametrize("case", BW_CODES + [(make_field(2, 4), 15, 5, None), (make_field(13), 13, 4, None)],
+@pytest.mark.parametrize("case", BW_CODES + [(make_field(13), 13, 4, None)],
                          ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
 def test_lagrange_tables_equal_row_reduce(case):
     field, n, k, points = case

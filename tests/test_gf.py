@@ -365,6 +365,44 @@ def test_extension_field_ops_match_polynomial_oracle(case):
         assert oracle_mul(f, int(f.div_array(a, b)), b) == a
 
 
+def digitwise_add(field, a, b):
+    """a + b on int arrays, one base-p digit at a time (no field tables)."""
+    p = field.p
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    scale = 1
+    for _ in range(field.m):
+        out += (a // scale % p + b // scale % p) % p * scale
+        scale *= p
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (3, 4)], ids=lambda x: str(x))
+def test_zech_add_array_every_pair(p, m):
+    f = Field(p, m)  # fresh, not the make_field cache some other test has warmed
+    assert "add_tables" not in vars(f)  # built on first use, not in __init__
+    q = f.q
+    a = np.repeat(np.arange(q), q)
+    b = np.tile(np.arange(q), q)
+    got = f.add_array(a, b)
+    assert got.dtype == np.int64 and np.array_equal(got, digitwise_add(f, a, b))
+    assert "add_tables" in vars(f)
+    assert all(not t.flags.writeable for t in f.add_tables)
+    assert np.array_equal(f.add_array(np.arange(q), 0), np.arange(q)) and int(f.add_array(0, 0)) == 0
+
+
+def test_zech_add_array_sample_gf59049():
+    f = make_field(3, 10)
+    rng = np.random.default_rng(310)
+    a, b = rng.integers(0, f.q, size=(2, 10**5))
+    a[:100] = 0  # zero operands and opposite pairs, which the sample rarely hits
+    b[100:200] = 0
+    b[200:300] = f.neg_array(a[200:300])
+    got = f.add_array(a, b)
+    assert np.array_equal(got, digitwise_add(f, a, b)) and not got[200:300].any()
+    # broadcast shapes, as row_reduce and _matmul pass them
+    assert np.array_equal(f.add_array(a[:12].reshape(3, 4), b[:4]), digitwise_add(f, a[:12].reshape(3, 4), b[:4]))
+
+
 # ----------------------------------------------------------------------
 # Ratio-bin tables (the angle kernel's lookup tables)
 # ----------------------------------------------------------------------
