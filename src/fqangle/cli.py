@@ -8,13 +8,15 @@ Exit codes: 0 success, 1 usage or input error (an input too large to
 allocate included), 2 verification failure, enumeration/suite guard
 violation or a violated unique-decoding assertion, 3 decode landed beyond
 the unique decoding radius.  Every error is one ``error:`` line on
-stderr, never a traceback.
+stderr, never a traceback; output cut short by a reader that closed
+stdout is an error too (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -97,7 +99,7 @@ def build_parser() -> _Parser:
     pb = sub.add_parser("bench", help="time the fast and naive algorithms")
     _add_field_args(pb)
     pb.add_argument("--n", required=True, help="length, or comma-separated lengths")
-    pb.add_argument("--reps", type=int, default=9)
+    pb.add_argument("--reps", type=int, default=9, help="timed repetitions, >= 1; fewer than 5 run 5")
     pb.add_argument("--format", choices=["json", "plain"], default="json")
 
     pm = sub.add_parser("mindist", help="brute-force minimum distance")
@@ -268,10 +270,18 @@ def main(argv: list[str] | None = None) -> int:
     except (FqAngleError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps(doc))
-    else:
-        _render_plain(doc, sys.stdout)
+    try:
+        if args.format == "json":
+            print(json.dumps(doc))
+        else:
+            _render_plain(doc, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -21,7 +21,7 @@ order, on a Reed-Solomon code whose scan covers at least
    sound whatever Berlekamp-Welch computed: c = f G is a codeword by
    construction and its distance is counted, and every other nonzero
    codeword, beta c included, lies at distance >= d - t > t.  Its
-   per-code tables (``_gao_tables``) are built on a code's first call.
+   per-code tables (``_reed_solomon``) are built on a code's first call.
 2. Information sets, where C(n, k) (k + 1) <= D, the number of
    directions.  Take a direction at angle a <= d - 1 from u: some beta c
    agrees with u on n - a >= n - d + 1 positions.  No nonzero codeword
@@ -37,7 +37,8 @@ order, on a Reed-Solomon code whose scan covers at least
    a <= n - k = d - 1 always.  A least candidate angle above d - 1 still
    falls back to the scan, as the guard of that argument.  The maps
    G_S^-1 G are Lagrange basis polynomials evaluated at the points, built
-   on a code's first such query (``_information_sets``).
+   on a code's first such query (``_ReedSolomon.infosets``) from the log
+   differences of the points that step 1's tables hold.
 
 Otherwise, and always for ``angle_to_code``, ``projective_list_decode``,
 ``decode_rows`` and ``min_distance``, the direction matrix is scanned.
@@ -45,6 +46,7 @@ Otherwise, and always for ``angle_to_code``, ``projective_list_decode``,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -153,8 +155,7 @@ class LinearCode:
         self._min_distance: int | None = None
         self._codewords: np.ndarray | None = None
         self._projective: np.ndarray | None = None
-        self._infosets: _InfoSets | None = None
-        self._gao: _GaoTables | None = None
+        self._rs: _ReedSolomon | None = None  # see _reed_solomon
 
     def __repr__(self):
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"
@@ -291,7 +292,7 @@ def min_distance(code: LinearCode) -> int:
 
 
 # ----------------------------------------------------------------------
-# Information sets (see the module docstring)
+# Reed-Solomon tables (see the module docstring)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -318,28 +319,79 @@ class _InfoSets:
     first_inv: np.ndarray
 
 
-def _information_sets(code: LinearCode) -> _InfoSets | None:
-    """The Reed-Solomon code's information-set tables, built on first use
-    and cached; None while its generator is not the powers of its
-    ``eval_points``, since the tables are built from the points.
+@dataclass(frozen=True)
+class _ReedSolomon:
+    """A Reed-Solomon code's tables for one set of evaluation points
+    x_0 .. x_(n-1): both shortcuts are Lagrange forms over the points.
 
-    Row j of G_S^-1 G maps a codeword's value at position S_j to its values
-    at every position, so at position i it is the Lagrange basis polynomial
-    prod over t in S - {S_j} of (x - x_t) / (x_{S_j} - x_t), at x = x_i.
-    With D[i, t] = log(x_i - x_t), D[i, i] = 0 and N[i] the sum of D[i, t]
-    over t in S, its log is N[i] - D[i, S_j] - N[S_j] off S; on S it is
-    1 at S_j and 0 elsewhere."""
-    if code._infosets is None:
-        field, k, n, points = code.field, code.k, code.n, code.eval_points
-        if points is None or not np.array_equal(code.generator, _powers(field, points, k)):
+    ``log_diff[i, t]`` is log(x_i - x_t), 0 on the diagonal.  ``g0``
+    holds the coefficients of g0 = prod (x - x_i), constant term first.
+    ``lagrange[i, j]`` is the sentinel log (``Field.mul_tables``) of the
+    x^j coefficient of the Lagrange basis polynomial of x_i, and
+    ``generator_log`` holds the generator's sentinel logs, so the
+    interpolant of a word and a message's codeword are each one
+    ``_log_vecmat``.  ``poly`` does the Euclid's Python-int steps.  These
+    are built with the object; ``infosets`` on first use.
+
+    It holds the code's parts, never the code: a code <-> tables cycle
+    would keep a dropped code's direction matrix until cyclic GC.
+    """
+
+    field: Field
+    generator: np.ndarray
+    points: np.ndarray
+    log_diff: np.ndarray
+    g0: tuple[int, ...]
+    lagrange: np.ndarray
+    generator_log: np.ndarray
+    poly: _Poly
+
+    @classmethod
+    def build(cls, field: Field, generator: np.ndarray, points: np.ndarray) -> _ReedSolomon:
+        """The tables of the code with this generator on these points.  The
+        Lagrange basis polynomial of x_i is w_i g0 / (x - x_i), with
+        w_i = 1 / prod over j != i of (x_i - x_j).  The quotients come from
+        one synthetic division per coefficient, over every point at once;
+        the weights from the log differences."""
+        n, L = points.size, field.q - 1
+        log, _ = field.mul_tables
+        g0 = np.zeros(n + 1, dtype=np.int64)
+        g0[0] = 1
+        for xi in points.tolist():  # g0 (x - x_i): its top coefficient is 0 until the last step
+            g0 = field.sub_array(np.roll(g0, 1), field.mul_array(xi, g0))
+        Q = np.empty((n, n), dtype=np.int64)  # Q[i] = g0 / (x - x_i)
+        Q[:, n - 1] = 1
+        for j in range(n - 1, 0, -1):
+            Q[:, j - 1] = field.add_array(g0[j], field.mul_array(points, Q[:, j]))
+        D = field.log_table[field.sub_array(points[:, None], points[None, :])]
+        np.fill_diagonal(D, 0)
+        w = field.exp_table[-D.sum(axis=1) % L]
+        tables = cls(field, generator, points, D, tuple(g0.tolist()),
+                     log.take(field.mul_array(w[:, None], Q)), log.take(generator), _Poly(field))
+        for t in (tables.log_diff, tables.lagrange, tables.generator_log):
+            t.setflags(write=False)
+        return tables
+
+    @functools.cached_property
+    def infosets(self) -> _InfoSets | None:
+        """The information-set tables, built on first use; None when the
+        generator is not the powers of the points, since the tables are
+        built from the points.
+
+        Row j of G_S^-1 G maps a codeword's value at position S_j to its
+        values at every position, so at position i it is the Lagrange basis
+        polynomial prod over t in S - {S_j} of (x - x_t) / (x_{S_j} - x_t),
+        at x = x_i.  With D = ``log_diff`` and N[i] the sum of D[i, t] over
+        t in S, its log is N[i] - D[i, S_j] - N[S_j] off S; on S it is 1 at
+        S_j and 0 elsewhere."""
+        field, (k, n), L = self.field, self.generator.shape, self.field.q - 1
+        if not np.array_equal(self.generator, _powers(field, self.points, k)):
             return None
-        L = field.q - 1
         log, exp = field.sentinel_log_tables()
         log = log.astype(np.min_scalar_type(4 * L))
         # unsigned sums below 3L, so x - L and x - 2L wrap above x where x < L
         w = np.min_scalar_type(3 * L)
-        D = field.log_table[field.sub_array(points[:, None], points[None, :])].astype(w)
-        np.fill_diagonal(D, 0)
+        D = self.log_diff.astype(w)
         subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
                               dtype=np.intp).reshape(-1, k).T.copy()  # (k, sets)
         at_S = D[:, subsets]  # (n, k, sets): D[i, S_j]
@@ -352,19 +404,29 @@ def _information_sets(code: LinearCode) -> _InfoSets | None:
         maps[:, subsets, sets] = 2 * L  # the sentinel log of 0 on S,
         maps[np.arange(k)[:, None], subsets, sets] = 0  # but 1 at S_j
         first = subsets[:, 0]
-        first_inv = row_reduce(field, np.hstack([code.generator[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
-        tables = _InfoSets(
-            subsets=subsets,
-            maps=maps,
-            log=log,
-            exp=exp.astype(np.min_scalar_type(L)),
-            first=first,
-            first_inv=first_inv,
-        )
-        for t in (tables.subsets, tables.maps, tables.log, tables.exp, tables.first, tables.first_inv):
+        first_inv = row_reduce(field, np.hstack([self.generator[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
+        tables = _InfoSets(subsets, maps, log, exp.astype(np.min_scalar_type(L)), first, first_inv)
+        for t in vars(tables).values():
             t.setflags(write=False)
-        code._infosets = tables
-    return code._infosets
+        return tables
+
+
+def _reed_solomon(code: LinearCode) -> _ReedSolomon | None:
+    """The code's ``_ReedSolomon``, or None for a code without
+    ``eval_points``.  Built on first use and cached on the code; rebuilt
+    whenever ``eval_points`` is replaced."""
+    points = code.eval_points
+    if points is None:
+        return None
+    if code._rs is None or code._rs.points is not points:
+        code._rs = _ReedSolomon.build(code.field, code.generator, points)
+    return code._rs
+
+
+def _information_sets(code: LinearCode) -> _InfoSets | None:
+    """The code's ``_ReedSolomon.infosets``, or None where it has none."""
+    tables = _reed_solomon(code)
+    return None if tables is None else tables.infosets
 
 
 def _large_scan(code: LinearCode) -> bool:
@@ -496,27 +558,6 @@ class DecodeOutcome:
         return self.kind is DecodeKind.UNIQUE_DIRECTION
 
 
-@dataclass(frozen=True)
-class _GaoTables:
-    """Per-code tables of ``berlekamp_welch``, built from the evaluation
-    points x_0 .. x_(n-1).
-
-    ``g0`` holds the coefficients of g0 = prod (x - x_i), constant term
-    first.  ``lagrange[i, j]`` is the sentinel log (``Field.mul_tables``)
-    of the x^j coefficient of the Lagrange basis polynomial of x_i, and
-    ``generator`` holds the generator's sentinel logs, so the interpolant
-    of a word and a message's codeword are each one ``_log_vecmat``.
-    ``poly`` holds the field's tables as tuples of ints, for the Euclid's
-    Python-int steps.
-    """
-
-    points: np.ndarray
-    g0: tuple[int, ...]
-    lagrange: np.ndarray
-    generator: np.ndarray
-    poly: _Poly
-
-
 class _Poly:
     """Polynomials over the field as lists of Python ints, constant term
     first and without leading zeros (the zero polynomial is []).
@@ -526,8 +567,7 @@ class _Poly:
     ``Field.add_tables`` otherwise, the formula ``add_array`` uses."""
 
     def __init__(self, field: Field):
-        log, exp = field.mul_tables
-        self.log, self.exp = tuple(log.tolist()), tuple(exp.tolist())
+        self.log, self.exp, *add = field._int_tables
         self.L = field.q - 1
         self.neg = self.log[field.p - 1]  # log(-1): p - 1 encodes -1
         if field.p == 2:
@@ -536,8 +576,7 @@ class _Poly:
             p = field.p
             self.add = lambda a, b: (a + b) % p
         else:
-            lg, ex = self.log, self.exp
-            B, Z = (tuple(t.tolist()) for t in field.add_tables)
+            lg, ex, (B, Z) = self.log, self.exp, add
             self.add = lambda a, b: ex[lg[a] + Z[B[b] - lg[a]]]
 
     def divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -593,43 +632,6 @@ def _log_vecmat(field: Field, v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return A[0]
 
 
-def _gao_tables(code: LinearCode) -> _GaoTables:
-    """The code's ``_GaoTables``, built on first use and cached; rebuilt
-    when ``eval_points`` is replaced.
-
-    The Lagrange basis polynomial of x_i is w_i g0 / (x - x_i), with
-    w_i = 1 / prod over j != i of (x_i - x_j).  The quotients come from
-    one synthetic division per coefficient, over every point at once; the
-    weights from the log differences, as in ``_information_sets``."""
-    tables = code._gao
-    if tables is None or tables.points is not code.eval_points:
-        field, n, x = code.field, code.n, code.eval_points
-        L = field.q - 1
-        log, _ = field.mul_tables
-        g0 = np.zeros(n + 1, dtype=np.int64)
-        g0[0] = 1
-        for xi in x.tolist():  # g0 (x - x_i): its top coefficient is 0 until the last step
-            g0 = field.sub_array(np.roll(g0, 1), field.mul_array(xi, g0))
-        Q = np.empty((n, n), dtype=np.int64)  # Q[i] = g0 / (x - x_i)
-        Q[:, n - 1] = 1
-        for j in range(n - 1, 0, -1):
-            Q[:, j - 1] = field.add_array(g0[j], field.mul_array(x, Q[:, j]))
-        D = field.log_table[field.sub_array(x[:, None], x[None, :])]
-        np.fill_diagonal(D, 0)
-        w = field.exp_table[-D.sum(axis=1) % L]
-        tables = _GaoTables(
-            points=x,
-            g0=tuple(g0.tolist()),
-            lagrange=log.take(field.mul_array(w[:, None], Q)),
-            generator=log.take(code.generator),
-            poly=_Poly(field),
-        )
-        for t in (tables.lagrange, tables.generator):
-            t.setflags(write=False)
-        code._gao = tables
-    return tables
-
-
 def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray, int] | None:
     """(c, d_H(u, c)) for a nonzero codeword c within distance t of the word
     u, found on the code's evaluation points; else None.  Needs
@@ -649,16 +651,16 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
 
     Per word: one gather and field sum for g1, at most about t + 1 Euclid
     divisions and one final division on Python ints (O(n t) products and
-    sums), and one gather for c.  The tables (``_gao_tables``) are built
+    sums), and one gather for c.  The tables (``_reed_solomon``) are built
     on the code's first call.
     """
     field, n, k = code.field, code.n, code.k
     t = _integer("t", t)
-    if code.eval_points is None:
-        raise InvalidInput("berlekamp_welch needs a code built by make_rs_code")
     if not 0 <= t <= (n - k) // 2:
         raise InvalidInput(f"need 0 <= t <= (n - k) // 2 = {(n - k) // 2}, got t = {t}")
-    tables = _gao_tables(code)
+    tables = _reed_solomon(code)
+    if tables is None:
+        raise InvalidInput("berlekamp_welch needs a code built by make_rs_code")
     poly = tables.poly
     g1 = _log_vecmat(field, field.mul_tables[0].take(u), tables.lagrange)
     r0, r1 = tables.g0, _trim(g1.tolist())
@@ -672,11 +674,9 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
         return None
     f_log = np.full(k, 2 * (field.q - 1), dtype=np.int64)  # the sentinel log of 0
     f_log[: len(f)] = [poly.log[a] for a in f]
-    c = _log_vecmat(field, f_log, tables.generator)
+    c = _log_vecmat(field, f_log, tables.generator_log)
     dist = int(np.count_nonzero(c != u))
-    if dist > t:
-        return None
-    return c, dist
+    return (c, dist) if dist <= t else None
 
 
 def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
@@ -685,9 +685,8 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
     On a Reed-Solomon code with a large scan, Berlekamp-Welch and then
     the information sets are tried first, as the module docstring sets
     out; each answer is exact or absent.  Otherwise every direction is
-    scanned.  If the best angle a satisfies 2a < d
-    (strictly inside the unique decoding radius) the uniqueness is
-    asserted, not assumed.
+    scanned.  If the best angle a satisfies 2a < d (strictly inside the
+    unique decoding radius) the uniqueness is asserted, not assumed.
     """
     _check_word(u, code)
     d = min_distance(code)

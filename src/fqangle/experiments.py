@@ -417,9 +417,9 @@ _BENCH_SEED = 0
 def bench_angle(field: Field, n_values: list[int], repetitions: int = 9) -> list[BenchRecord]:
     """Median wall time of both algorithms on identical random inputs.
 
-    At least 5 repetitions, medians taken over warm runs.
+    At least 5 repetitions (1 to 4 run 5), medians taken over warm runs.
     """
-    reps = max(5, _integer("repetitions", repetitions))
+    reps = max(5, _at_least("repetitions", repetitions, 1))
     n_values = [_at_least("n", n, 1) for n in n_values]
     rng = np.random.default_rng(_BENCH_SEED)
     records = []

@@ -117,13 +117,13 @@ def dot(u: Vector, v: Vector) -> int:
 
 
 def parse_vector(field: Field, text: str) -> Vector:
-    """Parse a comma-separated list of integer encodings."""
+    """Parse a comma-separated list of integer encodings, each ASCII
+    decimal digits after stripping: int() alone would also take "1_0" and
+    non-ASCII digits."""
     parts = [s.strip() for s in text.strip().split(",")]
-    try:
-        values = [int(s) for s in parts]
-    except ValueError:
-        raise InvalidInput(f"cannot parse vector from {text!r}") from None
-    return Vector(field, values)
+    if not all(s.isascii() and s.isdigit() for s in parts):
+        raise InvalidInput(f"cannot parse vector from {text!r}")
+    return Vector(field, [int(s) for s in parts])
 
 
 def format_vector(u: Vector) -> str:

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: documents, exit codes, formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fqangle
 from fqangle.cli import main
 
 
@@ -335,6 +340,11 @@ def test_plain_format(capsys):
         ("angle", "--q", "2305843009213693951", "--u", "1", "--v", "1"),
         ("angle", "--p", "2305843009213693951", "--u", "1", "--v", "1"),
         ("angle", "--p", "2", "--m", "1000000000", "--u", "1", "--v", "1"),
+        # int() would read these as 10,1 and 1,2
+        ("angle", "--q", "11", "--u", "1_0,1", "--v", "1,1"),
+        ("angle", "--q", "11", "--u", "\uff11,\uff12", "--v", "1,1"),
+        ("bench", "--q", "3", "--n", "8", "--reps", "-3"),
+        ("bench", "--q", "3", "--n", "8", "--reps", "0"),
     ],
 )
 def test_bad_input_exits_1_without_traceback(capsys, argv):
@@ -345,3 +355,29 @@ def test_bad_input_exits_1_without_traceback(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "need at least one array" not in err  # no numpy message leaks through
+
+
+def test_code_file_takes_only_ascii_decimal_digits(capsys, tmp_path):
+    path = tmp_path / "gen.txt"
+    path.write_text("1,0,2\n0,1,\uff11\n")  # a fullwidth 1
+    code, out, err = run(capsys, "decode", "--q", "3", "--code", "file", "--code-file", str(path), "--u", "1,0,1")
+    assert code == 1 and out == "" and err.startswith("error: cannot parse vector")
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_closed_stdout_exits_1_without_traceback(fmt):
+    # the child writes to a pipe whose read end is already closed
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(fqangle.__file__).parents[1])}
+    argv = ["decode", "--q", "7", "--code", "rs", "--n", "7", "--k", "3", "--u", "1,2,3,4,5,6,1", "--rho", "9"]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fqangle", *argv, "--format", fmt],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

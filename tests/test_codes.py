@@ -1,7 +1,10 @@
 """Linear codes: construction, enumeration, minimum distance, decoding."""
 
 import dataclasses
+import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from fqangle import (
     DecodeKind,
     DuplicatePoints,
     EnumerationTooLarge,
+    Field,
     InvalidInput,
     LengthMismatch,
     RankDeficient,
@@ -714,7 +718,7 @@ def test_gao_tables_interpolate(case):
     # rows times the Vandermonde matrix give the identity
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
-    tables = fqangle.codes._gao_tables(code)
+    tables = fqangle.codes._reed_solomon(code)
     x = code.eval_points
     assert len(tables.g0) == n + 1 and tables.g0[-1] == 1
     for xi in x.tolist():
@@ -725,27 +729,60 @@ def test_gao_tables_interpolate(case):
     _, exp = field.mul_tables
     V = np.array([[field.pow(int(xi), j) for xi in x] for j in range(n)])
     assert np.array_equal(field_matmul(field, exp[tables.lagrange], V), np.eye(n, dtype=np.int64))
-    assert np.array_equal(exp[tables.generator], code.generator)
+    assert np.array_equal(exp[tables.generator_log], code.generator)
+
+
+def count_rs_builds(monkeypatch):
+    """The (field, generator, points) of each _ReedSolomon built, in order."""
+    built = []
+    build = fqangle.codes._ReedSolomon.build
+    monkeypatch.setattr(fqangle.codes._ReedSolomon, "build", lambda *a: built.append(a) or build(*a))
+    return built
+
+
+def count_int_table_builds(monkeypatch):
+    """The fields whose Field._int_tables are built, in order."""
+    built = []
+    _int_tables = Field._int_tables.func
+    counted = functools.cached_property(lambda field: built.append(field) or _int_tables(field))
+    counted.__set_name__(Field, "_int_tables")
+    monkeypatch.setattr(Field, "_int_tables", counted)
+    return built
 
 
 def test_gao_tables_built_once_and_read_only(monkeypatch):
-    built = []
-    poly = fqangle.codes._Poly
-    monkeypatch.setattr(fqangle.codes, "_Poly", lambda field: built.append(field) or poly(field))
-    code = make_rs_code(make_field(3, 2), 9, 5)
+    built, per_field = count_rs_builds(monkeypatch), count_int_table_builds(monkeypatch)
+    code = make_rs_code(Field(3, 2), 9, 5)  # a new field: its Python-int tables are built here
     for u in bw_words(code, np.random.default_rng(9)):
         fqangle.codes.berlekamp_welch(code, u, 2)
-    assert len(built) == 1
-    tables = fqangle.codes._gao_tables(code)
-    assert code._gao is tables and len(built) == 1
-    assert not tables.lagrange.flags.writeable and not tables.generator.flags.writeable
+    assert len(built) == 1 and len(per_field) == 1
+    tables = fqangle.codes._reed_solomon(code)
+    assert code._rs is tables and len(built) == 1
+    assert not tables.lagrange.flags.writeable and not tables.generator_log.flags.writeable
+    assert not tables.log_diff.flags.writeable
     assert isinstance(tables.g0, tuple) and isinstance(tables.poly.log, tuple) and isinstance(tables.poly.exp, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         tables.g0 = ()
     code.eval_points = np.roll(code.eval_points, 1)  # other points: rebuilt once
     fqangle.codes.berlekamp_welch(code, u, 2)
     fqangle.codes.berlekamp_welch(code, u, 2)
-    assert len(built) == 2 and code._gao.points is code.eval_points
+    assert len(built) == 2 and code._rs.points is code.eval_points
+    assert len(per_field) == 1  # the field's tables are not
+
+
+def test_int_tables_built_once_per_field(monkeypatch):
+    # two codes over one field and a points roll share one copy
+    per_field = count_int_table_builds(monkeypatch)
+    field = Field(2, 4)
+    codes = [make_rs_code(field, 8, 3), make_rs_code(field, 6, 2, range(9, 15))]
+    codes[1].eval_points = np.roll(codes[1].eval_points, 1)
+    for code in codes:
+        for u in bw_words(code, np.random.default_rng(4)):
+            fqangle.codes.berlekamp_welch(code, u, 1)
+    assert per_field == [field]
+    assert codes[0]._rs.poly.log is codes[1]._rs.poly.log is field._int_tables[0]
+    assert [list(t) for t in field._int_tables] == [t.tolist() for t in field.mul_tables]
+    assert [len(t) for t in make_field(3, 2)._int_tables] == [9, 33, 9, 41]  # and the Zech tables
 
 
 @pytest.mark.parametrize("case", BW_CODES, ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
@@ -904,6 +941,41 @@ def test_tables_need_the_generator_of_the_points(monkeypatch):
     assert [angular_decode(u, code) for u in words] == scan and taken == []
 
 
+def test_generator_check_runs_once_per_points(monkeypatch):
+    # points rolled before first use: the tables' generator check, not
+    # repeated on every decode that reaches the information sets
+    code = make_rs_code(F7, 6, 3)
+    code.eval_points = np.roll(code.eval_points, 1)
+    checks = []
+    powers = fqangle.codes._powers
+    monkeypatch.setattr(fqangle.codes, "_powers", lambda *a: checks.append(a) or powers(*a))
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
+    monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *args: None)
+    words = grid_words(code, np.random.default_rng(6))
+    for u in words:
+        angular_decode(u, code)
+    assert len(words) > 1 and len(checks) == 1 and code._rs.infosets is None
+
+
+def test_rs_tables_hold_no_reference_to_their_code(monkeypatch):
+    # a code <-> tables cycle would keep every dropped code, direction
+    # matrix and all, until the cyclic collector runs
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
+    code = make_rs_code(F7, 6, 3)
+    for u in grid_words(code, np.random.default_rng(5)):
+        angular_decode(u, code)
+    assert code._rs.infosets is not None and code._projective is not None
+    ref = weakref.ref(code)
+    gc.disable()
+    try:
+        del code
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def planted_non_mds_code(field, n, k, seed):
     """A seeded random generator whose first row vanishes on n - 2
     positions, so d <= 2 < n - k + 1: never MDS."""
@@ -990,7 +1062,7 @@ def test_infoset_dispatch(monkeypatch):
     u = Vector(large.field, rng.integers(1, 16, size=15))
     out = angular_decode(u, large)
     assert (taken, scanned) == ([large], [])
-    assert large._infosets.maps.nbytes + large._infosets.subsets.nbytes < 1 << 20
+    assert large._rs.infosets.maps.nbytes + large._rs.infosets.subsets.nbytes < 1 << 20
     # the other one-word queries scan
     assert angle_to_code(u, large) == out.best[0][1] and scanned == [large]
     assert projective_list_decode(u, large, out.best[0][1] + 1) and scanned == [large, large]

@@ -283,6 +283,12 @@ def test_bench_minimum_reps_enforced():
     assert all(r.repetitions == 5 for r in records)
 
 
+@pytest.mark.parametrize("reps", [0, -3])
+def test_bench_rejects_reps_below_1(reps):
+    with pytest.raises(InvalidInput):
+        bench_angle(make_field(2), [64], repetitions=reps)
+
+
 def test_bench_q2_algorithms_comparable():
     # with a single nonzero scalar, brute force is one pass too
     records = {r.algo: r.median_ns for r in bench_angle(make_field(2), [1 << 16], repetitions=9)}

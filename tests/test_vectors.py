@@ -168,6 +168,13 @@ def test_parse_and_format_round_trip_property(case):
     assert parse_vector(field, format_vector(u)) == u
 
 
+@pytest.mark.parametrize("text", ["1_0,1", "\uff11,\uff12", "\u0661,2", "+1,2", "1,-0", "1,\u00b2", "1,,2"])
+def test_parse_vector_takes_only_ascii_decimal_digits(text):
+    # int() alone would read every one of these over GF(11)
+    with pytest.raises(InvalidInput):
+        parse_vector(make_field(11), text)
+
+
 def test_parse_vector_error_is_typed():
     with pytest.raises(InvalidInput):  # was a bare ValueError
         parse_vector(F3, "1,x,0")
