@@ -279,7 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so
         # the interpreter's final flush does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
     return code
