@@ -5,9 +5,8 @@ c of the Hamming distance between u and c*v.  Two algorithms are provided:
 
 * ``angle_naive`` evaluates the definition directly, one distance per
   nonzero scalar (q-1 passes).  It is the reference oracle.  Each pass
-  gathers c*v from one row of a product table, in cache-sized row blocks:
-  for q <= 256 the uint8 table of c*x from ``mul_array``, above that a
-  uint16 table indexed by log x.
+  gathers c*v, in cache-sized row blocks, from one window of a per-call
+  copy of the field's exp table, indexed by log x.
 * ``angle_fast`` makes a single pass: it partitions the positions by the
   joint zero-pattern of (u_i, v_i), counts for every scalar c how many
   positions satisfy u_i = c * v_i with both sides nonzero (a census
@@ -54,7 +53,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInput, LengthMismatch, ZeroVector
 from .gf import Field
@@ -212,43 +210,35 @@ def _angle_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise brute force: min over nonzero c of d_H(u, c*v).
 
-    One pass per nonzero c, each gathering c*v from a row of a product
-    table and counting its mismatches with u, over row blocks of about
-    ``_ORACLE_BLOCK`` elements.  For q <= 256 the table is the (q-1, q)
-    uint8 product table from ``mul_array``; above that, row k maps log x
-    to g^k * x in uint16, a window of the field's sentinel-log tables
-    (``Field.sentinel_log_tables``: log 0 = 2(q - 1), exp twice over the
-    group, then zeros that every x = 0 reaches), built per call so the
-    field keeps no tables for the oracle.  Never forms u_i / v_i, so it
-    stays independent of the census.  U and V must have the same shape.
+    One pass per nonzero c = g^k, each gathering c*v from a product row
+    and counting its mismatches with u, over row blocks of about
+    ``_ORACLE_BLOCK`` elements.  Row k maps log x to g^k * x: it is the
+    slice exp[k : k + 2L + 1], L = q - 1, of the field's sentinel-log
+    tables (``Field.sentinel_log_tables``: log 0 = 2L, exp twice over the
+    group, then zeros that every x = 0 reaches), copied per call in the
+    narrowest unsigned dtype that holds q - 1, so the field keeps no
+    tables for the oracle.  Never forms u_i / v_i, so it stays
+    independent of the census.  U and V must have the same shape.
     """
     U, V = _row_pairs(U, V, shared=False)
     T, n = U.shape
-    q = field.q
-    if q <= 256:
-        # table[c - 1, index[x]] = c * x, with index[x] = x
-        table = field.mul_array(np.arange(1, q)[:, None], np.arange(q)).astype(np.uint8)
-        index = np.arange(q)
-    else:
-        # table[k, index[x]] = exp[k + log x] = g^k * x for x != 0, and
-        # index[0] = 2(q - 1) lands in the zeros for every k
-        L = q - 1
-        index, exp = field.sentinel_log_tables()
-        table = sliding_window_view(exp[: 3 * L].astype(np.uint16), 2 * L + 1)
+    L = field.q - 1
+    log, exp = field.sentinel_log_tables()
+    exp = exp[: 3 * L].astype(np.min_scalar_type(L))
     best = np.full(T, n, dtype=np.int64)
     rows = max(1, _ORACLE_BLOCK // max(n, 1))
-    W = np.empty((min(rows, T), n), dtype=table.dtype)
+    W = np.empty((min(rows, T), n), dtype=exp.dtype)
     neq = np.empty(W.shape, dtype=bool)
     dist = np.empty(W.shape[0], dtype=np.uint16 if n < 1 << 16 else np.uint32)  # holds n
     for s in range(0, T, rows):
-        u = U[s : s + rows].astype(table.dtype)
-        v = index.take(V[s : s + rows])  # intp, take's index dtype: no cast per pass
-        k = u.shape[0]
-        w, ne, d, b = W[:k], neq[:k], dist[:k], best[s : s + k]
-        for cv in table:  # cv[index[x]] = c * x for one c
+        u = U[s : s + rows].astype(exp.dtype)
+        v = log.take(V[s : s + rows])  # intp, take's index dtype: no cast per pass
+        m = u.shape[0]
+        w, ne, d, b = W[:m], neq[:m], dist[:m], best[s : s + m]
+        for k in range(L):
             # every index is in range, so clip never fires; mode="raise"
             # would buffer the output to check bounds on every pass
-            np.take(cv, v, out=w, mode="clip")
+            np.take(exp[k : k + 2 * L + 1], v, out=w, mode="clip")
             np.not_equal(w, u, out=ne)
             # count the mismatches as bytes into the narrow dist: far cheaper than a bool sum
             np.add.reduce(ne.view(np.uint8), axis=1, dtype=d.dtype, out=d)

@@ -10,18 +10,19 @@ normalized representative (first nonzero coordinate 1) in the narrowest
 unsigned dtype that fits q - 1, so decoders return its rows as projective
 points as they stand.
 
-``angular_decode`` tries two exact shortcuts before the scan, in this
-order, on a Reed-Solomon code whose scan covers at least
-``_FAST_MIN_SCAN`` positions (directions x length):
+Every one-word least-angle query (``angular_decode``, ``angle_to_code``
+and so ``dist_to_code``) reads ``_least``, which tries two exact
+shortcuts before the scan, in this order, on a Reed-Solomon code whose
+scan covers at least ``_FAST_MIN_SCAN`` positions (directions x length):
 
 1. Berlekamp-Welch, with radius t = (d - 1) // 2, solved by Gao's
    extended-Euclid algorithm on Python ints (``berlekamp_welch``).  If it
-   yields a nonzero codeword c with d_H(u, c) <= t, the outcome is
-   UNIQUE_DIRECTION with the direction of c at angle d_H(u, c).  This is
-   sound whatever Berlekamp-Welch computed: c = f G is a codeword by
-   construction and its distance is counted, and every other nonzero
-   codeword, beta c included, lies at distance >= d - t > t.  Its
-   per-code tables (``_reed_solomon``) are built on a code's first call.
+   yields a nonzero codeword c with d_H(u, c) <= t, the least angle is
+   d_H(u, c), at the direction of c alone.  This is sound whatever
+   Berlekamp-Welch computed: c = f G is a codeword by construction and its
+   distance is counted, and every other nonzero codeword, beta c included,
+   lies at distance >= d - t > t.  Its per-code tables (``_reed_solomon``)
+   are built on a code's first call.
 2. Information sets, where C(n, k) (k + 1) <= D, the number of
    directions.  Take a direction at angle a <= d - 1 from u: some beta c
    agrees with u on n - a >= n - d + 1 positions.  No nonzero codeword
@@ -40,8 +41,9 @@ order, on a Reed-Solomon code whose scan covers at least
    on a code's first such query (``_ReedSolomon.infosets``) from the log
    differences of the points that step 1's tables hold.
 
-Otherwise, and always for ``angle_to_code``, ``projective_list_decode``,
-``decode_rows`` and ``min_distance``, the direction matrix is scanned.
+Otherwise, and always for ``projective_list_decode``, ``decode_rows``
+and ``min_distance``, the direction matrix is scanned.  The one-word
+decoders build their result points in one place, ``_points``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .angle import ProjectivePoint, _angle_table, angle_fast_rows, normalize_rows, projectivize
+from .angle import ProjectivePoint, _angle_table, angle_fast_rows, normalize_rows
 from .errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -89,7 +91,7 @@ _DECODE_CHUNK_ROWS = 1 << 18
 # 2^15 are within the run-to-run spread.
 _ENCODE_BLOCK = 1 << 14
 
-# Least scan size, directions x length, at which angular_decode tries
+# Least scan size, directions x length, at which _least tries
 # Berlekamp-Welch and the information sets before the scan on a
 # Reed-Solomon code.  Warm angular_decode, median over 40 words, range of
 # 3 interleaved rounds, scan vs shortcuts, 2-core Xeon, near words then
@@ -475,22 +477,6 @@ def _direction_indices(code: LinearCode, tables: _InfoSets, C: np.ndarray) -> np
     return (q**e - 1) // (q - 1) + value - q**e
 
 
-def _infoset_least(u: Vector, code: LinearCode, d: int) -> tuple[int, np.ndarray] | None:
-    """(a, tied): the least angle a from u to a direction and the ascending
-    rows of the directions at a, from the information sets; None where the
-    code has no tables or the least candidate angle exceeds d - 1, so the
-    scan must decide."""
-    tables = _information_sets(code)
-    if tables is None:
-        return None
-    C, angles = _infoset_candidates(u.coords, code, tables)
-    a = int(angles.min(initial=d))  # d, too, when u vanishes on every information set
-    if a >= d:
-        return None
-    tied = np.sort(_direction_indices(code, tables, C[angles == a]))
-    return a, tied[np.diff(tied, prepend=-1) != 0]
-
-
 # ----------------------------------------------------------------------
 # Distance and angle to a code
 # ----------------------------------------------------------------------
@@ -508,10 +494,11 @@ def _check_word(u: Vector, code: LinearCode):
         raise ZeroVector("the angle to a code is defined only for nonzero vectors")
 
 
-def _word_angles(u: Vector, code: LinearCode) -> np.ndarray:
-    """(D,) angles from a checked nonzero word u to each codeword direction:
-    one kernel call, the directions as U and the word as V's shared row."""
-    return angle_fast_rows(code.field, projective_codeword_matrix(code), u.coords[None, :])
+def _word_angles(u: np.ndarray, code: LinearCode) -> np.ndarray:
+    """(D,) angles from a checked nonzero int64 word u to each codeword
+    direction: one kernel call, the directions as U and the word as V's
+    shared row."""
+    return angle_fast_rows(code.field, projective_codeword_matrix(code), u[None, :])
 
 
 def dist_to_code(u: Vector, code: LinearCode) -> int:
@@ -523,7 +510,7 @@ def dist_to_code(u: Vector, code: LinearCode) -> int:
 def angle_to_code(u: Vector, code: LinearCode) -> int:
     """min over NONZERO codewords of d_H(u, c); at least dist_to_code(u, code)."""
     _check_word(u, code)
-    return int(_word_angles(u, code).min())
+    return _least(u.coords, code, min_distance(code))[0]
 
 
 # ----------------------------------------------------------------------
@@ -679,40 +666,53 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
     return (c, dist) if dist <= t else None
 
 
-def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
-    """Find the closest codeword direction(s) to u.
+def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
+    """(a, rows): the least angle a from the checked nonzero int64 word u
+    to a direction of the code of minimum distance d, and the normalized
+    rows of the directions at a, in enumeration order.
 
-    On a Reed-Solomon code with a large scan, Berlekamp-Welch and then
-    the information sets are tried first, as the module docstring sets
-    out; each answer is exact or absent.  Otherwise every direction is
-    scanned.  If the best angle a satisfies 2a < d (strictly inside the
-    unique decoding radius) the uniqueness is asserted, not assumed.
+    The one place that picks the decoder: on a Reed-Solomon code with a
+    large scan, Berlekamp-Welch and then the information sets, as the
+    module docstring sets out; each answer is exact or absent.  Otherwise
+    every direction is scanned."""
+    if code.eval_points is not None and _large_scan(code):
+        near = berlekamp_welch(code, u, (d - 1) // 2)
+        if near is not None:
+            c, a = near
+            return a, normalize_rows(code.field, c[None])
+        tables = _information_sets(code) if _infosets_pay(code) else None
+        if tables is not None:
+            C, angles = _infoset_candidates(u, code, tables)
+            a = int(angles.min(initial=d))  # d, too, when u vanishes on every information set
+            if a < d:
+                tied = _direction_indices(code, tables, C[angles == a])
+                return a, projective_codeword_matrix(code)[np.unique(tied)]
+    angles = _word_angles(u, code)
+    a = int(angles.min())
+    return a, projective_codeword_matrix(code)[angles == a]
+
+
+def _points(field: Field, rows: np.ndarray, angles: Iterable[int]) -> list[tuple[ProjectivePoint, int]]:
+    """(point, angle) pairs of normalized direction rows and their angles:
+    the one place a decoder's rows become ``ProjectivePoint``s."""
+    return [(ProjectivePoint(Vector(field, row)), int(a)) for row, a in zip(rows, angles)]
+
+
+def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
+    """Find the closest codeword direction(s) to u, by ``_least``.
+
+    If the best angle a satisfies 2a < d (strictly inside the unique
+    decoding radius) the uniqueness is asserted, not assumed.
     """
     _check_word(u, code)
     d = min_distance(code)
-    found = None
-    if code.eval_points is not None and _large_scan(code):
-        near = berlekamp_welch(code, u.coords, (d - 1) // 2)
-        if near is not None:
-            c, a = near
-            point = projectivize(Vector(code.field, c))
-            return DecodeOutcome(DecodeKind.UNIQUE_DIRECTION, ((point, a),), d)
-        if _infosets_pay(code):
-            found = _infoset_least(u, code, d)
-    if found is not None:
-        a, tied = found
-    else:
-        angles = _word_angles(u, code)
-        a = int(angles.min())
-        tied = np.flatnonzero(angles == a)
-    if 2 * a < d and tied.size > 1:
+    a, rows = _least(u.coords, code, d)
+    if 2 * a < d and len(rows) > 1:
         raise UniqueDecodingViolated(
-            f"unique decoding violated: {tied.size} directions at angle {a} < d/2 = {d}/2"
+            f"unique decoding violated: {len(rows)} directions at angle {a} < d/2 = {d}/2"
         )
-    P = projective_codeword_matrix(code)
-    best = tuple((ProjectivePoint(Vector(code.field, P[i])), a) for i in tied)
     kind = DecodeKind.UNIQUE_DIRECTION if 2 * a < d else DecodeKind.BEYOND_RADIUS
-    return DecodeOutcome(kind, best, d)
+    return DecodeOutcome(kind, tuple(_points(code.field, rows, itertools.repeat(a))), d)
 
 
 def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[ProjectivePoint, int]]:
@@ -720,11 +720,10 @@ def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[
     enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance."""
     rho = _integer("rho", rho)
     _check_word(u, code)
-    angles = _word_angles(u, code)
+    angles = _word_angles(u.coords, code)
     hits = np.flatnonzero(angles < rho)
     hits = hits[np.argsort(angles[hits], kind="stable")]
-    P = projective_codeword_matrix(code)
-    return [(ProjectivePoint(Vector(code.field, P[i])), int(angles[i])) for i in hits]
+    return _points(code.field, projective_codeword_matrix(code)[hits], angles[hits])
 
 
 def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -143,11 +143,10 @@ def error_patterns(field: Field, n: int, t: int) -> np.ndarray:
 
 def _exhaustive_vectors(field: Field, n: int) -> np.ndarray:
     """all_nonzero_vectors, refused past the triple-loop guard; n is an int >= 1."""
-    count = field.q**n - 1
-    if count > MAX_EXHAUSTIVE_VECTORS:
-        raise SuiteTooLarge(
-            f"q^n - 1 = {count} nonzero vectors exceed the {MAX_EXHAUSTIVE_VECTORS} triple-loop guard"
-        )
+    # bound n before forming q**n, which is slow and too long to print when huge
+    if n >= MAX_EXHAUSTIVE_VECTORS.bit_length() or field.q**n - 1 > MAX_EXHAUSTIVE_VECTORS:
+        raise SuiteTooLarge(f"q^n - 1 = {field.q}^{n} - 1 nonzero vectors exceed the "
+                            f"{MAX_EXHAUSTIVE_VECTORS} triple-loop guard")
     return all_nonzero_vectors(field, n)
 
 

@@ -208,6 +208,14 @@ def test_verify_guard_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["metric", "projective"])
+def test_verify_guard_refuses_a_huge_n_at_once(capsys, suite):
+    # q^n is never formed: 7^(10^7) would take seconds, then fail to print
+    code, out, err = run(capsys, "verify", "--suite", suite, "--q", "7", "--n", "10000000")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "guard" in err
+
+
 def test_verify_decoding_pattern_guard_exit_2(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "decoding", "--q", "13", "--code", "rs", "--n", "13", "--k", "4",

@@ -792,13 +792,16 @@ def test_forced_fast_path_outcome_equals_scan(case, monkeypatch):
     words = [Vector(field, u) for u in bw_words(code, np.random.default_rng(7))]
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 1 << 62)
     scan = [angular_decode(u, code) for u in words]
+    scan_dist = [(angle_to_code(u, code), dist_to_code(u, code)) for u in words]
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
     assert [angular_decode(u, code) for u in words] == scan
+    assert [(angle_to_code(u, code), dist_to_code(u, code)) for u in words] == scan_dist
     # wrong points cost time, never the answer: the fallback scan decides
     code.eval_points = np.roll(code.eval_points, 1)
     t = (min_distance(code) - 1) // 2
     assert any(fqangle.codes.berlekamp_welch(code, u.coords, t) is None for u in words)
     assert [angular_decode(u, code) for u in words] == scan
+    assert [(angle_to_code(u, code), dist_to_code(u, code)) for u in words] == scan_dist
 
 
 def test_fast_path_dispatch(monkeypatch):
@@ -887,9 +890,13 @@ def test_infoset_candidates_equal_scan_on_every_rs_code(q, monkeypatch):
         words = grid_words(code, np.random.default_rng(100 * q + i))
         monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: False)
         scan = [angular_decode(u, code) for u in words]
+        scan_dist = [(angle_to_code(u, code), dist_to_code(u, code)) for u in words]
         assert taken == []
         monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
         assert [angular_decode(u, code) for u in words] == scan
+        assert taken
+        taken.clear()
+        assert [(angle_to_code(u, code), dist_to_code(u, code)) for u in words] == scan_dist
         assert taken
         taken.clear()
         ties += sum(out.kind is DecodeKind.BEYOND_RADIUS and len(out.best) > 1 for out in scan)
@@ -1027,7 +1034,7 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
     above = 0
     for u in words:
         C, angles = fqangle.codes._infoset_candidates(u.coords, code, tables)
-        scan = fqangle.codes._word_angles(u, code)
+        scan = fqangle.codes._word_angles(u.coords, code)
         rows = fqangle.codes._direction_indices(code, tables, C)
         assert np.array_equal(scan[rows], angles)  # each candidate's angle is exact
         assert set(np.flatnonzero(scan < d)) <= set(rows.tolist())
@@ -1063,7 +1070,7 @@ def test_infoset_dispatch(monkeypatch):
     out = angular_decode(u, large)
     assert (taken, scanned) == ([large], [])
     assert large._rs.infosets.maps.nbytes + large._rs.infosets.subsets.nbytes < 1 << 20
-    # the other one-word queries scan
-    assert angle_to_code(u, large) == out.best[0][1] and scanned == [large]
-    assert projective_list_decode(u, large, out.best[0][1] + 1) and scanned == [large, large]
-    assert taken == [large]
+    # angle_to_code takes the shortcuts too; list decoding scans
+    assert angle_to_code(u, large) == out.best[0][1] and scanned == []
+    assert projective_list_decode(u, large, out.best[0][1] + 1) and scanned == [large]
+    assert taken == [large, large]

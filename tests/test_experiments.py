@@ -94,6 +94,13 @@ def test_metric_suite_guard():
         verify_metric_axioms(F3, 7)  # 3^7 - 1 = 2186 > 1024
 
 
+@pytest.mark.parametrize("suite", [verify_metric_axioms, verify_projective_descent])
+def test_exhaustive_guard_bounds_n_before_forming_q_to_the_n(suite):
+    # 7^(10^5) has 84,510 digits: too slow to form and too long to print
+    with pytest.raises(SuiteTooLarge, match=r"7\^100000 - 1 nonzero vectors exceed the 1024 triple-loop guard"):
+        suite(F7, 10**5)
+
+
 def test_metric_suite_triangle_check_keeps_its_temporaries_small():
     import tracemalloc
 

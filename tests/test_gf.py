@@ -483,6 +483,13 @@ def test_oracle_keeps_no_product_tables_gf59049():
     assert "mul_tables" not in vars(f)  # the oracle's window is built per call
     log, exp = f.sentinel_log_tables()
     assert np.array_equal(log, f.mul_tables[0]) and np.array_equal(exp, f.mul_tables[1])
+    # nor on an extension field small enough for a (q - 1) x q product table
+    f = Field(2, 4)
+    U = rng.integers(0, f.q, (30, 12))
+    V = rng.integers(1, f.q, (30, 12))
+    naive = angle_naive_rows(f, U, V)
+    assert "mul_tables" not in vars(f)
+    assert naive.tolist() == angle_fast_rows(f, U, V).tolist()
 
 
 @pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 2), (2, 8)])
