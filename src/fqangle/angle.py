@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import InvalidInput, LengthMismatch, ZeroVector
 from .gf import Field
-from .vectors import Vector, _require_same_space, scalar_mul
+from .vectors import Vector, _require_same_space
 
 # Above this many cells the row-offset bincount is replaced by a sort-based
 # per-row count (keeps memory O(T*n) when q is huge relative to n).
@@ -345,13 +345,12 @@ class ProjectivePoint:
 
 
 def projectivize(u: Vector) -> ProjectivePoint:
-    """Canonical representative of the line through u (u nonzero)."""
-    nz = np.flatnonzero(u.coords)
-    if nz.size == 0:
+    """Canonical representative of the line through u (u nonzero): its
+    ``normalize_rows`` row, or u itself when already normalized."""
+    if u.is_zero():
         raise ZeroVector("the zero vector spans no projective point")
-    lead = int(u.coords[nz[0]])
-    rep = u if lead == 1 else scalar_mul(u.field.inv(lead), u)
-    return ProjectivePoint(rep)
+    rep = normalize_rows(u.field, u.coords)[0]
+    return ProjectivePoint(u if np.array_equal(rep, u.coords) else Vector(u.field, rep))
 
 
 def normalize_rows(field: Field, M: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Linear codes over GF(q): construction, enumeration, minimum distance,
 distance/angle to a code, and the angular unique decoder.
 
-A code is given by a full-rank k x n generator matrix.  Every nonzero
-codeword is a multiple of a direction, so the reference answer to every
-code query is a scan of the direction matrix
-(``projective_codeword_matrix``): the desk-scale regime the enumeration
-guard (q^k <= 2^20) permits.  That matrix holds each direction's
+A code is a value, fixed by a full-rank k x n generator matrix, so every
+table cached on it describes it for life.  Every nonzero codeword is a
+multiple of a direction, so the reference answer to every code query is a
+scan of the direction matrix (``projective_codeword_matrix``): the
+desk-scale regime the enumeration guard (q^k <= 2^20) permits.  That matrix holds each direction's
 normalized representative (first nonzero coordinate 1) in the narrowest
 unsigned dtype that fits q - 1, so decoders return its rows as projective
 points as they stand.
@@ -21,7 +21,7 @@ scan covers at least ``_FAST_MIN_SCAN`` positions (directions x length):
    d_H(u, c), at the direction of c alone.  This is sound whatever
    Berlekamp-Welch computed: c = f G is a codeword by construction and its
    distance is counted, and every other nonzero codeword, beta c included,
-   lies at distance >= d - t > t.  Its per-code tables (``_reed_solomon``)
+   lies at distance >= d - t > t.  Its per-code tables (``LinearCode._rs``)
    are built on a code's first call.
 2. Information sets, where C(n, k) (k + 1) <= D, the number of
    directions.  Take a direction at angle a <= d - 1 from u: some beta c
@@ -52,7 +52,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -138,29 +138,65 @@ def row_reduce(field: Field, M: np.ndarray) -> tuple[np.ndarray, int]:
     return A, r
 
 
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """A linear code held by a full-rank generator matrix."""
+    """A linear code held by a full-rank generator matrix: a value.
 
-    def __init__(self, field: Field, generator: np.ndarray):
-        G = coordinate_array(field, generator, ndim=2)
+    Assigning ``field``, ``generator``, ``k``, ``n`` or ``eval_points``
+    raises ``AttributeError``, so the tables cached below, each built on
+    first use, always describe the code.  Only ``make_rs_code`` sets
+    ``eval_points``.  Codes compare and hash by identity."""
+
+    field: Field
+    generator: np.ndarray
+    k: int = dataclass_field(init=False)
+    n: int = dataclass_field(init=False)
+    eval_points: np.ndarray | None = dataclass_field(default=None, init=False)
+
+    def __post_init__(self):
+        G = coordinate_array(self.field, self.generator, ndim=2)
         k, n = G.shape
         if k > n:
             raise RankDeficient(f"k = {k} rows cannot be independent in length n = {n}")
-        _, rank = row_reduce(field, G)
+        _, rank = row_reduce(self.field, G)
         if rank < k:
             raise RankDeficient(f"generator rows are dependent (rank {rank} < k = {k})")
-        self.field = field
-        self.generator = G
-        self.k = k
-        self.n = n
-        self.eval_points: np.ndarray | None = None  # set by make_rs_code
-        self._min_distance: int | None = None
-        self._codewords: np.ndarray | None = None
-        self._projective: np.ndarray | None = None
-        self._rs: _ReedSolomon | None = None  # see _reed_solomon
+        for name, value in (("generator", G), ("k", k), ("n", n)):
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"LinearCode(q={self.field.q}, n={self.n}, k={self.k})"
+
+    @functools.cached_property
+    def _codewords(self) -> np.ndarray:
+        """See ``codeword_matrix``, which guards the enumeration."""
+        M = _encode_messages(self, np.arange(self.field.q**self.k))
+        M.setflags(write=False)
+        return M
+
+    @functools.cached_property
+    def _projective(self) -> np.ndarray:
+        """See ``projective_codeword_matrix``, which guards the enumeration."""
+        field, q = self.field, self.field.q
+        # the first nonzero digit is 1 exactly for the indices in [q^e, 2 q^e)
+        idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(self.k)])
+        M = np.empty((idx.size, self.n), dtype=np.min_scalar_type(q - 1))
+        step = max(1, _ENCODE_BLOCK // self.n)
+        for s in range(0, idx.size, step):
+            M[s : s + step] = normalize_rows(field, _encode_messages(self, idx[s : s + step]))
+        M.setflags(write=False)
+        return M
+
+    @functools.cached_property
+    def _min_distance(self) -> int:
+        return int(np.count_nonzero(projective_codeword_matrix(self), axis=1).min())
+
+    @functools.cached_property
+    def _rs(self) -> _ReedSolomon | None:
+        """The Reed-Solomon tables of a code with ``eval_points``, else None."""
+        if self.eval_points is None:
+            return None
+        return _ReedSolomon.build(self.field, self.generator, self.eval_points)
 
 
 def make_code(field: Field, rows: Sequence) -> LinearCode:
@@ -182,7 +218,7 @@ def make_code(field: Field, rows: Sequence) -> LinearCode:
 def make_rs_code(field: Field, n: int, k: int, eval_points: Iterable[int] | None = None) -> LinearCode:
     """Reed-Solomon code: generator row i holds the i-th powers of the
     evaluation points (default: the first n field elements), which the code
-    keeps as ``eval_points`` for Berlekamp-Welch."""
+    keeps as ``eval_points`` for Berlekamp-Welch and the information sets."""
     n = _integer("n", n)
     k = _integer("k", k)
     if n > field.q:
@@ -199,7 +235,7 @@ def make_rs_code(field: Field, n: int, k: int, eval_points: Iterable[int] | None
         if len(set(points.tolist())) != n:
             raise DuplicatePoints("evaluation points must be pairwise distinct")
     code = LinearCode(field, _powers(field, points, k))
-    code.eval_points = points
+    object.__setattr__(code, "eval_points", points)  # before any table is read
     return code
 
 
@@ -257,10 +293,6 @@ def _matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def codeword_matrix(code: LinearCode) -> np.ndarray:
     """All q^k codewords as rows, message-enumeration order (row 0 = 0)."""
     _require_enumerable(code)
-    if code._codewords is None:
-        M = _encode_messages(code, np.arange(code.field.q**code.k))
-        M.setflags(write=False)
-        code._codewords = M
     return code._codewords
 
 
@@ -272,24 +304,11 @@ def projective_codeword_matrix(code: LinearCode) -> np.ndarray:
     nonzero entry is 1, scaled so that its own first nonzero coordinate is
     1: the representative ``ProjectivePoint`` holds."""
     _require_enumerable(code)
-    if code._projective is None:
-        field, q = code.field, code.field.q
-        # the first nonzero digit is 1 exactly for the indices in [q^e, 2 q^e)
-        idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(code.k)])
-        M = np.empty((idx.size, code.n), dtype=np.min_scalar_type(q - 1))
-        step = max(1, _ENCODE_BLOCK // code.n)
-        for s in range(0, idx.size, step):
-            M[s : s + step] = normalize_rows(field, _encode_messages(code, idx[s : s + step]))
-        M.setflags(write=False)
-        code._projective = M
     return code._projective
 
 
 def min_distance(code: LinearCode) -> int:
     """Minimum weight over nonzero codewords, i.e. over directions (cached)."""
-    if code._min_distance is None:
-        weights = np.count_nonzero(projective_codeword_matrix(code), axis=1)
-        code._min_distance = int(weights.min())
     return code._min_distance
 
 
@@ -309,21 +328,17 @@ class _InfoSets:
     ``exp`` multiplies, in the narrowest unsigned dtype that holds
     4(q - 1), the largest sum of two logs; ``exp`` is in the narrowest
     dtype that holds q - 1.  Together they take 345 KB on RS[15,5]/GF(16).
-    ``first`` is one information set and ``first_inv`` its G_S^-1, which
-    reads a codeword's message.
     """
 
     subsets: np.ndarray
     maps: np.ndarray
     log: np.ndarray
     exp: np.ndarray
-    first: np.ndarray
-    first_inv: np.ndarray
 
 
 @dataclass(frozen=True)
 class _ReedSolomon:
-    """A Reed-Solomon code's tables for one set of evaluation points
+    """A Reed-Solomon code's tables over its evaluation points
     x_0 .. x_(n-1): both shortcuts are Lagrange forms over the points.
 
     ``log_diff[i, t]`` is log(x_i - x_t), 0 on the diagonal.  ``g0``
@@ -340,8 +355,6 @@ class _ReedSolomon:
     """
 
     field: Field
-    generator: np.ndarray
-    points: np.ndarray
     log_diff: np.ndarray
     g0: tuple[int, ...]
     lagrange: np.ndarray
@@ -350,17 +363,18 @@ class _ReedSolomon:
 
     @classmethod
     def build(cls, field: Field, generator: np.ndarray, points: np.ndarray) -> _ReedSolomon:
-        """The tables of the code with this generator on these points.  The
-        Lagrange basis polynomial of x_i is w_i g0 / (x - x_i), with
-        w_i = 1 / prod over j != i of (x_i - x_j).  The quotients come from
-        one synthetic division per coefficient, over every point at once;
-        the weights from the log differences."""
+        """The tables of the code with this generator, the powers of these
+        points.  The Lagrange basis polynomial of x_i is w_i g0 / (x - x_i),
+        with w_i = 1 / prod over j != i of (x_i - x_j).  The quotients come
+        from one synthetic division per coefficient, over every point at
+        once; the weights from the log differences."""
         n, L = points.size, field.q - 1
         log, _ = field.mul_tables
-        g0 = np.zeros(n + 1, dtype=np.int64)
+        g0, up = np.zeros((2, n + 1), dtype=np.int64)
         g0[0] = 1
-        for xi in points.tolist():  # g0 (x - x_i): its top coefficient is 0 until the last step
-            g0 = field.sub_array(np.roll(g0, 1), field.mul_array(xi, g0))
+        for xi in points.tolist():  # g0 (x - x_i): x g0 shifts g0 up, whose top is 0 until the last step
+            up[1:] = g0[:-1]
+            g0 = field.sub_array(up, field.mul_array(xi, g0))
         Q = np.empty((n, n), dtype=np.int64)  # Q[i] = g0 / (x - x_i)
         Q[:, n - 1] = 1
         for j in range(n - 1, 0, -1):
@@ -368,17 +382,15 @@ class _ReedSolomon:
         D = field.log_table[field.sub_array(points[:, None], points[None, :])]
         np.fill_diagonal(D, 0)
         w = field.exp_table[-D.sum(axis=1) % L]
-        tables = cls(field, generator, points, D, tuple(g0.tolist()),
-                     log.take(field.mul_array(w[:, None], Q)), log.take(generator), _Poly(field))
+        tables = cls(field, D, tuple(g0.tolist()), log.take(field.mul_array(w[:, None], Q)),
+                     log.take(generator), _Poly(field))
         for t in (tables.log_diff, tables.lagrange, tables.generator_log):
             t.setflags(write=False)
         return tables
 
     @functools.cached_property
-    def infosets(self) -> _InfoSets | None:
-        """The information-set tables, built on first use; None when the
-        generator is not the powers of the points, since the tables are
-        built from the points.
+    def infosets(self) -> _InfoSets:
+        """The information-set tables, built on first use.
 
         Row j of G_S^-1 G maps a codeword's value at position S_j to its
         values at every position, so at position i it is the Lagrange basis
@@ -386,9 +398,8 @@ class _ReedSolomon:
         at x = x_i.  With D = ``log_diff`` and N[i] the sum of D[i, t] over
         t in S, its log is N[i] - D[i, S_j] - N[S_j] off S; on S it is 1 at
         S_j and 0 elsewhere."""
-        field, (k, n), L = self.field, self.generator.shape, self.field.q - 1
-        if not np.array_equal(self.generator, _powers(field, self.points, k)):
-            return None
+        field, L = self.field, self.field.q - 1
+        k, n = self.generator_log.shape
         log, exp = field.sentinel_log_tables()
         log = log.astype(np.min_scalar_type(4 * L))
         # unsigned sums below 3L, so x - L and x - 2L wrap above x where x < L
@@ -405,30 +416,10 @@ class _ReedSolomon:
         sets = np.arange(subsets.shape[1])
         maps[:, subsets, sets] = 2 * L  # the sentinel log of 0 on S,
         maps[np.arange(k)[:, None], subsets, sets] = 0  # but 1 at S_j
-        first = subsets[:, 0]
-        first_inv = row_reduce(field, np.hstack([self.generator[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
-        tables = _InfoSets(subsets, maps, log, exp.astype(np.min_scalar_type(L)), first, first_inv)
+        tables = _InfoSets(subsets, maps, log, exp.astype(np.min_scalar_type(L)))
         for t in vars(tables).values():
             t.setflags(write=False)
         return tables
-
-
-def _reed_solomon(code: LinearCode) -> _ReedSolomon | None:
-    """The code's ``_ReedSolomon``, or None for a code without
-    ``eval_points``.  Built on first use and cached on the code; rebuilt
-    whenever ``eval_points`` is replaced."""
-    points = code.eval_points
-    if points is None:
-        return None
-    if code._rs is None or code._rs.points is not points:
-        code._rs = _ReedSolomon.build(code.field, code.generator, points)
-    return code._rs
-
-
-def _information_sets(code: LinearCode) -> _InfoSets | None:
-    """The code's ``_ReedSolomon.infosets``, or None where it has none."""
-    tables = _reed_solomon(code)
-    return None if tables is None else tables.infosets
 
 
 def _large_scan(code: LinearCode) -> bool:
@@ -464,14 +455,18 @@ def _infoset_candidates(u: np.ndarray, code: LinearCode, tables: _InfoSets) -> t
     return C, angle_fast_rows(field, C, u[None, :])
 
 
-def _direction_indices(code: LinearCode, tables: _InfoSets, C: np.ndarray) -> np.ndarray:
-    """Row of projective_codeword_matrix of each nonzero codeword row of C.
+def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:
+    """Row of projective_codeword_matrix of each nonzero codeword row of C,
+    on a Reed-Solomon code.
 
-    A normalized message whose first nonzero digit sits at exponent e
-    spells a value in [q^e, 2 q^e), and the direction rows list those
-    ranges for e = 0, 1, ...: so its row is (q^e - 1)/(q - 1) + value - q^e."""
+    A codeword's message holds the coefficients of the polynomial it
+    evaluates at the points, which is its interpolant: C times the first k
+    columns of the Lagrange coefficients.  A normalized message whose first
+    nonzero digit sits at exponent e spells a value in [q^e, 2 q^e), and
+    the direction rows list those ranges for e = 0, 1, ...: so its row is
+    (q^e - 1)/(q - 1) + value - q^e."""
     field, q, k = code.field, code.field.q, code.k
-    messages = normalize_rows(field, _matmul(field, C[:, tables.first], tables.first_inv))
+    messages = normalize_rows(field, _log_vecmat(field, field.mul_tables[0].take(C.T), code._rs.lagrange[:, :k]))
     e = k - 1 - (messages != 0).argmax(axis=1)
     value = messages @ q ** np.arange(k - 1, -1, -1)
     return (q**e - 1) // (q - 1) + value - q**e
@@ -605,10 +600,11 @@ def _trim(a: list[int]) -> list[int]:
 
 def _log_vecmat(field: Field, v: np.ndarray, M: np.ndarray) -> np.ndarray:
     """The product v M over the field of a vector and a matrix given as
-    sentinel logs: one exp gather of the terms, then their field sum over
-    rows, by one reduction for p = 2 or m = 1, else by add_array calls
-    that halve the rows each time."""
-    A = field.mul_tables[1].take(v[:, None] + M)
+    sentinel logs, or (v^T M) of a matrix v whose columns are the vectors:
+    one exp gather of the terms, then their field sum over M's rows, by one
+    reduction for p = 2 or m = 1, else by add_array calls that halve the
+    rows each time."""
+    A = field.mul_tables[1].take(v[..., None] + (M if v.ndim == 1 else M[:, None]))
     if field.m == 1:
         return A.sum(axis=0) % field.p
     if field.p == 2:
@@ -632,20 +628,19 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
     positions, the error locator E satisfies E g1 = E f mod g0 with
     deg(E f) < n - t, so (E f, E) is a multiple of (r, v) and f = r / v.
     f is taken only from an exact division with deg f < k.  c = f G is a
-    codeword whatever the points, and it is returned only once
-    d_H(u, c) <= t is counted; a word beyond radius t, wrong points or
-    c = 0 give None.
+    codeword by construction, and it is returned only once d_H(u, c) <= t
+    is counted; a word beyond radius t or c = 0 gives None.
 
     Per word: one gather and field sum for g1, at most about t + 1 Euclid
     divisions and one final division on Python ints (O(n t) products and
-    sums), and one gather for c.  The tables (``_reed_solomon``) are built
+    sums), and one gather for c.  The tables (``LinearCode._rs``) are built
     on the code's first call.
     """
     field, n, k = code.field, code.n, code.k
     t = _integer("t", t)
     if not 0 <= t <= (n - k) // 2:
         raise InvalidInput(f"need 0 <= t <= (n - k) // 2 = {(n - k) // 2}, got t = {t}")
-    tables = _reed_solomon(code)
+    tables = code._rs
     if tables is None:
         raise InvalidInput("berlekamp_welch needs a code built by make_rs_code")
     poly = tables.poly
@@ -680,12 +675,11 @@ def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
         if near is not None:
             c, a = near
             return a, normalize_rows(code.field, c[None])
-        tables = _information_sets(code) if _infosets_pay(code) else None
-        if tables is not None:
-            C, angles = _infoset_candidates(u, code, tables)
+        if _infosets_pay(code):
+            C, angles = _infoset_candidates(u, code, code._rs.infosets)
             a = int(angles.min(initial=d))  # d, too, when u vanishes on every information set
             if a < d:
-                tied = _direction_indices(code, tables, C[angles == a])
+                tied = _direction_indices(code, C[angles == a])
                 return a, projective_codeword_matrix(code)[np.unique(tied)]
     angles = _word_angles(u, code)
     a = int(angles.min())

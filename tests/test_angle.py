@@ -646,10 +646,17 @@ def test_projective_distance_representative_independence():
 
 
 def test_normalize_rows_matches_projectivize():
-    M = all_nonzero_vectors(F4, 3)
-    normalized = normalize_rows(F4, M)
-    for row, norm in zip(M, normalized):
-        assert projectivize(Vector(F4, row)).rep == Vector(F4, norm)
+    for pm in [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4)]:
+        field = make_field(*pm)
+        M = all_nonzero_vectors(field, 3)
+        normalized = normalize_rows(field, M)
+        for row, norm in zip(M, normalized):
+            u = Vector(field, row)
+            assert projectivize(u).rep == Vector(field, norm)
+            if row[np.flatnonzero(row)[0]] == 1:
+                assert projectivize(u).rep is u  # already normalized, no copy
+        with pytest.raises(ZeroVector):
+            projectivize(Vector(field, [0, 0, 0]))
 
 
 # ----------------------------------------------------------------------

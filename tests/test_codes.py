@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import itertools
+import types
 import weakref
 
 import numpy as np
@@ -269,6 +270,24 @@ def test_min_distance_cached():
     assert min_distance(code) == 5
     assert code._min_distance == 5
     assert min_distance(code) == 5
+
+
+@pytest.mark.parametrize("build", [lambda: make_code(F7, [[1, 0, 2, 3, 1], [0, 1, 4, 4, 5]]),
+                                   lambda: make_repetition_code(F7, 5),
+                                   lambda: make_rs_code(F7, 5, 2, [6, 1, 3, 0, 2])],
+                         ids=["make_code", "make_repetition_code", "make_rs_code"])
+def test_a_code_is_a_value(build):
+    # its defining data cannot be reassigned, so the tables cached on it
+    # always describe it: reassigning the generator used to leave a stale
+    # min_distance, and reassigning k a bare numpy error
+    code, same = build(), build()
+    other = make_rs_code(make_field(5), 4, 1, [4, 3, 2, 1])
+    for name in ("field", "generator", "k", "n", "eval_points"):
+        with pytest.raises(AttributeError):
+            setattr(code, name, getattr(other, name))
+    assert min_distance(code) == min_distance(same)
+    assert np.array_equal(projective_codeword_matrix(code), projective_codeword_matrix(same))
+    assert code != same and len({code, same}) == 2  # compared and hashed by identity
 
 
 # ----------------------------------------------------------------------
@@ -718,7 +737,7 @@ def test_gao_tables_interpolate(case):
     # rows times the Vandermonde matrix give the identity
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
-    tables = fqangle.codes._reed_solomon(code)
+    tables = code._rs
     x = code.eval_points
     assert len(tables.g0) == n + 1 and tables.g0[-1] == 1
     for xi in x.tolist():
@@ -756,31 +775,26 @@ def test_gao_tables_built_once_and_read_only(monkeypatch):
     for u in bw_words(code, np.random.default_rng(9)):
         fqangle.codes.berlekamp_welch(code, u, 2)
     assert len(built) == 1 and len(per_field) == 1
-    tables = fqangle.codes._reed_solomon(code)
-    assert code._rs is tables and len(built) == 1
+    tables = code._rs
     assert not tables.lagrange.flags.writeable and not tables.generator_log.flags.writeable
     assert not tables.log_diff.flags.writeable
     assert isinstance(tables.g0, tuple) and isinstance(tables.poly.log, tuple) and isinstance(tables.poly.exp, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         tables.g0 = ()
-    code.eval_points = np.roll(code.eval_points, 1)  # other points: rebuilt once
-    fqangle.codes.berlekamp_welch(code, u, 2)
-    fqangle.codes.berlekamp_welch(code, u, 2)
-    assert len(built) == 2 and code._rs.points is code.eval_points
-    assert len(per_field) == 1  # the field's tables are not
+    assert len(built) == 1  # reading them again builds nothing
 
 
 def test_int_tables_built_once_per_field(monkeypatch):
-    # two codes over one field and a points roll share one copy
+    # three codes over one field, two of them on the same points rolled, share one copy
     per_field = count_int_table_builds(monkeypatch)
     field = Field(2, 4)
-    codes = [make_rs_code(field, 8, 3), make_rs_code(field, 6, 2, range(9, 15))]
-    codes[1].eval_points = np.roll(codes[1].eval_points, 1)
+    codes = [make_rs_code(field, 8, 3), make_rs_code(field, 6, 2, range(9, 15)),
+             make_rs_code(field, 6, 2, np.roll(np.arange(9, 15), 1))]
     for code in codes:
         for u in bw_words(code, np.random.default_rng(4)):
             fqangle.codes.berlekamp_welch(code, u, 1)
     assert per_field == [field]
-    assert codes[0]._rs.poly.log is codes[1]._rs.poly.log is field._int_tables[0]
+    assert codes[0]._rs.poly.log is codes[1]._rs.poly.log is codes[2]._rs.poly.log is field._int_tables[0]
     assert [list(t) for t in field._int_tables] == [t.tolist() for t in field.mul_tables]
     assert [len(t) for t in make_field(3, 2)._int_tables] == [9, 33, 9, 41]  # and the Zech tables
 
@@ -794,12 +808,6 @@ def test_forced_fast_path_outcome_equals_scan(case, monkeypatch):
     scan = [angular_decode(u, code) for u in words]
     scan_dist = [(angle_to_code(u, code), dist_to_code(u, code)) for u in words]
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
-    assert [angular_decode(u, code) for u in words] == scan
-    assert [(angle_to_code(u, code), dist_to_code(u, code)) for u in words] == scan_dist
-    # wrong points cost time, never the answer: the fallback scan decides
-    code.eval_points = np.roll(code.eval_points, 1)
-    t = (min_distance(code) - 1) // 2
-    assert any(fqangle.codes.berlekamp_welch(code, u.coords, t) is None for u in words)
     assert [angular_decode(u, code) for u in words] == scan
     assert [(angle_to_code(u, code), dist_to_code(u, code)) for u in words] == scan_dist
 
@@ -916,11 +924,16 @@ def reference_tables(code):
         if np.array_equal(R[:, :k], np.eye(k)):
             subsets.append(S)
             maps.append(log.take(R[:, k:]))
-    subsets = np.array(subsets).T
-    first = subsets[:, 0]
-    first_inv = fqangle.codes.row_reduce(field, np.hstack([G[:, first], np.eye(k, dtype=np.int64)]))[0][:, k:]
-    return fqangle.codes._InfoSets(subsets=subsets, maps=np.stack(maps, axis=2), log=log,
-                                   exp=exp.astype(np.min_scalar_type(field.q - 1)), first=first, first_inv=first_inv)
+    return fqangle.codes._InfoSets(subsets=np.array(subsets).T, maps=np.stack(maps, axis=2), log=log,
+                                   exp=exp.astype(np.min_scalar_type(field.q - 1)))
+
+
+def reference_directions(code, C):
+    """Row of projective_codeword_matrix of each nonzero codeword row of C,
+    looked up by its normalized row, on any code."""
+    P = projective_codeword_matrix(code)
+    index = {row.tobytes(): i for i, row in enumerate(P)}
+    return np.array([index[row.astype(P.dtype).tobytes()] for row in normalize_rows(code.field, C)], dtype=np.intp)
 
 
 @pytest.mark.parametrize("case", BW_CODES + [(make_field(13), 13, 4, None)],
@@ -928,41 +941,21 @@ def reference_tables(code):
 def test_lagrange_tables_equal_row_reduce(case):
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
-    tables, reference = fqangle.codes._information_sets(code), reference_tables(code)
-    for name in ("subsets", "maps", "log", "exp", "first", "first_inv"):
+    tables, reference = code._rs.infosets, reference_tables(code)
+    for name in ("subsets", "maps", "log", "exp"):
         assert np.array_equal(getattr(tables, name), getattr(reference, name)), name
         assert getattr(tables, name).dtype == getattr(reference, name).dtype, name
-    assert fqangle.codes._information_sets(code) is tables  # cached
-
-
-def test_tables_need_the_generator_of_the_points(monkeypatch):
-    # points that are not the generator's cost time, never the answer
-    code = make_rs_code(F7, 6, 3)
-    code.eval_points = np.roll(code.eval_points, 1)
-    assert fqangle.codes._information_sets(code) is None
-    words = grid_words(code, np.random.default_rng(6))
-    scan = [angular_decode(u, code) for u in words]
-    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
-    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
-    taken = record_candidates(monkeypatch)
-    assert [angular_decode(u, code) for u in words] == scan and taken == []
-
-
-def test_generator_check_runs_once_per_points(monkeypatch):
-    # points rolled before first use: the tables' generator check, not
-    # repeated on every decode that reaches the information sets
-    code = make_rs_code(F7, 6, 3)
-    code.eval_points = np.roll(code.eval_points, 1)
-    checks = []
-    powers = fqangle.codes._powers
-    monkeypatch.setattr(fqangle.codes, "_powers", lambda *a: checks.append(a) or powers(*a))
-    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
-    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
-    monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *args: None)
-    words = grid_words(code, np.random.default_rng(6))
-    for u in words:
-        angular_decode(u, code)
-    assert len(words) > 1 and len(checks) == 1 and code._rs.infosets is None
+    assert code._rs.infosets is tables  # cached
+    # the Lagrange messages of seeded codewords equal their true messages
+    # and those read by G_S^-1 of one information set S, from row_reduce
+    idx = np.random.default_rng(n * k).integers(1, field.q**k, size=200)
+    C = fqangle.codes._encode_messages(code, idx)
+    lagrange = fqangle.codes._log_vecmat(field, field.mul_tables[0].take(C.T), code._rs.lagrange[:, :k])
+    S = tables.subsets[:, 0]
+    G_S_inv = fqangle.codes.row_reduce(field, np.hstack([code.generator[:, S], np.eye(k, dtype=np.int64)]))[0][:, k:]
+    assert np.array_equal(lagrange, fqangle.codes._matmul(field, C[:, S], G_S_inv))
+    assert np.array_equal(lagrange, fqangle.codes.digit_rows(idx, field.q, k))
+    assert np.array_equal(fqangle.codes._direction_indices(code, C), reference_directions(code, C))
 
 
 def test_rs_tables_hold_no_reference_to_their_code(monkeypatch):
@@ -1026,7 +1019,6 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
     field = field_from_order(q)
     code = planted_non_mds_code(field, n, k, seed=q * n)
     d = min_distance(code)
-    P = projective_codeword_matrix(code)
     tables = reference_tables(code)
     rng = np.random.default_rng(n)
     U = np.vstack([rng.integers(0, field.q, size=(60, n)), np.eye(n, dtype=np.int64)])  # and weight 1
@@ -1035,19 +1027,22 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
     for u in words:
         C, angles = fqangle.codes._infoset_candidates(u.coords, code, tables)
         scan = fqangle.codes._word_angles(u.coords, code)
-        rows = fqangle.codes._direction_indices(code, tables, C)
+        rows = reference_directions(code, C)
         assert np.array_equal(scan[rows], angles)  # each candidate's angle is exact
         assert set(np.flatnonzero(scan < d)) <= set(rows.tolist())
-        assert np.array_equal(P[rows], normalize_rows(field, C))
         above += int(angles.min(initial=n)) > d - 1  # no candidate where u vanishes on every information set
     assert above
-    # forced past the Reed-Solomon gate, the guard still hands those words to the scan
+    # forced past the Reed-Solomon gate with these candidates, the guard
+    # still hands those words to the scan.  Only make_rs_code gives a code
+    # points, so they are forced on here past the frozen code, with the
+    # reference tables as the code's Reed-Solomon tables
     scan = [angular_decode(u, code) for u in words]
-    code.eval_points = np.arange(n)
+    object.__setattr__(code, "eval_points", np.arange(n))
+    monkeypatch.setattr(fqangle.codes._ReedSolomon, "build", lambda *a: types.SimpleNamespace(infosets=tables))
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
     monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
     monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *args: None)
-    monkeypatch.setattr(fqangle.codes, "_information_sets", lambda code: tables)
+    monkeypatch.setattr(fqangle.codes, "_direction_indices", reference_directions)
     taken = record_candidates(monkeypatch)
     assert [angular_decode(u, code) for u in words] == scan and len(taken) == len(words)
 
