@@ -162,9 +162,12 @@ def _census_angles(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _row_pairs(U, V, shared: bool) -> tuple[np.ndarray, np.ndarray]:
     """U and V as (T, n) rows that pair up: V has U's shape or, if shared,
-    is one row for every row of U.  Raises LengthMismatch / InvalidInput."""
+    is one row for every row of U.  Raises LengthMismatch / InvalidInput,
+    the latter also for a non-integer dtype; the range is not scanned."""
     U = np.atleast_2d(U)
     V = np.atleast_2d(V)
+    if U.dtype.kind not in "iu" or V.dtype.kind not in "iu":
+        raise InvalidInput(f"rows must hold integer encodings, got {U.dtype} and {V.dtype}")
     if U.shape[-1] != V.shape[-1]:
         raise LengthMismatch(f"rows of length {U.shape[-1]} and {V.shape[-1]}")
     if U.ndim != 2 or not (U.shape == V.shape or shared and V.shape == (1, U.shape[1])):
@@ -175,7 +178,9 @@ def _row_pairs(U, V, shared: bool) -> tuple[np.ndarray, np.ndarray]:
 def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise single-pass angle for paired rows of U and V.
 
-    V has U's shape, or is one row shared by every row of U."""
+    V has U's shape, or is one row shared by every row of U.  Rows must
+    hold integer encodings in [0, q); a non-integer dtype raises
+    InvalidInput, but the range is not checked."""
     U, V = _row_pairs(U, V, shared=True)
     T, n = U.shape
     q = field.q
@@ -218,7 +223,9 @@ def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     group, then zeros that every x = 0 reaches), copied per call in the
     narrowest unsigned dtype that holds q - 1, so the field keeps no
     tables for the oracle.  Never forms u_i / v_i, so it stays
-    independent of the census.  U and V must have the same shape.
+    independent of the census.  U and V must have the same shape and hold
+    integer encodings in [0, q); a non-integer dtype raises InvalidInput,
+    but the range is not checked.
     """
     U, V = _row_pairs(U, V, shared=False)
     T, n = U.shape

@@ -63,10 +63,10 @@ def _add_field_args(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, default=1, help="extension degree (with --p)")
 
 
-def _add_code_args(p: argparse.ArgumentParser):
+def _add_code_args(p: argparse.ArgumentParser, n_help: str = "code length"):
     p.add_argument("--code", choices=["rs", "rep", "file"], default="rs")
     p.add_argument("--code-file", type=Path, help="generator matrix, one row per line")
-    p.add_argument("--n", type=int, help="code length")
+    p.add_argument("--n", type=int, help=n_help)
     p.add_argument("--k", type=int, help="code dimension (rs)")
 
 
@@ -90,10 +90,12 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     _add_field_args(pv)
-    _add_code_args(pv)
+    _add_code_args(pv, "vector length (metric, projective, oracle) or code length (decoding, census)")
     pv.add_argument("--suite", required=True, choices=list(_SUITES))
-    pv.add_argument("--trials", type=int, default=10000)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--trials", type=int, default=10000,
+                    help="random pairs (oracle) or samples (census); the other suites ignore it")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed of oracle, decoding and census; metric and projective ignore it")
     pv.add_argument("--format", choices=["json", "plain"], default="json")
 
     pb = sub.add_parser("bench", help="time the fast and naive algorithms")

@@ -70,7 +70,7 @@ from .errors import (
     UniqueDecodingViolated,
     ZeroVector,
 )
-from .gf import Field, _integer
+from .gf import _BLOCK_ELEMENTS, Field, _integer
 from .vectors import Vector, coordinate_array, hamming_weight
 
 ENUMERATION_CAP = 1 << 20
@@ -79,17 +79,7 @@ ENUMERATION_CAP = 1 << 20
 # per chunk of words: 2 MiB, whatever the number of words.  Each kernel
 # call within a chunk holds one row of the shorter side against the
 # longer side.
-_DECODE_CHUNK_ROWS = 1 << 18
-
-# Codeword elements per block when the direction matrix is encoded.  One
-# block's int64 temporaries (about 20 on GF(2^m) at k = 5: three per
-# generator row and three to normalize) stay under glibc's 128 KiB mmap
-# threshold and in cache, instead of each spanning the whole matrix.
-# Cold set-up of RS[15,5]/GF(16) (field, code, 69,905 directions, minimum
-# distance), fresh process, median of 5, 2-core Xeon: 65 ms at 2^12, 55 at
-# 2^13, 52 at 2^14, 49 at 2^15, 71 at 2^16 and 99 unblocked.  2^14 and
-# 2^15 are within the run-to-run spread.
-_ENCODE_BLOCK = 1 << 14
+_DECODE_CHUNK_CELLS = 1 << 18
 
 # Least scan size, directions x length, at which _least tries
 # Berlekamp-Welch and the information sets before the scan on a
@@ -181,7 +171,7 @@ class LinearCode:
         # the first nonzero digit is 1 exactly for the indices in [q^e, 2 q^e)
         idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(self.k)])
         M = np.empty((idx.size, self.n), dtype=np.min_scalar_type(q - 1))
-        step = max(1, _ENCODE_BLOCK // self.n)
+        step = max(1, _BLOCK_ELEMENTS // self.n)
         for s in range(0, idx.size, step):
             M[s : s + step] = normalize_rows(field, _encode_messages(self, idx[s : s + step]))
         M.setflags(write=False)
@@ -739,7 +729,7 @@ def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray
     D = P.shape[0]
     best, angle = np.empty((2, len(U)), dtype=np.int64)
     runner_up = np.full(len(U), code.n + 1, dtype=np.int64)
-    step = max(1, _DECODE_CHUNK_ROWS // D)
+    step = max(1, _DECODE_CHUNK_CELLS // D)
     for start in range(0, len(U), step):
         rows = slice(start, start + step)
         A = _angle_table(code.field, U[rows], P)

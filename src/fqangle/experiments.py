@@ -36,7 +36,7 @@ from .codes import (
 )
 from .errors import InvalidInput, SuiteTooLarge
 from .gf import Field, _integer
-from .vectors import Vector
+from .vectors import Vector, format_vector
 
 # Triple loops over all nonzero vectors stay tractable up to this many.
 MAX_EXHAUSTIVE_VECTORS = 1 << 10
@@ -47,7 +47,11 @@ MAX_DECODING_SAMPLES = 100_000
 
 @dataclass
 class SuiteReport:
-    """Outcome of one verification suite run."""
+    """Outcome of one verification suite run.
+
+    Failure lines stop at 25 per check, and a suite may stop checking once
+    it holds that many, but checks_run and the counts in observations always
+    cover every check and input of the run, failing or not."""
 
     suite: str
     q: int
@@ -87,10 +91,6 @@ class BenchRecord:
 
 
 _MAX_REPORTED_FAILURES = 25
-
-
-def _fmt_row(row: np.ndarray) -> str:
-    return ",".join(str(int(x)) for x in row)
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +154,19 @@ def _exhaustive_vectors(field: Field, n: int) -> np.ndarray:
 # Suites
 # ----------------------------------------------------------------------
 
+def _report(suite: str, t0: float, space: Field | LinearCode, checks_run: int, failures: list[str],
+            observations: dict | None = None, *, n: int | None = None, trials: int | None = None,
+            seed: int | None = None) -> SuiteReport:
+    """The report of a suite started at t0 on a field (of length n) or a code."""
+    if isinstance(space, LinearCode):
+        q, n, k = space.field.q, space.n, space.k
+    else:
+        q, k = space.q, None
+    return SuiteReport(suite=suite, q=q, n=n, k=k, trials=trials, seed=seed, checks_run=checks_run,
+                       failures=failures, wall_time=time.perf_counter() - t0,
+                       observations=observations or {})
+
+
 def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
     """Scalar identifiability, symmetry and the triangle inequality over
     every ordered pair/triple of nonzero vectors in GF(q)^n."""
@@ -171,13 +184,13 @@ def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
     for i, j in np.argwhere((A == 0) != same_class)[:_MAX_REPORTED_FAILURES]:
         failures.append(
             f"identifiability: angle={A[i, j]} same_class={bool(same_class[i, j])} "
-            f"u={_fmt_row(M[i])} v={_fmt_row(M[j])} (q={field.q})"
+            f"u={format_vector(M[i])} v={format_vector(M[j])} (q={field.q})"
         )
 
     # (2) symmetry
     for i, j in np.argwhere(A != A.T)[:_MAX_REPORTED_FAILURES]:
         failures.append(
-            f"symmetry: {A[i, j]} != {A[j, i]} for u={_fmt_row(M[i])} v={_fmt_row(M[j])}"
+            f"symmetry: {A[i, j]} != {A[j, i]} for u={format_vector(M[i])} v={format_vector(M[j])}"
         )
 
     # (3) triangle inequality over all ordered triples, in (i, j, k) order,
@@ -189,21 +202,11 @@ def verify_metric_axioms(field: Field, n: int) -> SuiteReport:
     for i, j, k in itertools.islice(viol, _MAX_REPORTED_FAILURES):
         failures.append(
             f"triangle: angle(u,w)={A[i, k]} > {A[i, j]}+{A[j, k]} for "
-            f"u={_fmt_row(M[i])} v={_fmt_row(M[j])} w={_fmt_row(M[k])}"
+            f"u={format_vector(M[i])} v={format_vector(M[j])} w={format_vector(M[k])}"
         )
 
-    return SuiteReport(
-        suite="metric",
-        q=field.q,
-        n=n,
-        k=None,
-        trials=None,
-        seed=None,
-        checks_run=N * N + N * N + N**3,
-        failures=failures,
-        wall_time=time.perf_counter() - t0,
-        observations={"vectors": N, "triples": N**3},
-    )
+    return _report("metric", t0, field, 2 * N * N + N**3, failures,
+                   {"vectors": N, "triples": N**3}, n=n)
 
 
 def verify_projective_descent(field: Field, n: int) -> SuiteReport:
@@ -215,20 +218,15 @@ def verify_projective_descent(field: Field, n: int) -> SuiteReport:
     N = M.shape[0]
     A = _angle_table(field, M, M)
     failures: list[str] = []
-    checks = N * N
 
-    for alpha in field.nonzero_elements():
-        Ma = field.scalar_mul_array(alpha, M)
-        for beta in field.nonzero_elements():
-            A_ab = _angle_table(field, Ma, field.scalar_mul_array(beta, M))
-            checks += N * N
-            for i, j in np.argwhere(A_ab != A)[:_MAX_REPORTED_FAILURES]:
-                failures.append(
-                    f"rescaling: angle({alpha}*u,{beta}*v)={A_ab[i, j]} != {A[i, j]} "
-                    f"for u={_fmt_row(M[i])} v={_fmt_row(M[j])}"
-                )
-            if len(failures) >= _MAX_REPORTED_FAILURES:
-                break
+    scaled = {c: field.scalar_mul_array(c, M) for c in field.nonzero_elements()}
+    for alpha, beta in itertools.product(scaled, repeat=2):
+        A_ab = _angle_table(field, scaled[alpha], scaled[beta])
+        for i, j in np.argwhere(A_ab != A)[:_MAX_REPORTED_FAILURES]:
+            failures.append(
+                f"rescaling: angle({alpha}*u,{beta}*v)={A_ab[i, j]} != {A[i, j]} "
+                f"for u={format_vector(M[i])} v={format_vector(M[j])}"
+            )
         if len(failures) >= _MAX_REPORTED_FAILURES:
             break
 
@@ -237,21 +235,12 @@ def verify_projective_descent(field: Field, n: int) -> SuiteReport:
     for i, j in np.argwhere(A_canon != A)[:_MAX_REPORTED_FAILURES]:
         failures.append(
             f"canonical reps: {A_canon[i, j]} != {A[i, j]} for "
-            f"u={_fmt_row(M[i])} v={_fmt_row(M[j])}"
+            f"u={format_vector(M[i])} v={format_vector(M[j])}"
         )
 
-    return SuiteReport(
-        suite="projective",
-        q=field.q,
-        n=n,
-        k=None,
-        trials=None,
-        seed=None,
-        checks_run=checks,
-        failures=failures,
-        wall_time=time.perf_counter() - t0,
-        observations={"vectors": N, "scalar_pairs": (field.q - 1) ** 2},
-    )
+    pairs = (field.q - 1) ** 2
+    return _report("projective", t0, field, (pairs + 1) * N * N, failures,
+                   {"vectors": N, "scalar_pairs": pairs}, n=n)
 
 
 def verify_oracle_equivalence(field: Field, n: int, trials: int, seed: int) -> SuiteReport:
@@ -267,21 +256,11 @@ def verify_oracle_equivalence(field: Field, n: int, trials: int, seed: int) -> S
     fast = angle_fast_rows(field, U, V)
     naive = angle_naive_rows(field, U, V)
     failures = [
-        f"oracle: fast={fast[i]} naive={naive[i]} for u={_fmt_row(U[i])} "
-        f"v={_fmt_row(V[i])} (q={field.q}, trial {i})"
+        f"oracle: fast={fast[i]} naive={naive[i]} for u={format_vector(U[i])} "
+        f"v={format_vector(V[i])} (q={field.q}, trial {i})"
         for i in np.flatnonzero(fast != naive)[:_MAX_REPORTED_FAILURES]
     ]
-    return SuiteReport(
-        suite="oracle",
-        q=field.q,
-        n=n,
-        k=None,
-        trials=trials,
-        seed=seed,
-        checks_run=trials,
-        failures=failures,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report("oracle", t0, field, trials, failures, n=n, trials=trials, seed=seed)
 
 
 def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
@@ -320,12 +299,12 @@ def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
     for i in np.flatnonzero(~(decoded & listed)):
         if not decoded[i]:
             failures.append(
-                f"decode: direction {_fmt_row(P[dir_idx[i]])} with errors {_fmt_row(E[pat_idx[i]])} "
-                f"scalar {alphas[i]} gave angle {angle[i]} at direction {_fmt_row(P[best[i]])} "
-                f"(u={_fmt_row(U[i])})"
+                f"decode: direction {format_vector(P[dir_idx[i]])} with errors {format_vector(E[pat_idx[i]])} "
+                f"scalar {alphas[i]} gave angle {angle[i]} at direction {format_vector(P[best[i]])} "
+                f"(u={format_vector(U[i])})"
             )
         if not listed[i]:
-            failures.append(f"list: two directions at angle < rho={rho} for u={_fmt_row(U[i])}")
+            failures.append(f"list: two directions at angle < rho={rho} for u={format_vector(U[i])}")
         if len(failures) >= _MAX_REPORTED_FAILURES:
             break
 
@@ -341,24 +320,10 @@ def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
             word[0] = 1
     beyond = int(np.count_nonzero(2 * decode_rows(code, probes)[1] >= d))
 
-    return SuiteReport(
-        suite="decoding",
-        q=field.q,
-        n=code.n,
-        k=code.k,
-        trials=dir_idx.size,
-        seed=seed,
-        checks_run=2 * dir_idx.size,
-        failures=failures,
-        wall_time=time.perf_counter() - t0,
-        observations={
-            "min_distance": d,
-            "max_error_weight": t_max,
-            "rho": rho,
-            "beyond_radius_injected": injected,
-            "beyond_radius_observed": beyond,
-        },
-    )
+    observations = {"min_distance": d, "max_error_weight": t_max, "rho": rho,
+                    "beyond_radius_injected": injected, "beyond_radius_observed": beyond}
+    return _report("decoding", t0, code, 2 * dir_idx.size, failures, observations,
+                   trials=dir_idx.size, seed=seed)
 
 
 def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> SuiteReport:
@@ -368,42 +333,25 @@ def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> Suite
     t0 = time.perf_counter()
     sample_size = _at_least("sample_size", sample_size, 1)
     seed = _at_least("seed", seed, 0)
-    field = code.field
     rng = np.random.default_rng(seed)
-    U = random_nonzero_rows(rng, field, sample_size, code.n)
+    U = random_nonzero_rows(rng, code.field, sample_size, code.n)
     angles = decode_rows(code, U)[1]
     dists_to_code = np.minimum(np.count_nonzero(U, axis=1), angles)  # the zero codeword is at wt(u)
     CW = codeword_matrix(code)
     failures: list[str] = []
-    equal_count = 0
-    strict_count = 0
-    for i in range(sample_size):
-        dist, ang = int(dists_to_code[i]), int(angles[i])
-        dists = np.count_nonzero(CW != U[i][None, :], axis=1)
+    for u, dist, ang in zip(U, dists_to_code.tolist(), angles.tolist()):
+        dists = np.count_nonzero(CW != u, axis=1)
         attained_nonzero = bool((dists[1:] == dist).any())
         if (dist, ang) != (dists.min(), dists[1:].min()) or (ang == dist) != attained_nonzero:
             failures.append(
                 f"census: angle={ang} dist={dist} attained_at_nonzero={attained_nonzero} "
-                f"for u={_fmt_row(U[i])}"
+                f"for u={format_vector(u)}"
             )
             if len(failures) >= _MAX_REPORTED_FAILURES:
                 break
-        if ang == dist:
-            equal_count += 1
-        else:
-            strict_count += 1
-    return SuiteReport(
-        suite="census",
-        q=field.q,
-        n=code.n,
-        k=code.k,
-        trials=sample_size,
-        seed=seed,
-        checks_run=sample_size,
-        failures=failures,
-        wall_time=time.perf_counter() - t0,
-        observations={"equal": equal_count, "strict": strict_count},
-    )
+    equal = int(np.count_nonzero(angles == dists_to_code))
+    return _report("census", t0, code, sample_size, failures,
+                   {"equal": equal, "strict": sample_size - equal}, trials=sample_size, seed=seed)
 
 
 # ----------------------------------------------------------------------

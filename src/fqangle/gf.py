@@ -22,7 +22,7 @@ Array products in extension fields are one *sentinel-log* gather:
 table runs twice over the group, then holds zeros that any sum with a
 zero factor lands in.  No reduction mod q - 1, zero mask or select runs.
 Those tables (``Field.mul_tables``) are built on first use.
-A product of more than ``_MUL_BLOCK`` elements is gathered in row blocks
+A product of more than ``_BLOCK_ELEMENTS`` elements is gathered in row blocks
 into one int64 output.  Sums are XOR for p = 2 and a residue for m = 1;
 for odd p with m > 1 they go through the same exp table with Zech
 logarithms, log(1 + g^k) (``Field.add_tables``, built on first use).
@@ -38,12 +38,21 @@ from .errors import CompositeP, DivisionByZero, FieldTooLarge, InvalidInput
 
 MAX_FIELD_ORDER = 1 << 16
 
-# Products per row block of an extension-field mul_array.  A larger product
-# fills one int64 output block by block, so it allocates one array of its
-# size instead of three, and its index temporaries (128 KiB each) stay in
-# cache.  GF(2^8), 10^6 products by a scalar, 2-core Xeon: 3.1 ms and one
-# 8 MB array blocked, 3.4 ms and three unblocked.
-_MUL_BLOCK = 1 << 14
+# Elements per row block of three large array jobs: an extension-field
+# mul_array, _build_tables' matrix products and encode, and the encoding of
+# a code's direction matrix (codes.py).  2^14 eight-byte elements are
+# 128 KiB, glibc's default mmap threshold, so a block's temporaries come
+# from the heap and stay in cache instead of each spanning the whole job.
+# Measured on a 2-core Xeon:
+# - mul_array, GF(2^8), 10^6 products by a scalar: 3.1 ms and one 8 MB
+#   array blocked, 3.4 ms and three unblocked.
+# - _build_tables alone after a walk of 16: GF(2^16) 11 ms and GF(3^10)
+#   8.6 ms at 2^14 to 2^16 digits per block, 17 and 11 ms at 2^17.
+# - Cold set-up of RS[15,5]/GF(16) (field, code, 69,905 directions, minimum
+#   distance), fresh process, median of 5: 65 ms at 2^12, 55 at 2^13, 52 at
+#   2^14, 49 at 2^15, 71 at 2^16 and 99 unblocked.  2^14 and 2^15 are
+#   within the run-to-run spread.
+_BLOCK_ELEMENTS = 1 << 14
 
 # Powers of the generator that _build_tables walks, one _mul_raw each,
 # before it starts doubling; fields with q <= 257 only walk.  A doubling
@@ -56,11 +65,6 @@ _MUL_BLOCK = 1 << 14
 # Xeon, walk 64 / 128 / 256 (plain walk): GF(251) 145 / 146 / 154 us (173),
 # GF(3^10) 24 / 29 / 42 ms (1.2 s), GF(2^16) 29 ms at all three (102 ms).
 _TABLE_WALK = 256
-# Digits per row block of _build_tables' matrix products and encode, so
-# its float64 temporaries stay at 128 KiB.  Same box, builder alone after
-# a walk of 16: GF(2^16) 11 ms and GF(3^10) 8.6 ms at 2^14 to 2^16 digits
-# per block, 17 and 11 ms at 2^17.
-_TABLE_BLOCK = 1 << 14
 
 
 def is_prime(n: int) -> bool:
@@ -305,12 +309,12 @@ class Field:
         g^s * x^j, mod p.  That matrix is built with m _mul_raw calls once,
         then squared after each doubling; for m = 1 it is [[g^s]].  The
         digits stay in the narrowest dtype that holds p - 1, and every
-        product and the final encode run in row blocks of _TABLE_BLOCK
+        product and the final encode run in row blocks of _BLOCK_ELEMENTS
         digits.
         """
         p, m = self.p, self.m
         L = self.q - 1
-        rows = max(1, _TABLE_BLOCK // m)
+        rows = max(1, _BLOCK_ELEMENTS // m)
         place = p ** np.arange(m, dtype=np.int64)
         s = len(walk)
         digits = np.zeros((L, m), dtype=np.min_scalar_type(p - 1))  # of g^i, digit 0 first
@@ -410,14 +414,14 @@ class Field:
             return np.multiply(a, b, dtype=np.int64) % self.p
         log, exp = self.mul_tables
         both = np.broadcast(a, b)
-        if both.size <= _MUL_BLOCK:
+        if both.size <= _BLOCK_ELEMENTS:
             return exp.take(log.take(a) + log.take(b))
         # one int64 output, filled in row blocks whose temporaries stay small
         shape = both.shape
         a = np.broadcast_to(a, shape)
         b = np.broadcast_to(b, shape)
         out = np.empty(shape, dtype=np.int64)
-        rows = max(1, _MUL_BLOCK * shape[0] // both.size)
+        rows = max(1, _BLOCK_ELEMENTS * shape[0] // both.size)
         for s in range(0, shape[0], rows):
             idx = log.take(a[s : s + rows])
             idx += log.take(b[s : s + rows])

@@ -126,5 +126,6 @@ def parse_vector(field: Field, text: str) -> Vector:
     return Vector(field, [int(s) for s in parts])
 
 
-def format_vector(u: Vector) -> str:
-    return ",".join(str(int(x)) for x in u.coords)
+def format_vector(u: Vector | np.ndarray) -> str:
+    """The one-line text form of a vector, or of one row of encodings."""
+    return ",".join(str(int(x)) for x in u)

@@ -341,6 +341,20 @@ def test_row_kernels_raise_typed_errors_on_unpaired_shapes():
     assert angle_fast_rows(F5, U, U[:1]).tolist() == [0, 0, 0]
 
 
+def test_row_kernels_refuse_non_integer_rows():
+    F7 = make_field(7)
+    good = np.array([[1, 1, 2]])
+    bad_rows = (np.array([[1.5, 1, 2]]), [[1.0, 1.0, 2.0]], np.array([[True, False, True]]),
+                np.array([[1, 1, 2]], dtype=object))
+    for kernel in (angle_fast_rows, angle_naive_rows):
+        for bad in bad_rows:
+            for U, V in ((bad, good), (good, bad)):
+                with pytest.raises(InvalidInput, match="integer encodings"):
+                    kernel(F7, U, V)
+        for dtype in (np.uint8, np.int16, np.int64):  # any integer dtype is taken
+            assert kernel(F7, good.astype(dtype), np.array([[2, 2, 4]], dtype=dtype)).tolist() == [0]
+
+
 # ----------------------------------------------------------------------
 # Narrow-dtype edges of the ratio-bin census: GF(2^8), where the pair
 # index u + v*q reaches 65535, and GF(2^16), whose sentinel bins q and

@@ -219,7 +219,7 @@ def test_direction_matrix_is_narrow_normalized_and_read_only(p, m, n, k, dtype, 
 
     field = make_field(p, m)
     if block is not None:  # 1 row per encode block, or 3 with a ragged last block
-        monkeypatch.setattr(fqangle.codes, "_ENCODE_BLOCK", block * n + n - 1)
+        monkeypatch.setattr(fqangle.codes, "_BLOCK_ELEMENTS", block * n + n - 1)
     code = make_rs_code(field, n, k) if p > 2 or m > 1 else make_repetition_code(field, n)
     P = projective_codeword_matrix(code)
     q = field.q
@@ -539,10 +539,10 @@ def test_decode_rows_chunks_agree(monkeypatch):
     code = rs733()
     U = np.random.default_rng(5).integers(1, 7, size=(300, 7))
     whole = decode_rows(code, U)
-    monkeypatch.setattr(fqangle.codes, "_DECODE_CHUNK_ROWS", 100)  # one word per chunk
+    monkeypatch.setattr(fqangle.codes, "_DECODE_CHUNK_CELLS", 100)  # one word per chunk
     for a, b in zip(whole, decode_rows(code, U)):
         assert np.array_equal(a, b)
-    monkeypatch.setattr(fqangle.codes, "_DECODE_CHUNK_ROWS", 57 * 7)  # 7 words per chunk, ragged tail
+    monkeypatch.setattr(fqangle.codes, "_DECODE_CHUNK_CELLS", 57 * 7)  # 7 words per chunk, ragged tail
     for a, b in zip(whole, decode_rows(code, U)):
         assert np.array_equal(a, b)
 

@@ -153,6 +153,24 @@ def test_projective_suite(p, m, n):
     assert report.observations["scalar_pairs"] == (p**m - 1) ** 2
 
 
+def test_projective_suite_counts_every_check_in_a_failing_run(monkeypatch):
+    import fqangle.experiments
+
+    real = fqangle.experiments._angle_table
+
+    def tampered(field, A, B):  # off by one on every rescaled pair with A's first row not (0, 0, 1)
+        table = real(field, A, B).copy()
+        if not np.array_equal(A, B) and A[0, -1] != 1:
+            table[:, :3] += 1
+        return table
+
+    passing = verify_projective_descent(F3, 3)
+    monkeypatch.setattr(fqangle.experiments, "_angle_table", tampered)
+    report = verify_projective_descent(F3, 3)
+    assert len(report.failures) == 25  # the rescaling loop stops at the cap
+    assert report.checks_run == passing.checks_run == (4 + 1) * 26**2
+
+
 # ----------------------------------------------------------------------
 # Oracle equivalence
 # ----------------------------------------------------------------------
@@ -261,6 +279,19 @@ def test_census_suite_checks_against_every_codeword(monkeypatch):
     assert report.failures[0].startswith("census: ")
 
 
+def test_census_suite_counts_every_sample_in_a_failing_run(monkeypatch):
+    import fqangle.experiments
+
+    def decode_rows_off_at_odd_angles(code, U):
+        best, angle, runner_up = decode_rows(code, U)
+        return best, angle + 2 * (angle % 2), runner_up
+
+    monkeypatch.setattr(fqangle.experiments, "decode_rows", decode_rows_off_at_odd_angles)
+    report = angle_vs_dist_census(make_repetition_code(F3, 3), 300, seed=0)
+    assert len(report.failures) == 25  # the scan stops at the cap
+    assert report.observations["equal"] + report.observations["strict"] == report.trials == 300
+
+
 def test_census_suite_asserts_unique_decoding(monkeypatch):
     import fqangle.codes
 
@@ -268,6 +299,37 @@ def test_census_suite_asserts_unique_decoding(monkeypatch):
     monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
     with pytest.raises(UniqueDecodingViolated):
         angle_vs_dist_census(make_rs_code(F7, 7, 3), 10, seed=0)
+
+
+# ----------------------------------------------------------------------
+# Pinned passing reports
+# ----------------------------------------------------------------------
+
+PINNED_REPORTS = [
+    (lambda: verify_metric_axioms(F3, 2),
+     {"suite": "metric", "q": 3, "n": 2, "k": None, "trials": None, "seed": None, "checks_run": 640,
+      "failures": [], "observations": {"vectors": 8, "triples": 512}}),
+    (lambda: verify_projective_descent(F3, 2),
+     {"suite": "projective", "q": 3, "n": 2, "k": None, "trials": None, "seed": None, "checks_run": 320,
+      "failures": [], "observations": {"vectors": 8, "scalar_pairs": 4}}),
+    (lambda: verify_oracle_equivalence(F7, 6, 50, seed=1),
+     {"suite": "oracle", "q": 7, "n": 6, "k": None, "trials": 50, "seed": 1, "checks_run": 50,
+      "failures": [], "observations": {}}),
+    (lambda: verify_angular_decoding(make_rs_code(make_field(5), 5, 2), seed=2),
+     {"suite": "decoding", "q": 5, "n": 5, "k": 2, "trials": 126, "seed": 2, "checks_run": 252,
+      "failures": [], "observations": {"min_distance": 4, "max_error_weight": 1, "rho": 2,
+                                       "beyond_radius_injected": 6, "beyond_radius_observed": 6}}),
+    (lambda: angle_vs_dist_census(make_repetition_code(F3, 3), 300, seed=0),
+     {"suite": "census", "q": 3, "n": 3, "k": 1, "trials": 300, "seed": 0, "checks_run": 300,
+      "failures": [], "observations": {"equal": 221, "strict": 79}}),
+]
+
+
+@pytest.mark.parametrize("run,expected", PINNED_REPORTS, ids=[e["suite"] for _, e in PINNED_REPORTS])
+def test_passing_suite_reports_are_pinned(run, expected):
+    report = run().to_dict()
+    assert isinstance(report.pop("wall_time"), float)
+    assert json.dumps(report) == json.dumps(expected)  # the same keys in the same order
 
 
 # ----------------------------------------------------------------------

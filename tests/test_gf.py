@@ -533,10 +533,10 @@ def test_mul_array_narrow_inputs_give_int64(p, m, dtype):
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_mul_array_row_blocks_match_the_raw_product(block, monkeypatch):
-    # products above _MUL_BLOCK fill one output in row blocks
+    # products above _BLOCK_ELEMENTS fill one output in row blocks
     import fqangle.gf
 
-    monkeypatch.setattr(fqangle.gf, "_MUL_BLOCK", block)
+    monkeypatch.setattr(fqangle.gf, "_BLOCK_ELEMENTS", block)
     f = make_field(2, 4)
     rng = np.random.default_rng(block)
     cases = [
@@ -606,8 +606,8 @@ def test_tables_match_the_walk_for_every_q_up_to_1024():
 def test_tables_match_the_walk_in_ragged_row_blocks(block, monkeypatch):
     import fqangle.gf
 
-    # _TABLE_BLOCK // m rows per block: a few, so most last blocks are short
-    monkeypatch.setattr(fqangle.gf, "_TABLE_BLOCK", block)
+    # _BLOCK_ELEMENTS // m rows per block: a few, so most last blocks are short
+    monkeypatch.setattr(fqangle.gf, "_BLOCK_ELEMENTS", block)
     for p, m in [(2, 10), (3, 6), (5, 4), (31, 2), (1021, 1), (2, 9), (509, 1)]:
         _assert_tables_match_walk(Field(p, m))
 
