@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import InvalidInput, LengthMismatch, ZeroVector
 from .gf import Field
-from .vectors import Vector, _require_same_space
+from .vectors import Vector, _first_nonzero, _require_same_space, format_vector
 
 # Above this many cells the row-offset bincount is replaced by a sort-based
 # per-row count (keeps memory O(T*n) when q is huge relative to n).
@@ -326,10 +326,10 @@ class ProjectivePoint:
     rep: Vector
 
     def __post_init__(self):
-        nz = np.flatnonzero(self.rep.coords)
-        if nz.size == 0:
+        lead = _first_nonzero(self.rep.coords)
+        if lead == 0:
             raise ZeroVector("a projective point needs a nonzero representative")
-        if int(self.rep.coords[nz[0]]) != 1:
+        if lead != 1:
             raise InvalidInput("representative is not normalized; use projectivize()")
 
     @property
@@ -348,7 +348,7 @@ class ProjectivePoint:
         return hash(self.rep)
 
     def __repr__(self):
-        return f"ProjectivePoint([{','.join(str(x) for x in self.rep.coords)}])"
+        return f"ProjectivePoint([{format_vector(self.rep)}])"
 
 
 def projectivize(u: Vector) -> ProjectivePoint:

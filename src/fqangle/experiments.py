@@ -44,6 +44,13 @@ MAX_EXHAUSTIVE_VECTORS = 1 << 10
 # Past this many (direction, error pattern) pairs the decoding suite samples this many.
 MAX_DECODING_SAMPLES = 100_000
 
+# bench_angle refuses repetitions x sum(n) past this many positions, before
+# it draws any input.  Criterion 6 times 9 x 300,000 = 2.7e6, 25 times
+# fewer.  At the budget one length holds 2^26 / 5 = 13.4M positions, so u
+# and v take 107 MB each in int64; the naive oracle's q - 1 passes per
+# position are not part of the count.
+MAX_BENCH_POSITIONS = 1 << 26
+
 
 @dataclass
 class SuiteReport:
@@ -365,9 +372,14 @@ def bench_angle(field: Field, n_values: list[int], repetitions: int = 9) -> list
     """Median wall time of both algorithms on identical random inputs.
 
     At least 5 repetitions (1 to 4 run 5), medians taken over warm runs.
+    Raises SuiteTooLarge when repetitions x sum(n) exceeds
+    MAX_BENCH_POSITIONS.
     """
     reps = max(5, _at_least("repetitions", repetitions, 1))
     n_values = [_at_least("n", n, 1) for n in n_values]
+    if reps * sum(n_values) > MAX_BENCH_POSITIONS:
+        raise SuiteTooLarge(f"{reps} repetitions x {sum(n_values)} positions exceed the "
+                            f"{MAX_BENCH_POSITIONS} bench guard")
     rng = np.random.default_rng(_BENCH_SEED)
     records = []
     for n in n_values:

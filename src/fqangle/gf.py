@@ -553,6 +553,8 @@ class Field:
     # ------------------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:  # make_field caches, so a code and its words share one Field
+            return True
         if not isinstance(other, Field):
             return NotImplemented
         return (self.p, self.m, self.irreducible) == (other.p, other.m, other.irreducible)

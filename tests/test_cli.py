@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: documents, exit codes, formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -389,3 +390,39 @@ def test_closed_stdout_exits_1_without_traceback(fmt):
     assert "Traceback" not in err and "Exception ignored" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_bench_refuses_past_its_budget_before_drawing_input(capsys, monkeypatch):
+    import fqangle.experiments
+
+    def no_draw(*args):
+        raise AssertionError("an input was drawn")
+
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", no_draw)
+    for argv in (("--n", "8", "--reps", "99999999999999999999"),  # never ended
+                 ("--n", "99999999999"),  # failed to allocate
+                 ("--n", "6000000,8000000", "--reps", "5")):
+        code, out, err = run(capsys, "bench", "--q", "7", *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "bench guard" in lines[0]
+
+
+def test_decode_and_angle_json_unchanged_on_a_seeded_set(capsys):
+    # the digest of this set's exit codes, stdout and stderr, recorded with
+    # every coordinate formatted as str(int(x)): the text must not change
+    rng = np.random.default_rng(21)
+    cases = []
+    for q, n, k, words in ((7, 7, 3, 12), (8, 8, 4, 6), (16, 15, 5, 3)):
+        code = ("--q", str(q), "--code", "rs", "--n", str(n), "--k", str(k))
+        for _ in range(words):
+            u = ",".join(map(str, rng.integers(0, q, n)))
+            v = ",".join(map(str, rng.integers(0, q, n)))
+            cases += [("decode", *code, "--u", u), ("decode", *code, "--u", u, "--rho", "3"),
+                      ("angle", "--q", str(q), "--u", u, "--v", v, "--verbose")]
+    digest = hashlib.sha256()
+    for argv in cases:
+        exit_code, out, err = run(capsys, *argv)
+        digest.update(f"{exit_code}\n{out}{err}".encode())
+    assert digest.hexdigest() == "4ab90f79a02d214e1e04f9d653ce70acb09ee4fcbae0b6d777db906151866889"

@@ -24,7 +24,8 @@ from fqangle import (
     verify_oracle_equivalence,
     verify_projective_descent,
 )
-from fqangle.experiments import all_nonzero_vectors, error_patterns, random_nonzero_rows
+import fqangle.experiments
+from fqangle.experiments import MAX_BENCH_POSITIONS, all_nonzero_vectors, error_patterns, random_nonzero_rows
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -356,6 +357,25 @@ def test_bench_minimum_reps_enforced():
 def test_bench_rejects_reps_below_1(reps):
     with pytest.raises(InvalidInput):
         bench_angle(make_field(2), [64], repetitions=reps)
+
+
+def test_bench_budget_counts_repetitions_times_total_length(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", drawn)
+    part = MAX_BENCH_POSITIONS // 10
+    with pytest.raises(Drawn):  # criterion 6's call is admitted
+        bench_angle(make_field(251), [100_000, 200_000], 9)
+    with pytest.raises(Drawn):  # at the budget
+        bench_angle(F7, [part // 2, part - part // 2], 10)
+    with pytest.raises(SuiteTooLarge):
+        bench_angle(F7, [part, 1], 10)
+    with pytest.raises(SuiteTooLarge):  # 1 repetition runs 5
+        bench_angle(F7, [MAX_BENCH_POSITIONS // 5 + 1], 1)
 
 
 def test_bench_q2_algorithms_comparable():

@@ -4,15 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fqangle import (
     FieldMismatch,
     InvalidInput,
     LengthMismatch,
+    ProjectivePoint,
     Vector,
+    ZeroVector,
     agreement,
     dot,
+    field_from_order,
     format_vector,
     hamming_distance,
     hamming_weight,
@@ -20,6 +23,7 @@ from fqangle import (
     parse_vector,
     scalar_mul,
 )
+from fqangle.vectors import _SHORT_ROW, coordinate_array
 
 F3 = make_field(3)
 
@@ -180,3 +184,103 @@ def test_parse_vector_error_is_typed():
         parse_vector(F3, "1,x,0")
     with pytest.raises(InvalidInput):
         parse_vector(F3, "")
+
+
+# ----------------------------------------------------------------------
+# The edge contract: one owned int64 copy, the same refusals on both paths
+# ----------------------------------------------------------------------
+
+
+def _reference_coordinates(field, coords):
+    """Plain-numpy check of one row: the int64 array, or the error type."""
+    arr = np.array(coords).astype(np.int64)
+    if arr.min() < 0 or arr.max() >= field.q:
+        return InvalidInput
+    return arr
+
+
+def _reference_point(arr):
+    nz = np.flatnonzero(arr)
+    if nz.size == 0:
+        return ZeroVector
+    return None if arr[nz[0]] == 1 else InvalidInput
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (InvalidInput, ZeroVector) as exc:
+        return type(exc)
+
+
+@st.composite
+def coordinate_inputs(draw):
+    q = draw(st.sampled_from([2, 3, 7, 16, 251]))
+    n = draw(st.one_of(st.integers(1, 8), st.integers(_SHORT_ROW - 3, _SHORT_ROW + 3),
+                       st.integers(2 * _SHORT_ROW - 3, 2 * _SHORT_ROW + 3)))
+    values = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    zeros = draw(st.integers(0, n))  # leading zeros; n of them is the zero row
+    values[:zeros] = [0] * zeros
+    if zeros < n and draw(st.booleans()):
+        values[zeros] = 1  # normalized
+    for _ in range(draw(st.integers(0, 2))):  # anything in [-2, q + 2], anywhere
+        values[draw(st.integers(0, n - 1))] = draw(st.integers(-2, q + 2))
+    form = draw(st.sampled_from(["list", "int8", "int16", "int64", "uint8", "uint64"]))
+    # astype wraps: -1 becomes 255 in uint8 and 2^64 - 1 in uint64, which is -1 in int64
+    coords = values if form == "list" else np.array(values).astype(form)
+    return field_from_order(q), coords
+
+
+@settings(max_examples=400)
+@given(coordinate_inputs())
+def test_edge_checks_match_a_plain_numpy_reference(case):
+    field, coords = case
+    expected = _reference_coordinates(field, coords)
+    got = _outcome(lambda: coordinate_array(field, coords))
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    point = _outcome(lambda: ProjectivePoint(Vector(field, coords)))
+    assert (point if isinstance(point, type) else None) is _reference_point(expected)
+
+
+class _Tagged(np.ndarray):
+    pass
+
+
+_BASE = np.array([1, 0, 2, 0, 1, 2, 2, 1] * 20, dtype=np.int64)  # longer than _SHORT_ROW
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.array([1, 2, 0, 1], dtype=np.int64),
+        lambda: _BASE.copy(),
+        lambda: np.array([1, 2, 0, 1], dtype=np.uint8),
+        lambda: _BASE.astype(np.uint8),
+        lambda: _BASE.copy()[::3],  # not contiguous
+        lambda: _BASE.copy().view(_Tagged),
+        lambda: _BASE.copy().view(_Tagged)[:5],
+        lambda: [1, 2, 0, 1],
+        lambda: np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64),
+        lambda: np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int16).T,  # 2-D, Fortran order
+    ],
+    ids=["int64", "int64-long", "uint8", "uint8-long", "strided", "subclass", "subclass-slice",
+         "list", "2d", "2d-transposed"],
+)
+def test_construction_owns_one_read_only_copy(make):
+    source = make()
+    before = np.array(source)
+    if before.ndim == 2:
+        coords = coordinate_array(F3, source, ndim=2)
+    else:
+        coords = Vector(F3, source).coords
+    assert type(coords) is np.ndarray and coords.dtype == np.int64
+    assert not np.shares_memory(coords, source)
+    assert not coords.flags.writeable
+    if isinstance(source, list):
+        source[0] = 2
+    else:
+        source[...] = 2 - source  # still valid encodings, all changed but the 1s
+    assert np.array_equal(coords, before)
