@@ -6,9 +6,12 @@ table cached on it describes it for life.  Every nonzero codeword is a
 multiple of a direction, so the reference answer to every code query is a
 scan of the direction matrix (``projective_codeword_matrix``): the
 desk-scale regime the enumeration guard (q^k <= 2^20) permits.  That matrix holds each direction's
-normalized representative (first nonzero coordinate 1) in the narrowest
-unsigned dtype that fits q - 1, so decoders return its rows as projective
-points as they stand.
+normalized representative (first nonzero coordinate 1), so decoders return
+its rows as projective points as they stand.  It and ``codeword_matrix``
+come from one row-blocked enumeration (``_enumerate``) in one format:
+read-only, in the narrowest unsigned dtype that fits q - 1.  Every angle
+scan of it is an ``_angle_table`` call, and every least-angle answer
+asserts the angular unique-decoding theorem (``_assert_unique``).
 
 Every one-word least-angle query (``angular_decode``, ``angle_to_code``
 and so ``dist_to_code``) reads ``_least``, which tries two exact
@@ -71,7 +74,7 @@ from .errors import (
     ZeroVector,
 )
 from .gf import _BLOCK_ELEMENTS, Field, _integer
-from .vectors import Vector, coordinate_array, hamming_weight
+from .vectors import Vector, coordinate_array, format_vector, hamming_weight
 
 ENUMERATION_CAP = 1 << 20
 
@@ -159,23 +162,13 @@ class LinearCode:
 
     @functools.cached_property
     def _codewords(self) -> np.ndarray:
-        """See ``codeword_matrix``, which guards the enumeration."""
-        M = _encode_messages(self, np.arange(self.field.q**self.k))
-        M.setflags(write=False)
-        return M
+        """See ``codeword_matrix``."""
+        return _enumerate(self, directions=False)
 
     @functools.cached_property
     def _projective(self) -> np.ndarray:
-        """See ``projective_codeword_matrix``, which guards the enumeration."""
-        field, q = self.field, self.field.q
-        # the first nonzero digit is 1 exactly for the indices in [q^e, 2 q^e)
-        idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(self.k)])
-        M = np.empty((idx.size, self.n), dtype=np.min_scalar_type(q - 1))
-        step = max(1, _BLOCK_ELEMENTS // self.n)
-        for s in range(0, idx.size, step):
-            M[s : s + step] = normalize_rows(field, _encode_messages(self, idx[s : s + step]))
-        M.setflags(write=False)
-        return M
+        """See ``projective_codeword_matrix``."""
+        return _enumerate(self, directions=True)
 
     @functools.cached_property
     def _min_distance(self) -> int:
@@ -250,23 +243,31 @@ def make_repetition_code(field: Field, n: int) -> LinearCode:
 # Enumeration
 # ----------------------------------------------------------------------
 
-def _require_enumerable(code: LinearCode):
-    if code.field.q**code.k > ENUMERATION_CAP:
-        raise EnumerationTooLarge(
-            f"q^k = {code.field.q}^{code.k} exceeds the {ENUMERATION_CAP} enumeration guard"
-        )
-
-
 def digit_rows(idx: np.ndarray, base: int, width: int) -> np.ndarray:
     """Row i holds the `width` base-`base` digits of idx[i], most significant
     first: the order itertools.product(range(base), repeat=width) gives."""
     return idx[:, None] // base ** np.arange(width - 1, -1, -1) % base
 
 
-def _encode_messages(code: LinearCode, idx: np.ndarray) -> np.ndarray:
-    """Codewords of the messages whose base-q digits (first most significant)
-    spell the indices idx."""
-    return _matmul(code.field, digit_rows(idx, code.field.q, code.k), code.generator)
+def _enumerate(code: LinearCode, directions: bool) -> np.ndarray:
+    """Every codeword, or with ``directions`` one normalized codeword (first
+    nonzero coordinate 1) per direction, as rows in ascending message order
+    (base q, first digit most significant): write-protected, in the
+    narrowest unsigned dtype that holds q - 1.  Rows are encoded in blocks
+    of ``_BLOCK_ELEMENTS`` elements, so no int64 temporary outgrows a block.
+    Raises EnumerationTooLarge past the guard, q^k > ENUMERATION_CAP."""
+    field, q, k = code.field, code.field.q, code.k
+    if q**k > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"q^k = {q}^{k} exceeds the {ENUMERATION_CAP} enumeration guard")
+    # the first nonzero digit is 1 exactly for the indices in [q^e, 2 q^e)
+    idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(k)]) if directions else np.arange(q**k)
+    M = np.empty((idx.size, code.n), dtype=np.min_scalar_type(q - 1))
+    step = max(1, _BLOCK_ELEMENTS // code.n)
+    for s in range(0, idx.size, step):
+        C = _matmul(field, digit_rows(idx[s : s + step], q, k), code.generator)
+        M[s : s + step] = normalize_rows(field, C) if directions else C
+    M.setflags(write=False)
+    return M
 
 
 def _matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -281,8 +282,8 @@ def _matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def codeword_matrix(code: LinearCode) -> np.ndarray:
-    """All q^k codewords as rows, message-enumeration order (row 0 = 0)."""
-    _require_enumerable(code)
+    """All q^k codewords as rows, message-enumeration order (row 0 = 0),
+    write-protected and in the narrowest unsigned dtype that holds q - 1."""
     return code._codewords
 
 
@@ -293,7 +294,6 @@ def projective_codeword_matrix(code: LinearCode) -> np.ndarray:
     Row i is the encoding of the i-th message, ascending, whose first
     nonzero entry is 1, scaled so that its own first nonzero coordinate is
     1: the representative ``ProjectivePoint`` holds."""
-    _require_enumerable(code)
     return code._projective
 
 
@@ -412,12 +412,6 @@ class _ReedSolomon:
         return tables
 
 
-def _large_scan(code: LinearCode) -> bool:
-    """True when a one-word scan covers at least ``_FAST_MIN_SCAN`` positions."""
-    q = code.field.q
-    return (q**code.k - 1) // (q - 1) * code.n >= _FAST_MIN_SCAN
-
-
 def _infosets_pay(code: LinearCode) -> bool:
     """True when the C(n, k) candidates, k gathers and one census row each,
     number at most the D directions of the scan."""
@@ -477,13 +471,6 @@ def _check_word(u: Vector, code: LinearCode):
     _check_member_shape(u, code)
     if u.is_zero():
         raise ZeroVector("the angle to a code is defined only for nonzero vectors")
-
-
-def _word_angles(u: np.ndarray, code: LinearCode) -> np.ndarray:
-    """(D,) angles from a checked nonzero int64 word u to each codeword
-    direction: one kernel call, the directions as U and the word as V's
-    shared row."""
-    return angle_fast_rows(code.field, projective_codeword_matrix(code), u[None, :])
 
 
 def dist_to_code(u: Vector, code: LinearCode) -> int:
@@ -656,24 +643,40 @@ def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
     to a direction of the code of minimum distance d, and the normalized
     rows of the directions at a, in enumeration order.
 
-    The one place that picks the decoder: on a Reed-Solomon code with a
-    large scan, Berlekamp-Welch and then the information sets, as the
-    module docstring sets out; each answer is exact or absent.  Otherwise
-    every direction is scanned."""
-    if code.eval_points is not None and _large_scan(code):
+    The one place that picks the decoder: on a Reed-Solomon code whose
+    scan covers at least ``_FAST_MIN_SCAN`` positions, Berlekamp-Welch and
+    then the information sets, as the module docstring sets out; each
+    answer is exact or absent.  Otherwise every direction is scanned.
+    Every answer is checked by ``_assert_unique``."""
+    q, rows = code.field.q, None
+    if code.eval_points is not None and (q**code.k - 1) // (q - 1) * code.n >= _FAST_MIN_SCAN:
         near = berlekamp_welch(code, u, (d - 1) // 2)
         if near is not None:
             c, a = near
-            return a, normalize_rows(code.field, c[None])
-        if _infosets_pay(code):
+            rows = normalize_rows(code.field, c[None])
+        elif _infosets_pay(code):
             C, angles = _infoset_candidates(u, code, code._rs.infosets)
             a = int(angles.min(initial=d))  # d, too, when u vanishes on every information set
             if a < d:
                 tied = _direction_indices(code, C[angles == a])
-                return a, projective_codeword_matrix(code)[np.unique(tied)]
-    angles = _word_angles(u, code)
-    a = int(angles.min())
-    return a, projective_codeword_matrix(code)[angles == a]
+                rows = projective_codeword_matrix(code)[np.unique(tied)]
+    if rows is None:
+        P = projective_codeword_matrix(code)
+        angles = _angle_table(code.field, u[None, :], P)[0]
+        a = int(angles.min())
+        rows = P[angles == a]
+    _assert_unique(u, a, len(rows) > 1, d)
+    return a, rows
+
+
+def _assert_unique(u: np.ndarray, a: int, tied: bool, d: int):
+    """Raise UniqueDecodingViolated if directions are ``tied`` at the least
+    angle a from the word u with 2a < d, where the theorem allows one."""
+    if tied and 2 * a < d:
+        raise UniqueDecodingViolated(
+            f"unique decoding violated: more than one direction at angle {a} < d/2 = {d}/2 "
+            f"from u={format_vector(u)}"
+        )
 
 
 def _points(field: Field, rows: np.ndarray, angles: Iterable[int]) -> list[tuple[ProjectivePoint, int]]:
@@ -683,18 +686,12 @@ def _points(field: Field, rows: np.ndarray, angles: Iterable[int]) -> list[tuple
 
 
 def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
-    """Find the closest codeword direction(s) to u, by ``_least``.
-
-    If the best angle a satisfies 2a < d (strictly inside the unique
-    decoding radius) the uniqueness is asserted, not assumed.
-    """
+    """Find the closest codeword direction(s) to u, by ``_least``, which
+    asserts that one direction lies at a best angle a with 2a < d
+    (strictly inside the unique decoding radius)."""
     _check_word(u, code)
     d = min_distance(code)
     a, rows = _least(u.coords, code, d)
-    if 2 * a < d and len(rows) > 1:
-        raise UniqueDecodingViolated(
-            f"unique decoding violated: {len(rows)} directions at angle {a} < d/2 = {d}/2"
-        )
     kind = DecodeKind.UNIQUE_DIRECTION if 2 * a < d else DecodeKind.BEYOND_RADIUS
     return DecodeOutcome(kind, tuple(_points(code.field, rows, itertools.repeat(a))), d)
 
@@ -704,10 +701,11 @@ def projective_list_decode(u: Vector, code: LinearCode, rho: int) -> list[tuple[
     enumeration order.  Has size <= 1 whenever 2 * rho <= min_distance."""
     rho = _integer("rho", rho)
     _check_word(u, code)
-    angles = _word_angles(u.coords, code)
+    P = projective_codeword_matrix(code)
+    angles = _angle_table(code.field, u.coords[None, :], P)[0]
     hits = np.flatnonzero(angles < rho)
     hits = hits[np.argsort(angles[hits], kind="stable")]
-    return _points(code.field, projective_codeword_matrix(code)[hits], angles[hits])
+    return _points(code.field, P[hits], angles[hits])
 
 
 def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -718,6 +716,7 @@ def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray
     angle, and the second-least angle counting ties (n + 1 for a single
     direction).  Word t decodes uniquely iff 2 * angle[t] < min_distance,
     and its list at rho holds at most one direction iff runner_up[t] >= rho.
+    The first word with a tie inside that radius fails ``_assert_unique``.
     """
     U = coordinate_array(code.field, U, ndim=2)
     if U.shape[1] != code.n:
@@ -737,10 +736,7 @@ def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray
         angle[rows] = A.min(axis=1)
         if D > 1:
             runner_up[rows] = np.partition(A, 1, axis=1)[:, 1]
-    violated = np.flatnonzero((2 * angle < d) & (runner_up == angle))
-    if violated.size:
-        t = violated[0]
-        raise UniqueDecodingViolated(
-            f"unique decoding violated: row {t} has two directions at angle {angle[t]} < d/2 = {d}/2"
-        )
+    suspect = np.flatnonzero((2 * angle < d) & (runner_up == angle))
+    if suspect.size:
+        _assert_unique(U[suspect[0]], int(angle[suspect[0]]), True, d)
     return best, angle, runner_up

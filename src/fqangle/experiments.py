@@ -45,11 +45,22 @@ MAX_EXHAUSTIVE_VECTORS = 1 << 10
 MAX_DECODING_SAMPLES = 100_000
 
 # bench_angle refuses repetitions x sum(n) past this many positions, before
-# it draws any input.  Criterion 6 times 9 x 300,000 = 2.7e6, 25 times
-# fewer.  At the budget one length holds 2^26 / 5 = 13.4M positions, so u
-# and v take 107 MB each in int64; the naive oracle's q - 1 passes per
-# position are not part of the count.
+# it draws any input: its memory bound.  Criterion 6 times 9 x 300,000 =
+# 2.7e6, 25 times fewer.  At the bound one length holds 2^26 / 5 = 13.4M
+# positions, so u and v take 107 MB each in int64.
 MAX_BENCH_POSITIONS = 1 << 26
+
+# The work budget, checked before any input is drawn or allocated:
+# bench_angle refuses past it max(5, repetitions) x sum(n) x (q - 1), the
+# positions of the naive oracle's passes, and verify_angular_decoding
+# samples x directions x n, the positions decode_rows scans.  Measured on a
+# 2-core Xeon, one warm call each: the oracle takes 1.2-3.8 ns per position
+# of a pass (GF(251), n = 10^5: 46 ms; GF(65521), n = 4,000: 1.0 s), and
+# decode_rows 6.7-10.4 ns per position (2,000 words on RS[7,3]/GF(7),
+# RS[15,3]/GF(16) and RS[7,5]/GF(7), 263 ms on the last).  So a call at the
+# budget spends about 1-4 s in the oracle's timed runs, or 7-11 s decoding.
+# Criterion 6's bench is 6.75e8.
+MAX_WORK = 1 << 30
 
 
 @dataclass
@@ -129,15 +140,28 @@ def random_nonzero_rows(rng: np.random.Generator, field: Field, trials: int, n: 
     return U
 
 
+def _pattern_count(field: Field, n: int, t: int) -> int:
+    """The number of error vectors of weight <= t; raises SuiteTooLarge
+    past ENUMERATION_CAP."""
+    count = sum(math.comb(n, w) * (field.q - 1) ** w for w in range(t + 1))
+    if count > ENUMERATION_CAP:
+        raise SuiteTooLarge(f"{count} error patterns of weight <= {t} exceed the {ENUMERATION_CAP} guard")
+    return count
+
+
+def _check_work(work: int, terms: str):
+    """Raise SuiteTooLarge when work, the product spelled by terms, exceeds MAX_WORK."""
+    if work > MAX_WORK:
+        raise SuiteTooLarge(f"{terms}: {work} exceeds the {MAX_WORK} work budget")
+
+
 def error_patterns(field: Field, n: int, t: int) -> np.ndarray:
     """All error vectors of weight <= t as rows: by weight, then support in
     itertools.combinations order, then values in itertools.product order
     over the nonzero elements.  Raises SuiteTooLarge past ENUMERATION_CAP
     rows, before anything is allocated."""
+    _pattern_count(field, n, t)
     q1 = field.q - 1
-    count = sum(math.comb(n, w) * q1**w for w in range(t + 1))
-    if count > ENUMERATION_CAP:
-        raise SuiteTooLarge(f"{count} error patterns of weight <= {t} exceed the {ENUMERATION_CAP} guard")
     blocks = [np.zeros((1, n), dtype=np.int64)]
     for w in range(1, t + 1):
         supports = np.array(list(itertools.combinations(range(n), w)))
@@ -277,7 +301,9 @@ def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
     hold at most one direction.
 
     Deliberate beyond-radius corruptions are also injected; their outcomes
-    are recorded as observations, never as failures.
+    are recorded as observations, never as failures.  Raises SuiteTooLarge
+    when samples x directions x n exceeds MAX_WORK, before any input is
+    drawn or allocated.
     """
     t0 = time.perf_counter()
     seed = _at_least("seed", seed, 0)
@@ -287,10 +313,12 @@ def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
     rho = d // 2  # largest integer rho with 2*rho <= d
     P = projective_codeword_matrix(code)
     n = code.n
+    D, N = P.shape[0], _pattern_count(field, n, t_max)
+    samples = min(D * N, MAX_DECODING_SAMPLES)
+    _check_work(samples * D * n, f"{samples} samples x {D} directions x {n} positions")
     rng = np.random.default_rng(seed)
     E = error_patterns(field, n, t_max)
 
-    D, N = P.shape[0], E.shape[0]
     if D * N <= MAX_DECODING_SAMPLES:
         dir_idx, pat_idx = np.divmod(np.arange(D * N), N)
     else:
@@ -346,8 +374,8 @@ def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> Suite
     dists_to_code = np.minimum(np.count_nonzero(U, axis=1), angles)  # the zero codeword is at wt(u)
     CW = codeword_matrix(code)
     failures: list[str] = []
-    for u, dist, ang in zip(U, dists_to_code.tolist(), angles.tolist()):
-        dists = np.count_nonzero(CW != u, axis=1)
+    for u, w, dist, ang in zip(U, U.astype(CW.dtype), dists_to_code.tolist(), angles.tolist()):
+        dists = np.count_nonzero(CW != w, axis=1)  # compared in CW's narrow dtype
         attained_nonzero = bool((dists[1:] == dist).any())
         if (dist, ang) != (dists.min(), dists[1:].min()) or (ang == dist) != attained_nonzero:
             failures.append(
@@ -372,14 +400,16 @@ def bench_angle(field: Field, n_values: list[int], repetitions: int = 9) -> list
     """Median wall time of both algorithms on identical random inputs.
 
     At least 5 repetitions (1 to 4 run 5), medians taken over warm runs.
-    Raises SuiteTooLarge when repetitions x sum(n) exceeds
-    MAX_BENCH_POSITIONS.
+    Raises SuiteTooLarge, before any input is drawn, when repetitions x
+    sum(n) exceeds MAX_BENCH_POSITIONS or that times q - 1 exceeds MAX_WORK.
     """
     reps = max(5, _at_least("repetitions", repetitions, 1))
     n_values = [_at_least("n", n, 1) for n in n_values]
     if reps * sum(n_values) > MAX_BENCH_POSITIONS:
         raise SuiteTooLarge(f"{reps} repetitions x {sum(n_values)} positions exceed the "
                             f"{MAX_BENCH_POSITIONS} bench guard")
+    _check_work(reps * sum(n_values) * (field.q - 1),
+                f"{reps} repetitions x {sum(n_values)} positions x {field.q - 1} oracle passes")
     rng = np.random.default_rng(_BENCH_SEED)
     records = []
     for n in n_values:

@@ -230,8 +230,8 @@ def test_unique_decoding_violation_exit_2(capsys, monkeypatch):
 
     import fqangle.codes
 
-    # a one-word scan that ties all 57 directions at angle 0, inside the radius
-    monkeypatch.setattr(fqangle.codes, "_word_angles", lambda u, code: np.zeros(57, dtype=np.int64))
+    # a scan that ties all 57 directions at angle 0, inside the radius
+    monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
     code, out, err = run(
         capsys, "decode", "--q", "7", "--code", "rs", "--n", "7", "--k", "3", "--u", "1,1,4,2,2,4,1",
     )
@@ -407,6 +407,23 @@ def test_bench_refuses_past_its_budget_before_drawing_input(capsys, monkeypatch)
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "bench guard" in lines[0]
+
+
+def test_work_budget_refusals_exit_2(capsys, monkeypatch):
+    import fqangle.experiments
+
+    def no_work(*args):
+        raise AssertionError("an input was drawn or decoded")
+
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", no_work)
+    monkeypatch.setattr(fqangle.experiments, "decode_rows", no_work)
+    for argv in (("bench", "--q", "65521", "--n", "13000000", "--reps", "5"),  # hours of oracle passes
+                 ("verify", "--suite", "decoding", "--q", "7", "--code", "rs", "--n", "7", "--k", "7")):  # past 300 s
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "work budget" in lines[0]
 
 
 def test_decode_and_angle_json_unchanged_on_a_seeded_set(capsys):

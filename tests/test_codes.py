@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import gc
+import hashlib
 import itertools
 import types
 import weakref
@@ -60,6 +61,11 @@ def codewords(code):
 
 def directions(code):
     return [projectivize(Vector(code.field, row)) for row in projective_codeword_matrix(code)]
+
+
+def encode(code, idx):
+    """The int64 codewords of the messages whose base-q digits spell idx."""
+    return fqangle.codes._matmul(code.field, fqangle.codes.digit_rows(idx, code.field.q, code.k), code.generator)
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +220,7 @@ DIRECTION_CODES = [  # (p, m, n, k, dtype)
 @pytest.mark.parametrize("p,m,n,k,dtype", DIRECTION_CODES)
 @pytest.mark.parametrize("block", [None, 1, 3])
 def test_direction_matrix_is_narrow_normalized_and_read_only(p, m, n, k, dtype, block, monkeypatch):
-    from fqangle.angle import normalize_rows
-    from fqangle.codes import _encode_messages
-
+    # and codeword_matrix, from the same blocked enumeration in the same format
     field = make_field(p, m)
     if block is not None:  # 1 row per encode block, or 3 with a ragged last block
         monkeypatch.setattr(fqangle.codes, "_BLOCK_ELEMENTS", block * n + n - 1)
@@ -224,7 +228,7 @@ def test_direction_matrix_is_narrow_normalized_and_read_only(p, m, n, k, dtype, 
     P = projective_codeword_matrix(code)
     q = field.q
     idx = np.concatenate([np.arange(q**e, 2 * q**e) for e in range(k)])
-    expected = normalize_rows(field, _encode_messages(code, idx))
+    expected = normalize_rows(field, encode(code, idx))
     assert P.dtype == dtype and expected.dtype == np.int64
     assert P.shape == ((q**k - 1) // (q - 1), n)
     assert np.array_equal(P, expected)
@@ -232,6 +236,13 @@ def test_direction_matrix_is_narrow_normalized_and_read_only(p, m, n, k, dtype, 
     assert projective_codeword_matrix(code) is P
     lead = P[np.arange(len(P)), (P != 0).argmax(axis=1)]
     assert (lead == 1).all()
+    if block is None or q**k <= 1 << 12:  # 65,536 one- or three-row blocks take about a second
+        C = codeword_matrix(code)
+        expected = encode(code, np.arange(q**k))
+        assert C.dtype == dtype and expected.dtype == np.int64
+        assert np.array_equal(C, expected)
+        assert not C.flags.writeable
+        assert codeword_matrix(code) is C
 
 
 # ----------------------------------------------------------------------
@@ -566,16 +577,19 @@ def test_decode_rows_validates_like_vector():
 
 
 def test_unique_decoding_violation_is_typed(monkeypatch):
-    # angles that put every direction at 0 tie them inside the radius: the
-    # one-word scan's and decode_rows's table
+    # a scan that ties every direction at angle 0, inside the radius, for
+    # the words whose first coordinate is 1, and ranks them 0, 1, 2, ...
+    # for the rest: every least-angle answer asserts the theorem
     code = rs733()
-    monkeypatch.setattr(fqangle.codes, "_word_angles", lambda u, code: np.zeros(57, dtype=np.int64))
-    monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: np.zeros((len(A), len(B)), dtype=np.int64))
+    monkeypatch.setattr(fqangle.codes, "_angle_table",
+                        lambda field, A, B: np.where(A[:, :1] == 1, 0, np.arange(len(B))))
     u = Vector(F7, [1, 0, 0, 0, 0, 0, 0])
-    with pytest.raises(UniqueDecodingViolated):
-        angular_decode(u, code)
-    with pytest.raises(UniqueDecodingViolated):
-        decode_rows(code, [[1, 2, 3, 4, 5, 6, 0], [1, 0, 0, 0, 0, 0, 0]])
+    for query in (angular_decode, angle_to_code, dist_to_code):
+        with pytest.raises(UniqueDecodingViolated, match=r"^unique decoding violated: .* from u=1,0,0,0,0,0,0$"):
+            query(u, code)
+    assert angle_to_code(Vector(F7, [2, 0, 0, 0, 0, 0, 0]), code) == 0
+    with pytest.raises(UniqueDecodingViolated, match=r"from u=1,2,3,4,5,6,0$"):  # the first violating word
+        decode_rows(code, [[2, 1, 0, 0, 0, 0, 0], [1, 2, 3, 4, 5, 6, 0], [1, 0, 0, 0, 0, 0, 0]])
     assert issubclass(UniqueDecodingViolated, AssertionError)
 
 
@@ -949,7 +963,7 @@ def test_lagrange_tables_equal_row_reduce(case):
     # the Lagrange messages of seeded codewords equal their true messages
     # and those read by G_S^-1 of one information set S, from row_reduce
     idx = np.random.default_rng(n * k).integers(1, field.q**k, size=200)
-    C = fqangle.codes._encode_messages(code, idx)
+    C = encode(code, idx)
     lagrange = fqangle.codes._log_vecmat(field, field.mul_tables[0].take(C.T), code._rs.lagrange[:, :k])
     S = tables.subsets[:, 0]
     G_S_inv = fqangle.codes.row_reduce(field, np.hstack([code.generator[:, S], np.eye(k, dtype=np.int64)]))[0][:, k:]
@@ -1026,7 +1040,7 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
     above = 0
     for u in words:
         C, angles = fqangle.codes._infoset_candidates(u.coords, code, tables)
-        scan = fqangle.codes._word_angles(u.coords, code)
+        scan = fqangle.codes._angle_table(field, u.coords[None, :], projective_codeword_matrix(code))[0]
         rows = reference_directions(code, C)
         assert np.array_equal(scan[rows], angles)  # each candidate's angle is exact
         assert set(np.flatnonzero(scan < d)) <= set(rows.tolist())
@@ -1049,9 +1063,9 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
 
 def test_infoset_dispatch(monkeypatch):
     taken = record_candidates(monkeypatch)
-    scanned = []
-    word_angles = fqangle.codes._word_angles
-    monkeypatch.setattr(fqangle.codes, "_word_angles", lambda u, code: scanned.append(code) or word_angles(u, code))
+    scanned = []  # the number of directions of each scan
+    angle_table = fqangle.codes._angle_table
+    monkeypatch.setattr(fqangle.codes, "_angle_table", lambda field, A, B: scanned.append(len(B)) or angle_table(field, A, B))
     small = rs733()  # 57 directions x 7 positions: the scan is cheaper
     mid = make_rs_code(make_field(13), 13, 4)  # 2,380 directions, 715 x 5 candidate rows
     large = make_rs_code(make_field(2, 4), 15, 5)  # 69,905 directions, 3,003 x 6 candidate rows
@@ -1059,7 +1073,7 @@ def test_infoset_dispatch(monkeypatch):
     for code in (small, mid):
         u = Vector(code.field, rng.integers(1, code.field.q, size=code.n))
         angular_decode(u, code)
-        assert (taken, scanned) == ([], [code])
+        assert (taken, scanned) == ([], [len(projective_codeword_matrix(code))])
         scanned.clear()
     u = Vector(large.field, rng.integers(1, 16, size=15))
     out = angular_decode(u, large)
@@ -1067,5 +1081,59 @@ def test_infoset_dispatch(monkeypatch):
     assert large._rs.infosets.maps.nbytes + large._rs.infosets.subsets.nbytes < 1 << 20
     # angle_to_code takes the shortcuts too; list decoding scans
     assert angle_to_code(u, large) == out.best[0][1] and scanned == []
-    assert projective_list_decode(u, large, out.best[0][1] + 1) and scanned == [large]
+    assert projective_list_decode(u, large, out.best[0][1] + 1) and scanned == [69_905]
     assert taken == [large, large]
+
+
+# ----------------------------------------------------------------------
+# Output pins: digests recorded at f7855a8, before the codeword matrices
+# shared one enumeration and every least-angle answer one check
+# ----------------------------------------------------------------------
+
+def seeded_words(code, seed):
+    """Six near words, a direction plus an error of weight <= (n - k) // 2
+    times a nonzero scalar, then six uniform nonzero words and two words of
+    weight one, nearer to 0 than to any direction, as rows."""
+    from fqangle.experiments import random_nonzero_rows
+
+    field, n = code.field, code.n
+    rng = np.random.default_rng(seed)
+    P = projective_codeword_matrix(code).astype(np.int64)
+    near = np.zeros((6, n), dtype=np.int64)
+    for word in near:
+        positions = rng.choice(n, size=rng.integers(0, (n - code.k) // 2 + 1), replace=False)
+        word[positions] = rng.integers(1, field.q, size=positions.size)
+        word[:] = field.mul_array(int(rng.integers(1, field.q)), field.add_array(P[rng.integers(len(P))], word))
+    light = np.zeros((2, n), dtype=np.int64)
+    light[[0, 1], rng.choice(n, size=2, replace=False)] = rng.integers(1, field.q, size=2)
+    return np.vstack([near, random_nonzero_rows(rng, field, 6, n), light])
+
+
+PINNED_OUTPUTS = {
+    (7, 7, 3): "3711d3279f80873ca099cdb1ba6be6df96e42cf2ab0b4629a37e37e1c656c5d5",
+    (16, 15, 5): "d687f5dd6e48a19262054ffc10f7cef0334f80a6042e82eef678ad52d81c656f",
+}
+
+
+@pytest.mark.parametrize("q,n,k", list(PINNED_OUTPUTS), ids=[f"RS[{n},{k}]/GF({q})" for q, n, k in PINNED_OUTPUTS])
+def test_decoder_outputs_are_pinned(q, n, k):
+    from fqangle import field_from_order
+
+    def points(pairs):
+        return [(p.rep.values(), int(a)) for p, a in pairs]
+
+    code = make_rs_code(field_from_order(q), n, k)
+    U = seeded_words(code, seed=q * n + k)
+    words = [Vector(code.field, u) for u in U]
+    parts = [(o.kind.value, points(o.best), o.min_distance) for o in (angular_decode(u, code) for u in words)]
+    parts += [points(projective_list_decode(u, code, 3)) for u in words]
+    parts += [(angle_to_code(u, code), dist_to_code(u, code)) for u in words]
+    parts += [a.tolist() for a in decode_rows(code, U)]
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == PINNED_OUTPUTS[q, n, k]
+
+
+def test_codeword_matrices_are_pinned():
+    code = make_rs_code(make_field(2, 3), 8, 4)
+    rows = [M.astype(np.int64).tolist() for M in (codeword_matrix(code), projective_codeword_matrix(code))]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "fc99e9646a95a1e6d42ad597111b3db6f3c2824c49b5fc5f568b4ef3762c37b7")

@@ -25,7 +25,13 @@ from fqangle import (
     verify_projective_descent,
 )
 import fqangle.experiments
-from fqangle.experiments import MAX_BENCH_POSITIONS, all_nonzero_vectors, error_patterns, random_nonzero_rows
+from fqangle.experiments import (
+    MAX_BENCH_POSITIONS,
+    MAX_WORK,
+    all_nonzero_vectors,
+    error_patterns,
+    random_nonzero_rows,
+)
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -376,6 +382,31 @@ def test_bench_budget_counts_repetitions_times_total_length(monkeypatch):
         bench_angle(F7, [part, 1], 10)
     with pytest.raises(SuiteTooLarge):  # 1 repetition runs 5
         bench_angle(F7, [MAX_BENCH_POSITIONS // 5 + 1], 1)
+
+
+def test_work_budget_counts_oracle_passes_and_decoding_positions(monkeypatch):
+    # max(5, repetitions) x sum(n) x (q - 1) for bench, samples x directions
+    # x n for the decoding suite: refused before any input is drawn or allocated
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", drawn)
+    monkeypatch.setattr(fqangle.experiments, "error_patterns", drawn)
+    F19 = make_field(19)
+    with pytest.raises(Drawn):  # 5 x n x 18 at the budget
+        bench_angle(F19, [MAX_WORK // 90], 1)
+    with pytest.raises(SuiteTooLarge, match="work budget"):
+        bench_angle(F19, [MAX_WORK // 90 + 1], 1)
+    with pytest.raises(SuiteTooLarge, match="work budget"):  # inside the position bound, but hours of passes
+        bench_angle(make_field(65521), [13_000_000], 5)
+    with pytest.raises(Drawn):  # 10^5 samples x 757 directions x 7 = 5.3e8
+        verify_angular_decoding(make_rs_code(make_field(3, 3), 7, 3), seed=0)
+    for k in (5, 6, 7):  # 2.0e9, 2.7e9 and 9.6e10
+        with pytest.raises(SuiteTooLarge, match="work budget"):
+            verify_angular_decoding(make_rs_code(F7, 7, k), seed=0)
 
 
 def test_bench_q2_algorithms_comparable():
