@@ -27,22 +27,27 @@ scan covers at least ``_FAST_MIN_SCAN`` positions (directions x length):
    lies at distance >= d - t > t.  Its per-code tables (``LinearCode._rs``)
    are built on a code's first call.
 2. Information sets, where C(n, k) (k + 1) <= D, the number of
-   directions.  Take a direction at angle a <= d - 1 from u: some beta c
-   agrees with u on n - a >= n - d + 1 positions.  No nonzero codeword
-   vanishes on n - d + 1 positions, so those positions hold an
-   information set S, and the codeword u_S G_S^-1 G that re-encodes u
-   from S is beta c (Prange, "The use of information sets in decoding
-   cyclic codes", IRE Trans. IT 1962).  So the candidates u_S G_S^-1 G,
-   one per information set, hold every direction at angle <= d - 1, each
-   with its exact angle.  If the least candidate angle a is <= d - 1, a
-   and the directions tied at it are exactly the scan's.  A Reed-Solomon
-   code with distinct points is MDS (d = n - k + 1), so every k-subset is
-   an information set, and some candidate agrees with u on k positions:
-   a <= n - k = d - 1 always.  A least candidate angle above d - 1 still
-   falls back to the scan, as the guard of that argument.  The maps
-   G_S^-1 G are Lagrange basis polynomials evaluated at the points, built
-   on a code's first such query (``_ReedSolomon.infosets``) from the log
-   differences of the points that step 1's tables hold.
+   directions.  The candidates C_S = u_S G_S^-1 G, one per information
+   set S on which u does not vanish, are nonzero codewords, so each lies
+   at Hamming distance d_H(u, C_S) >= the angle of its direction >= the
+   least angle a.  Conversely, if a <= d - 1, some beta c at the least
+   direction agrees with u on n - a >= n - d + 1 positions.  No nonzero
+   codeword vanishes on n - d + 1 positions, so those positions hold an
+   information set S, and the codeword C_S that re-encodes u from S is
+   beta c, at distance a (Prange, "The use of information sets in
+   decoding cyclic codes", IRE Trans. IT 1962).  So if the least
+   candidate distance is <= d - 1, it is a, and the directions of the
+   candidates at that distance are exactly the scan's tied directions.
+   No ratio census is needed, and since C_S equals u on S by
+   construction, only the n - k positions off S are compared.  A
+   Reed-Solomon code with distinct points is MDS (d = n - k + 1), so
+   every k-subset is an information set, and some candidate agrees with
+   u on k positions: its distance is <= n - k = d - 1 always.  A least
+   distance of d or more still falls back to the scan, as the guard of
+   that argument.  The maps G_S^-1 G off S are Lagrange basis
+   polynomials evaluated at the points, built on a code's first such
+   query (``_ReedSolomon.infosets``, 511 KB on RS[15,5]/GF(16)) from the
+   log differences of the points that step 1's tables hold.
 
 Otherwise, and always for ``projective_list_decode``, ``decode_rows``
 and ``min_distance``, the direction matrix is scanned.  The one-word
@@ -61,7 +66,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .angle import ProjectivePoint, _angle_table, angle_fast_rows, normalize_rows
+from .angle import ProjectivePoint, _angle_table, normalize_rows
 from .errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -95,8 +100,8 @@ _DECODE_CHUNK_CELLS = 1 << 18
 # RS[11,4]/GF(11) (16,104) 109-118 vs 44-49 and 117-126 vs 156-172;
 # RS[13,4]/GF(13) (30,940) 193-196 vs 50-57 and 220-231 vs 265-276;
 # RS[10,4]/GF(16) (43,690) 315-316 vs 40-46 and 320-370 vs 211-225;
-# RS[15,5]/GF(16) (1,048,575) 5.9-6.0 ms vs 55-83 and 5.8-5.9 ms vs
-# 0.94-0.96 ms.  Near words gain from 4,680 positions on, uniform words
+# RS[15,5]/GF(16) (1,048,575) 6.3-7.8 ms vs 56-81 and 7.2-8.9 ms vs
+# 0.43-0.78 ms.  Near words gain from 4,680 positions on, uniform words
 # (which fail Berlekamp-Welch first) only above 30,940.  Three near words
 # to one uniform, the decode benchmarks' mix, gain from 14,640 on and
 # lose at 7,380, so the gate sits between the two.
@@ -310,17 +315,21 @@ def min_distance(code: LinearCode) -> int:
 class _InfoSets:
     """Per-code tables of the information-set candidates.
 
-    ``maps[j, :, s]`` is row j of G_S^-1 G for the s-th information set
-    S, whose positions are ``subsets[:, s]`` (k-subsets in
-    itertools.combinations order).  The sets run along the last axis, so
-    a word's per-set logs broadcast along it.  ``maps`` and ``log`` hold
-    sentinel logs (``Field.sentinel_log_tables``), so one gather of
-    ``exp`` multiplies, in the narrowest unsigned dtype that holds
-    4(q - 1), the largest sum of two logs; ``exp`` is in the narrowest
-    dtype that holds q - 1.  Together they take 345 KB on RS[15,5]/GF(16).
+    The s-th information set S holds the positions ``subsets[:, s]``
+    (k-subsets in itertools.combinations order), and ``off[:, s]`` holds
+    the n - k positions off S, ascending.  ``maps[j, :, s]`` is row j of
+    G_S^-1 G at the positions off S; on S that map is the identity, so a
+    candidate equals the word there and needs no table.  The sets run
+    along the last axis, so a word's per-set logs broadcast along it.
+    ``maps`` and ``log`` hold sentinel logs (``Field.sentinel_log_tables``),
+    so one gather of ``exp`` multiplies, in the narrowest unsigned dtype
+    that holds 4(q - 1), the largest sum of two logs; ``exp`` is in the
+    narrowest dtype that holds q - 1.  Together they take 511 KB on
+    RS[15,5]/GF(16), 360 KB of it the intp positions.
     """
 
     subsets: np.ndarray
+    off: np.ndarray
     maps: np.ndarray
     log: np.ndarray
     exp: np.ndarray
@@ -383,11 +392,11 @@ class _ReedSolomon:
         """The information-set tables, built on first use.
 
         Row j of G_S^-1 G maps a codeword's value at position S_j to its
-        values at every position, so at position i it is the Lagrange basis
-        polynomial prod over t in S - {S_j} of (x - x_t) / (x_{S_j} - x_t),
-        at x = x_i.  With D = ``log_diff`` and N[i] the sum of D[i, t] over
-        t in S, its log is N[i] - D[i, S_j] - N[S_j] off S; on S it is 1 at
-        S_j and 0 elsewhere."""
+        values at every position, so at position i off S it is the
+        Lagrange basis polynomial prod over t in S - {S_j} of
+        (x - x_t) / (x_{S_j} - x_t), at x = x_i.  With D = ``log_diff`` and
+        N[i] the sum of D[i, t] over t in S, its log is
+        N[i] - D[i, S_j] - N[S_j]."""
         field, L = self.field, self.field.q - 1
         k, n = self.generator_log.shape
         log, exp = field.sentinel_log_tables()
@@ -396,47 +405,71 @@ class _ReedSolomon:
         w = np.min_scalar_type(3 * L)
         D = self.log_diff.astype(w)
         subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                              dtype=np.intp).reshape(-1, k).T.copy()  # (k, sets)
-        at_S = D[:, subsets]  # (n, k, sets): D[i, S_j]
-        N = (at_S.sum(axis=1, dtype=np.min_scalar_type(k * L)) % L).astype(w)  # (n, sets)
-        x = (N + w.type(2 * L))[:, None, :] - at_S
-        x -= np.take_along_axis(N, subsets, axis=0)
+                              dtype=np.intp).reshape(-1, k)  # (sets, k)
+        in_S = np.zeros((len(subsets), n), dtype=bool)
+        np.put_along_axis(in_S, subsets, True, axis=1)
+        off = (np.flatnonzero(~in_S) % n).reshape(len(subsets), n - k).T.copy()  # (n - k, sets), ascending
+        subsets = subsets.T.copy()  # (k, sets)
+        flat = D.ravel()
+        at_S = flat.take(subsets * n + subsets[:, None, :])  # (k, k, sets): D[S_t, S_j] at [j, t]
+        at_off = flat.take(off * n + subsets[:, None, :])  # (k, n - k, sets): D[i, S_j] at [j, i]
+        N_S, N_off = ((a.sum(axis=0, dtype=np.min_scalar_type(k * L)) % L).astype(w) for a in (at_S, at_off))
+        x = (N_off + w.type(2 * L)) - at_off
+        x -= N_S[:, None, :]
         x = np.minimum(x, np.minimum(x - w.type(L), x - w.type(2 * L)))  # x mod L
-        maps = x.transpose(1, 0, 2).astype(log.dtype)
-        sets = np.arange(subsets.shape[1])
-        maps[:, subsets, sets] = 2 * L  # the sentinel log of 0 on S,
-        maps[np.arange(k)[:, None], subsets, sets] = 0  # but 1 at S_j
-        tables = _InfoSets(subsets, maps, log, exp.astype(np.min_scalar_type(L)))
+        maps = x.astype(log.dtype, copy=False)
+        tables = _InfoSets(subsets, off, maps, log, exp.astype(np.min_scalar_type(L)))
         for t in vars(tables).values():
             t.setflags(write=False)
         return tables
 
 
 def _infosets_pay(code: LinearCode) -> bool:
-    """True when the C(n, k) candidates, k gathers and one census row each,
-    number at most the D directions of the scan."""
+    """True when the C(n, k) candidates, k gathers over the n - k positions
+    off their set and one compare each, number at most the D directions
+    of the scan, as k + 1 rows each."""
     q = code.field.q
     return math.comb(code.n, code.k) * (code.k + 1) <= (q**code.k - 1) // (q - 1)
 
 
 def _infoset_candidates(u: np.ndarray, code: LinearCode, tables: _InfoSets) -> tuple[np.ndarray, np.ndarray]:
-    """(C, angles): the nonzero candidates u_S G_S^-1 G over every
-    information set S, as rows, and their angles to the nonzero word u.
+    """(dist, C): the Hamming distance d_H(u, C_S) from the nonzero word u
+    to each candidate C_S = u_S G_S^-1 G, one per information set S, and
+    the candidates' values at the positions off S, (n - k, sets).
 
-    Every direction at angle <= d - 1 from u is among them, with its
-    exact angle."""
-    field = code.field
-    u_S = u.take(tables.subsets)  # (k, sets)
-    logs = tables.log.take(u_S)
+    C_S equals u on S, so only the positions off S are compared.  Where u
+    vanishes on S the candidate is the zero codeword, which has no
+    direction: its distance reads n + 1, past every codeword's."""
+    field, n = code.field, code.n
+    logs = tables.log.take(u).take(tables.subsets)  # (k, sets)
     # one term u_{S_j} (G_S^-1 G)_j at a time: take copies its index to intp
     C = tables.exp.take(logs[0] + tables.maps[0])
     for j in range(1, code.k):
         C = field.add_array(C, tables.exp.take(logs[j] + tables.maps[j]))
-    C = np.ascontiguousarray(C.T)
-    nonzero = u_S.any(axis=0)  # the candidate is 0 where u vanishes on S
-    if not nonzero.all():
-        C = C[nonzero]
-    return C, angle_fast_rows(field, C, u[None, :])
+    # a narrow sum: count_nonzero would sum intp, 5x slower on RS[15,5]
+    dist = (C != u.astype(C.dtype).take(tables.off)).sum(axis=0, dtype=np.min_scalar_type(n + 1))
+    dist[(logs == tables.log[0]).all(axis=0)] = n + 1  # u_S = 0
+    return dist, C
+
+
+def _candidate_rows(u: np.ndarray, tables: _InfoSets, C: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The full candidates of the given information sets, as rows: u on S,
+    their values C (see ``_infoset_candidates``) off S."""
+    rows = np.tile(u, (len(sets), 1))
+    np.put_along_axis(rows, tables.off[:, sets].T, C[:, sets].T, axis=1)
+    return rows
+
+
+def _sorted_distinct(A: np.ndarray) -> np.ndarray:
+    """The distinct elements of a 1-D array, or rows of a 2-D one, in
+    ascending (lexicographic) order: one sort and a mask of the run starts.
+    np.unique would do, but its first call imports numpy.ma, about 13 ms."""
+    keys = A.reshape(len(A), -1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.ones(len(A), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return A[order[starts]]
 
 
 def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:
@@ -653,13 +686,14 @@ def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
         near = berlekamp_welch(code, u, (d - 1) // 2)
         if near is not None:
             c, a = near
-            rows = normalize_rows(code.field, c[None])
+            rows = c[None] if c[np.flatnonzero(c)[0]] == 1 else normalize_rows(code.field, c[None])
         elif _infosets_pay(code):
-            C, angles = _infoset_candidates(u, code, code._rs.infosets)
-            a = int(angles.min(initial=d))  # d, too, when u vanishes on every information set
+            tables = code._rs.infosets
+            dist, C = _infoset_candidates(u, code, tables)
+            a = int(dist.min())
             if a < d:
-                tied = _direction_indices(code, C[angles == a])
-                rows = projective_codeword_matrix(code)[np.unique(tied)]
+                codewords = _sorted_distinct(_candidate_rows(u, tables, C, np.flatnonzero(dist == a)))
+                rows = projective_codeword_matrix(code)[_sorted_distinct(_direction_indices(code, codewords))]
     if rows is None:
         P = projective_codeword_matrix(code)
         angles = _angle_table(code.field, u[None, :], P)[0]

@@ -52,14 +52,17 @@ MAX_BENCH_POSITIONS = 1 << 26
 
 # The work budget, checked before any input is drawn or allocated:
 # bench_angle refuses past it max(5, repetitions) x sum(n) x (q - 1), the
-# positions of the naive oracle's passes, and verify_angular_decoding
-# samples x directions x n, the positions decode_rows scans.  Measured on a
-# 2-core Xeon, one warm call each: the oracle takes 1.2-3.8 ns per position
-# of a pass (GF(251), n = 10^5: 46 ms; GF(65521), n = 4,000: 1.0 s), and
-# decode_rows 6.7-10.4 ns per position (2,000 words on RS[7,3]/GF(7),
-# RS[15,3]/GF(16) and RS[7,5]/GF(7), 263 ms on the last).  So a call at the
-# budget spends about 1-4 s in the oracle's timed runs, or 7-11 s decoding.
-# Criterion 6's bench is 6.75e8.
+# positions of the naive oracle's passes, verify_angular_decoding
+# samples x directions x n, the positions decode_rows scans, and
+# angle_vs_dist_census samples x (directions + q^k) x n, the positions
+# decode_rows scans and those its reference compares with every codeword.
+# Measured on a 2-core Xeon, one warm call each: the oracle takes 1.2-3.8 ns
+# per position of a pass (GF(251), n = 10^5: 46 ms; GF(65521), n = 4,000:
+# 1.0 s), and decode_rows 6.7-10.4 ns per position (2,000 words on
+# RS[7,3]/GF(7), RS[15,3]/GF(16) and RS[7,5]/GF(7), 263 ms on the last).
+# So a call at the budget spends about 1-4 s in the oracle's timed runs, or
+# 7-11 s decoding.  Criterion 6's bench is 6.75e8, and criterion 8's census
+# (RS[7,3]/GF(7), 1,000 samples) 2.8e6.
 MAX_WORK = 1 << 30
 
 
@@ -364,10 +367,16 @@ def verify_angular_decoding(code: LinearCode, seed: int) -> SuiteReport:
 def angle_vs_dist_census(code: LinearCode, sample_size: int, seed: int) -> SuiteReport:
     """Tabulate angle-to-code vs distance-to-code over random nonzero inputs,
     check both against a scan of every codeword, and verify they agree
-    exactly when the classical minimum is attained at a nonzero codeword."""
+    exactly when the classical minimum is attained at a nonzero codeword.
+    Raises SuiteTooLarge when samples x (directions + codewords) x n
+    exceeds MAX_WORK, before any input is drawn or allocated."""
     t0 = time.perf_counter()
     sample_size = _at_least("sample_size", sample_size, 1)
     seed = _at_least("seed", seed, 0)
+    q, k, n = code.field.q, code.k, code.n
+    D = (q**k - 1) // (q - 1)
+    _check_work(sample_size * (D + q**k) * n,
+                f"{sample_size} samples x ({D} directions + {q**k} codewords) x {n} positions")
     rng = np.random.default_rng(seed)
     U = random_nonzero_rows(rng, code.field, sample_size, code.n)
     angles = decode_rows(code, U)[1]

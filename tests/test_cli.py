@@ -418,7 +418,8 @@ def test_work_budget_refusals_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", no_work)
     monkeypatch.setattr(fqangle.experiments, "decode_rows", no_work)
     for argv in (("bench", "--q", "65521", "--n", "13000000", "--reps", "5"),  # hours of oracle passes
-                 ("verify", "--suite", "decoding", "--q", "7", "--code", "rs", "--n", "7", "--k", "7")):  # past 300 s
+                 ("verify", "--suite", "decoding", "--q", "7", "--code", "rs", "--n", "7", "--k", "7"),  # past 300 s
+                 ("verify", "--suite", "census", "--q", "16", "--code", "rs", "--n", "15", "--k", "5")):  # 9-10 min
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

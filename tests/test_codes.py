@@ -5,8 +5,12 @@ import functools
 import gc
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -925,20 +929,36 @@ def test_infoset_candidates_equal_scan_on_every_rs_code(q, monkeypatch):
     assert q == 2 or ties  # beyond-radius words with several tied directions were compared
 
 
-def reference_tables(code):
-    """The code's _InfoSets from one row_reduce of [G_S | G] per k-subset
-    S, on any code: where G_S is invertible the reduced block is
-    [I | G_S^-1 G]; other subsets are dropped."""
+def reference_blocks(code):
+    """(S, G_S^-1 G) for every information set S, in itertools.combinations
+    order, from one row_reduce of [G_S | G] per k-subset S, on any code:
+    where G_S is invertible the reduced block is [I | G_S^-1 G]; other
+    subsets are dropped."""
     field, k, n, G = code.field, code.k, code.n, code.generator
-    log, exp = field.sentinel_log_tables()
-    log = log.astype(np.min_scalar_type(4 * (field.q - 1)))
-    subsets, maps = [], []
+    blocks = []
     for S in itertools.combinations(range(n), k):
         R = fqangle.codes.row_reduce(field, np.hstack([G[:, S], G]))[0]
         if np.array_equal(R[:, :k], np.eye(k)):
-            subsets.append(S)
-            maps.append(log.take(R[:, k:]))
-    return fqangle.codes._InfoSets(subsets=np.array(subsets).T, maps=np.stack(maps, axis=2), log=log,
+            blocks.append((S, R[:, k:]))
+    return blocks
+
+
+def reference_tables(code):
+    """The code's _InfoSets from reference_blocks: each map keeps the
+    columns of G_S^-1 G off S, and the columns it drops, on S, are the
+    identity, so a candidate equals the word there."""
+    field, k, n = code.field, code.k, code.n
+    log, exp = field.sentinel_log_tables()
+    log = log.astype(np.min_scalar_type(4 * (field.q - 1)))
+    subsets, offs, maps = [], [], []
+    for S, M in reference_blocks(code):
+        off = [i for i in range(n) if i not in S]
+        assert np.array_equal(M[:, S], np.eye(k)), S
+        subsets.append(S)
+        offs.append(off)
+        maps.append(log.take(M[:, off]))
+    return fqangle.codes._InfoSets(subsets=np.array(subsets).T, off=np.array(offs, dtype=np.intp).reshape(len(offs), n - k).T,
+                                   maps=np.stack(maps, axis=2), log=log,
                                    exp=exp.astype(np.min_scalar_type(field.q - 1)))
 
 
@@ -956,7 +976,7 @@ def test_lagrange_tables_equal_row_reduce(case):
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
     tables, reference = code._rs.infosets, reference_tables(code)
-    for name in ("subsets", "maps", "log", "exp"):
+    for name in ("subsets", "off", "maps", "log", "exp"):
         assert np.array_equal(getattr(tables, name), getattr(reference, name)), name
         assert getattr(tables, name).dtype == getattr(reference, name).dtype, name
     assert code._rs.infosets is tables  # cached
@@ -1025,26 +1045,35 @@ def test_codes_not_built_as_rs_never_take_the_candidates(q, n, k, monkeypatch):
 
 @pytest.mark.parametrize("q,n,k", NON_MDS, ids=lambda x: str(x))
 def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypatch):
-    # every direction at angle <= d - 1 is among the candidates with its
-    # exact angle, on any code; but the least candidate angle can exceed
-    # d - 1 on a non-MDS code, where the scan must decide
+    # each candidate's Hamming distance bounds its direction's angle, and
+    # equals it at every direction at angle <= d - 1, on any code; but the
+    # least distance can exceed d - 1 on a non-MDS code, where the scan
+    # must decide
     from fqangle import field_from_order
 
     field = field_from_order(q)
     code = planted_non_mds_code(field, n, k, seed=q * n)
     d = min_distance(code)
-    tables = reference_tables(code)
+    blocks, tables = reference_blocks(code), reference_tables(code)
     rng = np.random.default_rng(n)
     U = np.vstack([rng.integers(0, field.q, size=(60, n)), np.eye(n, dtype=np.int64)])  # and weight 1
     words = [Vector(field, u) for u in U[U.any(axis=1)]]
     above = 0
     for u in words:
-        C, angles = fqangle.codes._infoset_candidates(u.coords, code, tables)
+        dist, _ = fqangle.codes._infoset_candidates(u.coords, code, tables)
+        full = np.vstack([fqangle.codes._matmul(field, u.coords[list(S)][None], M) for S, M in blocks])
+        nonzero = full.any(axis=1)
+        assert np.array_equal(nonzero, u.coords[tables.subsets].any(axis=0))
+        assert (dist[~nonzero] == n + 1).all()  # the zero candidate, which has no direction
+        full, dist = full[nonzero], dist[nonzero]
+        assert np.array_equal(dist, np.count_nonzero(full != u.coords, axis=1))  # each distance recounted
         scan = fqangle.codes._angle_table(field, u.coords[None, :], projective_codeword_matrix(code))[0]
-        rows = reference_directions(code, C)
-        assert np.array_equal(scan[rows], angles)  # each candidate's angle is exact
-        assert set(np.flatnonzero(scan < d)) <= set(rows.tolist())
-        above += int(angles.min(initial=n)) > d - 1  # no candidate where u vanishes on every information set
+        rows = reference_directions(code, full)
+        assert (dist >= scan[rows]).all()  # a codeword's distance bounds its direction's angle
+        least = np.full(len(scan), n + 1)
+        np.minimum.at(least, rows, dist)
+        assert np.array_equal(least[scan < d], scan[scan < d])  # and attains it below d
+        above += int(dist.min(initial=n + 1)) > d - 1  # as where u vanishes on every information set
     assert above
     # forced past the Reed-Solomon gate with these candidates, the guard
     # still hands those words to the scan.  Only make_rs_code gives a code
@@ -1078,11 +1107,38 @@ def test_infoset_dispatch(monkeypatch):
     u = Vector(large.field, rng.integers(1, 16, size=15))
     out = angular_decode(u, large)
     assert (taken, scanned) == ([large], [])
-    assert large._rs.infosets.maps.nbytes + large._rs.infosets.subsets.nbytes < 1 << 20
+    assert sum(t.nbytes for t in vars(large._rs.infosets).values()) < 1 << 20
     # angle_to_code takes the shortcuts too; list decoding scans
     assert angle_to_code(u, large) == out.best[0][1] and scanned == []
     assert projective_list_decode(u, large, out.best[0][1] + 1) and scanned == [69_905]
     assert taken == [large, large]
+
+
+def test_sorted_distinct_equals_unique():
+    rng = np.random.default_rng(8)
+    for shape in ((1,), (40,), (1, 6), (60, 6), (60, 1)):
+        A = rng.integers(0, 3, size=shape)
+        assert np.array_equal(fqangle.codes._sorted_distinct(A), np.unique(A, axis=0))
+
+
+def test_uniform_word_decodes_import_no_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 13 ms of a one-word
+    # CLI decode; the information sets de-duplicate their ties without it
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from fqangle import Vector, angular_decode, make_field, make_rs_code",
+        "code = make_rs_code(make_field(2, 4), 15, 5)",
+        "rng = np.random.default_rng(0)",
+        "outs = [angular_decode(Vector(code.field, rng.integers(1, 16, size=15)), code) for _ in range(8)]",
+        "print('infosets' in vars(code._rs), max(len(out.best) for out in outs), 'numpy.ma' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(fqangle.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    took_infosets, most_tied, imported = proc.stdout.split()
+    assert took_infosets == "True" and int(most_tied) > 1  # ties were de-duplicated
+    assert imported == "False"
 
 
 # ----------------------------------------------------------------------

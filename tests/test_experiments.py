@@ -409,6 +409,27 @@ def test_work_budget_counts_oracle_passes_and_decoding_positions(monkeypatch):
             verify_angular_decoding(make_rs_code(F7, 7, k), seed=0)
 
 
+def test_census_work_budget_counts_directions_and_codewords(monkeypatch):
+    # samples x (directions + q^k) x n, refused before any input is drawn
+    # and before the code is enumerated
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", drawn)
+    with pytest.raises(Drawn):  # criterion 8: 1,000 x (57 + 343) x 7 = 2.8e6
+        angle_vs_dist_census(make_rs_code(F7, 7, 3), 1000, seed=0)
+    large = make_rs_code(make_field(2, 4), 15, 5)  # (69,905 + 2^20) x 15 = 2^24 - 1 per sample
+    with pytest.raises(Drawn):
+        angle_vs_dist_census(large, 64, seed=0)
+    for samples in (65, 10_000):  # 10^4, the CLI default, ran 9-10 min
+        with pytest.raises(SuiteTooLarge, match="work budget"):
+            angle_vs_dist_census(large, samples, seed=0)
+    assert "_projective" not in vars(large) and "_codewords" not in vars(large)
+
+
 def test_bench_q2_algorithms_comparable():
     # with a single nonzero scalar, brute force is one pass too
     records = {r.algo: r.median_ns for r in bench_angle(make_field(2), [1 << 16], repetitions=9)}
