@@ -957,7 +957,8 @@ def reference_tables(code):
         subsets.append(S)
         offs.append(off)
         maps.append(log.take(M[:, off]))
-    return fqangle.codes._InfoSets(subsets=np.array(subsets).T, off=np.array(offs, dtype=np.intp).reshape(len(offs), n - k).T,
+    return fqangle.codes._InfoSets(subsets=np.array(subsets).T,
+                                   off=np.array(offs, dtype=np.intp).reshape(len(offs), n - k).T,
                                    maps=np.stack(maps, axis=2), log=log,
                                    exp=exp.astype(np.min_scalar_type(field.q - 1)))
 
