@@ -356,15 +356,19 @@ def projectivize(u: Vector) -> ProjectivePoint:
     ``normalize_rows`` row, or u itself when already normalized."""
     if u.is_zero():
         raise ZeroVector("the zero vector spans no projective point")
-    rep = normalize_rows(u.field, u.coords)[0]
-    return ProjectivePoint(u if np.array_equal(rep, u.coords) else Vector(u.field, rep))
+    row = u.coords[None]
+    rep = normalize_rows(u.field, row)
+    return ProjectivePoint(u if rep is row else Vector(u.field, rep[0]))
 
 
 def normalize_rows(field: Field, M: np.ndarray) -> np.ndarray:
-    """Canonical projective representatives for each (nonzero) row of M."""
+    """Canonical projective representatives for each (nonzero) row of M:
+    M itself when every row's first nonzero coordinate is already 1."""
     M = np.atleast_2d(M)
     first_nz = (M != 0).argmax(axis=1)
     lead = M[np.arange(M.shape[0]), first_nz]
+    if (lead == 1).all():
+        return M
     return field.mul_array(field.inv_table[lead][:, None], M)
 
 

@@ -66,7 +66,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .angle import ProjectivePoint, _angle_table, normalize_rows
+# angle_fast_rows is bound here too so that perfbench's selftest and tracer,
+# which rebind it in every module that looks it up, find it
+from .angle import ProjectivePoint, _angle_table, angle_fast_rows, normalize_rows  # noqa: F401
 from .errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -686,7 +688,7 @@ def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
         near = berlekamp_welch(code, u, (d - 1) // 2)
         if near is not None:
             c, a = near
-            rows = c[None] if c[np.flatnonzero(c)[0]] == 1 else normalize_rows(code.field, c[None])
+            rows = normalize_rows(code.field, c[None])
         elif _infosets_pay(code):
             tables = code._rs.infosets
             dist, C = _infoset_candidates(u, code, tables)

@@ -664,6 +664,7 @@ def test_normalize_rows_matches_projectivize():
         field = make_field(*pm)
         M = all_nonzero_vectors(field, 3)
         normalized = normalize_rows(field, M)
+        assert normalize_rows(field, normalized) is normalized  # already normalized, no rescale
         for row, norm in zip(M, normalized):
             u = Vector(field, row)
             assert projectivize(u).rep == Vector(field, norm)

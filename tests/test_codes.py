@@ -1194,3 +1194,11 @@ def test_codeword_matrices_are_pinned():
     rows = [M.astype(np.int64).tolist() for M in (codeword_matrix(code), projective_codeword_matrix(code))]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "fc99e9646a95a1e6d42ad597111b3db6f3c2824c49b5fc5f568b4ef3762c37b7")
+
+
+def test_codes_binds_angle_fast_rows():
+    # perfbench's tracer and selftest rebind the kernel in every module that
+    # looks it up, fqangle.codes among them
+    import fqangle.angle
+
+    assert fqangle.codes.angle_fast_rows is fqangle.angle.angle_fast_rows
