@@ -18,16 +18,18 @@ and so ``dist_to_code``) reads ``_least``, which tries two exact
 shortcuts before the scan, in this order, on a Reed-Solomon code whose
 scan covers at least ``_FAST_MIN_SCAN`` positions (directions x length):
 
-1. Berlekamp-Welch, with radius t = (d - 1) // 2, solved by Gao's
-   extended-Euclid algorithm on Python ints (``berlekamp_welch``).  If it
-   yields a nonzero codeword c with d_H(u, c) <= t, the least angle is
-   d_H(u, c), at the direction of c alone.  This is sound whatever
-   Berlekamp-Welch computed: c = f G is a codeword by construction and its
-   distance is counted, and every other nonzero codeword, beta c included,
-   lies at distance >= d - t > t.  Its per-code tables (``LinearCode._rs``)
-   are built on a code's first call.
-2. Information sets, where C(n, k) (k + 1) <= D, the number of
-   directions.  The candidates C_S = u_S G_S^-1 G, one per information
+1. Berlekamp-Welch, where n^2 <= D, the number of directions: its n x n
+   tables and O(n t) Python Euclid steps cost more than a scan of fewer
+   (RS[1024,2]/GF(2^10): 209 ms a word against 6-9 ms).  Radius
+   t = (d - 1) // 2, solved by Gao's extended-Euclid algorithm on Python
+   ints (``berlekamp_welch``).  If it yields a nonzero codeword c with
+   d_H(u, c) <= t, the least angle is d_H(u, c), at the direction of c
+   alone.  This is sound whatever Berlekamp-Welch computed: c = f G is a
+   codeword by construction and its distance is counted, and every other
+   nonzero codeword, beta c included, lies at distance >= d - t > t.  Its
+   per-code tables (``LinearCode._rs``) are built on a code's first call.
+2. Information sets, where C(n, k) (k + 1) <= D (so n^2 <= D on such a
+   scan).  The candidates C_S = u_S G_S^-1 G, one per information
    set S on which u does not vanish, are nonzero codewords, so each lies
    at Hamming distance d_H(u, C_S) >= the angle of its direction >= the
    least angle a.  Conversely, if a <= d - 1, some beta c at the least
@@ -59,7 +61,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -271,21 +272,10 @@ def _enumerate(code: LinearCode, directions: bool) -> np.ndarray:
     M = np.empty((idx.size, code.n), dtype=np.min_scalar_type(q - 1))
     step = max(1, _BLOCK_ELEMENTS // code.n)
     for s in range(0, idx.size, step):
-        C = _matmul(field, digit_rows(idx[s : s + step], q, k), code.generator)
+        C = field.matmul(digit_rows(idx[s : s + step], q, k), code.generator)
         M[s : s + step] = normalize_rows(field, C) if directions else C
     M.setflags(write=False)
     return M
-
-
-def _matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The (T, n) product A B over the field of a (T, k) and a (k, n) array;
-    codewords m G when A holds messages and B is the generator."""
-    if field.m == 1:
-        return A @ B % field.p
-    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for j in range(B.shape[0]):
-        acc = field.add_array(acc, field.mul_array(A[:, j : j + 1], B[j][None, :]))
-    return acc
 
 
 def codeword_matrix(code: LinearCode) -> np.ndarray:
@@ -323,7 +313,7 @@ class _InfoSets:
     G_S^-1 G at the positions off S; on S that map is the identity, so a
     candidate equals the word there and needs no table.  The sets run
     along the last axis, so a word's per-set logs broadcast along it.
-    ``maps`` and ``log`` hold sentinel logs (``Field.sentinel_log_tables``),
+    ``maps`` and ``log`` hold sentinel logs (``Field.mul_tables``),
     so one gather of ``exp`` multiplies, in the narrowest unsigned dtype
     that holds 4(q - 1), the largest sum of two logs; ``exp`` is in the
     narrowest dtype that holds q - 1.  Together they take 511 KB on
@@ -401,7 +391,7 @@ class _ReedSolomon:
         N[i] - D[i, S_j] - N[S_j]."""
         field, L = self.field, self.field.q - 1
         k, n = self.generator_log.shape
-        log, exp = field.sentinel_log_tables()
+        log, exp = field.mul_tables
         log = log.astype(np.min_scalar_type(4 * L))
         # unsigned sums below 3L, so x - L and x - 2L wrap above x where x < L
         w = np.min_scalar_type(3 * L)
@@ -462,16 +452,13 @@ def _candidate_rows(u: np.ndarray, tables: _InfoSets, C: np.ndarray, sets: np.nd
     return rows
 
 
-def _sorted_distinct(A: np.ndarray) -> np.ndarray:
-    """The distinct elements of a 1-D array, or rows of a 2-D one, in
-    ascending (lexicographic) order: one sort and a mask of the run starts.
-    np.unique would do, but its first call imports numpy.ma, about 13 ms."""
-    keys = A.reshape(len(A), -1)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    starts = np.ones(len(A), dtype=bool)
-    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return A[order[starts]]
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct elements of a 1-D array, ascending: np.unique without
+    the import of numpy.ma its first call makes, about 13 ms."""
+    a = np.sort(a)
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = a[1:] != a[:-1]
+    return a[starts]
 
 
 def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:
@@ -556,22 +543,12 @@ class _Poly:
     """Polynomials over the field as lists of Python ints, constant term
     first and without leading zeros (the zero polynomial is []).
 
-    Products are exp[log a + log b] over the sentinel-log tables; sums are
-    a ^ b for p = 2, (a + b) % p for m = 1 and the Zech-log gather of
-    ``Field.add_tables`` otherwise, the formula ``add_array`` uses."""
+    Products are exp[log a + log b] over the sentinel-log tables; the
+    sums and log(-1) come from ``Field._int_tables``."""
 
     def __init__(self, field: Field):
-        self.log, self.exp, *add = field._int_tables
+        self.log, self.exp, self.add, self.neg = field._int_tables
         self.L = field.q - 1
-        self.neg = self.log[field.p - 1]  # log(-1): p - 1 encodes -1
-        if field.p == 2:
-            self.add = operator.xor
-        elif field.m == 1:
-            p = field.p
-            self.add = lambda a, b: (a + b) % p
-        else:
-            lg, ex, (B, Z) = self.log, self.exp, add
-            self.add = lambda a, b: ex[lg[a] + Z[B[b] - lg[a]]]
 
     def divmod(self, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
         """(quotient, remainder) of a by the nonzero b."""
@@ -613,18 +590,8 @@ def _trim(a: list[int]) -> list[int]:
 def _log_vecmat(field: Field, v: np.ndarray, M: np.ndarray) -> np.ndarray:
     """The product v M over the field of a vector and a matrix given as
     sentinel logs, or (v^T M) of a matrix v whose columns are the vectors:
-    one exp gather of the terms, then their field sum over M's rows, by one
-    reduction for p = 2 or m = 1, else by add_array calls that halve the
-    rows each time."""
-    A = field.mul_tables[1].take(v[..., None] + (M if v.ndim == 1 else M[:, None]))
-    if field.m == 1:
-        return A.sum(axis=0) % field.p
-    if field.p == 2:
-        return np.bitwise_xor.reduce(A, axis=0)
-    while len(A) > 1:
-        half = len(A) // 2
-        A = np.concatenate([field.add_array(A[:half], A[half : 2 * half]), A[2 * half :]])
-    return A[0]
+    one exp gather of the terms, then their field sum over M's rows."""
+    return field.sum_array(field.mul_tables[1].take(v[..., None] + (M if v.ndim == 1 else M[:, None])))
 
 
 def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray, int] | None:
@@ -666,7 +633,7 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
     f, rem = poly.divmod(r1, v1)
     if rem or not f or len(f) > k:
         return None
-    f_log = np.full(k, 2 * (field.q - 1), dtype=np.int64)  # the sentinel log of 0
+    f_log = np.full(k, poly.log[0], dtype=np.int64)  # the sentinel log of 0
     f_log[: len(f)] = [poly.log[a] for a in f]
     c = _log_vecmat(field, f_log, tables.generator_log)
     dist = int(np.count_nonzero(c != u))
@@ -679,13 +646,14 @@ def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
     rows of the directions at a, in enumeration order.
 
     The one place that picks the decoder: on a Reed-Solomon code whose
-    scan covers at least ``_FAST_MIN_SCAN`` positions, Berlekamp-Welch and
-    then the information sets, as the module docstring sets out; each
-    answer is exact or absent.  Otherwise every direction is scanned.
-    Every answer is checked by ``_assert_unique``."""
-    q, rows = code.field.q, None
-    if code.eval_points is not None and (q**code.k - 1) // (q - 1) * code.n >= _FAST_MIN_SCAN:
-        near = berlekamp_welch(code, u, (d - 1) // 2)
+    scan covers at least ``_FAST_MIN_SCAN`` positions, Berlekamp-Welch
+    (where n^2 <= D) and then the information sets, as the module
+    docstring sets out; each answer is exact or absent.  Otherwise every
+    direction is scanned.  Every answer is checked by ``_assert_unique``."""
+    q, n, rows = code.field.q, code.n, None
+    D = (q**code.k - 1) // (q - 1)
+    if code.eval_points is not None and D * n >= _FAST_MIN_SCAN:
+        near = berlekamp_welch(code, u, (d - 1) // 2) if n * n <= D else None
         if near is not None:
             c, a = near
             rows = normalize_rows(code.field, c[None])
@@ -694,7 +662,7 @@ def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
             dist, C = _infoset_candidates(u, code, tables)
             a = int(dist.min())
             if a < d:
-                codewords = _sorted_distinct(_candidate_rows(u, tables, C, np.flatnonzero(dist == a)))
+                codewords = _candidate_rows(u, tables, C, np.flatnonzero(dist == a))
                 rows = projective_codeword_matrix(code)[_sorted_distinct(_direction_indices(code, codewords))]
     if rows is None:
         P = projective_codeword_matrix(code)

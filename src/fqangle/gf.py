@@ -26,11 +26,15 @@ A product of more than ``_BLOCK_ELEMENTS`` elements is gathered in row blocks
 into one int64 output.  Sums are XOR for p = 2 and a residue for m = 1;
 for odd p with m > 1 they go through the same exp table with Zech
 logarithms, log(1 + g^k) (``Field.add_tables``, built on first use).
+No other module tells the field types apart: they sum along an axis with
+``sum_array``, multiply matrices with ``matmul`` and loop on ``_int_tables``.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from typing import Callable
 
 import numpy as np
 
@@ -430,6 +434,28 @@ class Field:
             exp.take(idx, out=out[s : s + rows], mode="clip")
         return out
 
+    def sum_array(self, A: np.ndarray) -> np.ndarray:
+        """The field sum of A along axis 0: one reduction for p = 2 or
+        m = 1, else add_array calls that halve the rows each time."""
+        if self.m == 1:
+            return A.sum(axis=0) % self.p
+        if self.p == 2:
+            return np.bitwise_xor.reduce(A, axis=0)
+        while len(A) > 1:
+            half = len(A) // 2
+            A = np.concatenate([self.add_array(A[:half], A[half : 2 * half]), A[2 * half :]])
+        return A[0]
+
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """The (T, n) product A B of a (T, k) and a (k, n) array; codewords
+        m G when A holds messages and B is a generator."""
+        if self.m == 1:
+            return A @ B % self.p
+        acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for j in range(B.shape[0]):
+            acc = self.add_array(acc, self.mul_array(A[:, j : j + 1], B[j][None, :]))
+        return acc
+
     def scalar_mul_array(self, c: int, arr: np.ndarray) -> np.ndarray:
         self._check(c)
         return self.mul_array(c, arr)
@@ -482,16 +508,23 @@ class Field:
         return B, Z
 
     @functools.cached_property
-    def _int_tables(self) -> tuple[tuple[int, ...], ...]:
-        """mul_tables, then add_tables for odd p with m > 1, as tuples of
-        Python ints, for loops that gather one element at a time (the
-        Euclid steps of Berlekamp-Welch).
-
+    def _int_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], Callable[[int, int], int], int]:
+        """(log, exp, add, neg) for loops that gather one element at a time
+        (the Euclid steps of Berlekamp-Welch): mul_tables as tuples of
+        Python ints, add(a, b) by add_array's formula and neg = log(-1).
         Built on first use and kept with the field, so every code over it
         shares one copy: 8.5 MiB on GF(2^16), 17.5 MiB on GF(3^10).
         """
-        tables = self.mul_tables + (self.add_tables if self.p > 2 and self.m > 1 else ())
-        return tuple(tuple(t.tolist()) for t in tables)
+        log, exp = (tuple(t.tolist()) for t in self.mul_tables)
+        if self.m == 1:
+            p = self.p
+            add = lambda a, b: (a + b) % p
+        elif self.p == 2:
+            add = operator.xor
+        else:
+            B, Z = (tuple(t.tolist()) for t in self.add_tables)
+            add = lambda a, b: exp[log[a] + Z[B[b] - log[a]]]
+        return log, exp, add, log[self.p - 1]  # p - 1 encodes -1
 
     def sentinel_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """New read-only tables (log, exp) with exp[log[a] + log[b]] = a * b.

@@ -158,11 +158,9 @@ def scalar_mul(c: int, u: Vector) -> Vector:
 
 
 def dot(u: Vector, v: Vector) -> int:
-    """Inner product sum_i u_i * v_i in the field (base-p digits summed mod p)."""
+    """Inner product sum_i u_i * v_i in the field."""
     _require_same_space(u, v)
-    p, scale = u.field.p, u.field.p ** np.arange(u.field.m)
-    digits = u.field.mul_array(u.coords, v.coords)[:, None] // scale % p
-    return int(digits.sum(axis=0) % p @ scale)
+    return int(u.field.sum_array(u.field.mul_array(u.coords, v.coords)))
 
 
 def parse_vector(field: Field, text: str) -> Vector:

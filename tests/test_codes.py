@@ -69,7 +69,7 @@ def directions(code):
 
 def encode(code, idx):
     """The int64 codewords of the messages whose base-q digits spell idx."""
-    return fqangle.codes._matmul(code.field, fqangle.codes.digit_rows(idx, code.field.q, code.k), code.generator)
+    return code.field.matmul(fqangle.codes.digit_rows(idx, code.field.q, code.k), code.generator)
 
 
 # ----------------------------------------------------------------------
@@ -655,6 +655,20 @@ def field_matmul(field, A, B):
     return np.array(out, dtype=np.int64)
 
 
+@pytest.mark.parametrize("pm", [(2, 1), (7, 1), (2, 4), (3, 2), (5, 2)], ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
+def test_sum_array_and_matmul_match_scalar_ops(pm):
+    # odd row counts leave a remainder row to the halving sum of odd p^m
+    field = make_field(*pm)
+    rng = np.random.default_rng(10 * pm[0] + pm[1])
+    for rows in (1, 2, 3, 7):
+        A = rng.integers(0, field.q, size=(rows, 5))
+        expected = [functools.reduce(field.add, col) for col in A.T.tolist()]
+        assert field.sum_array(A).tolist() == expected
+        assert int(field.sum_array(A[:, 0])) == expected[0]  # a 1-D array sums to one element
+        B = rng.integers(0, field.q, size=(rows, 4))
+        assert np.array_equal(field.matmul(A.T, B), field_matmul(field, A.T, B))
+
+
 @pytest.mark.parametrize("pm", [(2, 1), (7, 1), (3, 2), (2, 4), (2, 8)], ids=lambda pm: f"GF({pm[0]}^{pm[1]})")
 def test_row_reduce_matches_reference(pm):
     field = make_field(*pm)
@@ -812,9 +826,15 @@ def test_int_tables_built_once_per_field(monkeypatch):
         for u in bw_words(code, np.random.default_rng(4)):
             fqangle.codes.berlekamp_welch(code, u, 1)
     assert per_field == [field]
-    assert codes[0]._rs.poly.log is codes[1]._rs.poly.log is codes[2]._rs.poly.log is field._int_tables[0]
-    assert [list(t) for t in field._int_tables] == [t.tolist() for t in field.mul_tables]
-    assert [len(t) for t in make_field(3, 2)._int_tables] == [9, 33, 9, 41]  # and the Zech tables
+    log, exp, add, neg = field._int_tables
+    assert all(code._rs.poly.log is log and code._rs.poly.add is add for code in codes)
+    assert [list(log), list(exp)] == [t.tolist() for t in field.mul_tables]
+    assert exp[neg] == field.neg(1)
+    # odd p^m: the scalar sum reads the Zech tables, built with it
+    f9 = Field(3, 2)  # fresh, not the make_field cache
+    log, exp, add, neg = f9._int_tables
+    assert "add_tables" in vars(f9) and exp[neg] == f9.neg(1) == 2
+    assert all(add(a, b) == f9.add(a, b) for a in range(9) for b in range(9))
 
 
 @pytest.mark.parametrize("case", BW_CODES, ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
@@ -825,15 +845,66 @@ def test_forced_fast_path_outcome_equals_scan(case, monkeypatch):
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 1 << 62)
     scan = [angular_decode(u, code) for u in words]
     scan_dist = [(angle_to_code(u, code), dist_to_code(u, code)) for u in words]
+    calls = record_berlekamp_welch(monkeypatch)
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
     assert [angular_decode(u, code) for u in words] == scan
     assert [(angle_to_code(u, code), dist_to_code(u, code)) for u in words] == scan_dist
+    # Berlekamp-Welch runs only where n^2 <= D: of these codes, all but
+    # RS[7,1]/GF(7) (D = 1) and RS[6,2]/GF(11) (D = 12)
+    D = len(projective_codeword_matrix(code))
+    assert bool(calls) == (n * n <= D) == ((n, k) not in ((7, 1), (6, 2)))
 
 
-def test_fast_path_dispatch(monkeypatch):
+def record_berlekamp_welch(monkeypatch):
+    """The argument tuples of each berlekamp_welch call, in order."""
     calls = []
     bw = fqangle.codes.berlekamp_welch
     monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *a: calls.append(a) or bw(*a))
+    return calls
+
+
+def test_berlekamp_welch_skipped_on_long_codes_with_few_directions(monkeypatch):
+    # both scans pass _FAST_MIN_SCAN, but n^2 > D = q + 1: Berlekamp-Welch's
+    # n x n tables and Python Euclid steps would cost far more than the scan
+    calls = record_berlekamp_welch(monkeypatch)
+    cases = []
+    for m in (8, 10):
+        field = make_field(2, m)
+        code = make_rs_code(field, field.q, 2)
+        assert len(projective_codeword_matrix(code)) * code.n >= fqangle.codes._FAST_MIN_SCAN
+        rng = np.random.default_rng(m)
+        near = field.add_array(projective_codeword_matrix(code)[5], np.eye(1, code.n, 3, dtype=np.int64)[0])
+        cases.append((code, [Vector(field, u) for u in (near, *rng.integers(1, field.q, size=(2, code.n)))]))
+    fast = [[angular_decode(u, code) for u in words] for code, words in cases]
+    assert calls == [] and all("_rs" not in vars(code) for code, _ in cases)  # no tables built
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 1 << 62)
+    assert fast == [[angular_decode(u, code) for u in words] for code, words in cases]
+    assert fast[0][0].unique and fast[0][0].best[0][1] == 1
+
+
+def test_rs_8192_1_decodes_in_one_gib():
+    # RS[8192,1]/GF(2^13) has one direction; Berlekamp-Welch's n x n int64
+    # tables alone would take 512 MiB each, past this address-space limit
+    script = "\n".join([
+        "import resource",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "import numpy as np",
+        "from fqangle import Vector, angular_decode, make_field, make_rs_code",
+        "code = make_rs_code(make_field(2, 13), 8192, 1)",
+        "near = np.ones(8192, dtype=np.int64)",
+        "near[:100] = 2",
+        "uniform = np.random.default_rng(0).integers(1, 8192, size=8192)",
+        "print(*(angular_decode(Vector(code.field, u), code).best[0][1] for u in (near, uniform)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(fqangle.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    near, uniform = map(int, proc.stdout.split())
+    assert near == 100 and uniform < 8192
+
+
+def test_fast_path_dispatch(monkeypatch):
+    calls = record_berlekamp_welch(monkeypatch)
     u = Vector(F7, [1, 1, 4, 2, 2, 4, 1])
     angular_decode(u, rs733())  # 57 directions x 7: the scan is cheaper
     angular_decode(u, make_code(F7, rs733().generator))  # not built as Reed-Solomon
@@ -988,7 +1059,7 @@ def test_lagrange_tables_equal_row_reduce(case):
     lagrange = fqangle.codes._log_vecmat(field, field.mul_tables[0].take(C.T), code._rs.lagrange[:, :k])
     S = tables.subsets[:, 0]
     G_S_inv = fqangle.codes.row_reduce(field, np.hstack([code.generator[:, S], np.eye(k, dtype=np.int64)]))[0][:, k:]
-    assert np.array_equal(lagrange, fqangle.codes._matmul(field, C[:, S], G_S_inv))
+    assert np.array_equal(lagrange, field.matmul(C[:, S], G_S_inv))
     assert np.array_equal(lagrange, fqangle.codes.digit_rows(idx, field.q, k))
     assert np.array_equal(fqangle.codes._direction_indices(code, C), reference_directions(code, C))
 
@@ -1062,7 +1133,7 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
     above = 0
     for u in words:
         dist, _ = fqangle.codes._infoset_candidates(u.coords, code, tables)
-        full = np.vstack([fqangle.codes._matmul(field, u.coords[list(S)][None], M) for S, M in blocks])
+        full = np.vstack([field.matmul(u.coords[list(S)][None], M) for S, M in blocks])
         nonzero = full.any(axis=1)
         assert np.array_equal(nonzero, u.coords[tables.subsets].any(axis=0))
         assert (dist[~nonzero] == n + 1).all()  # the zero candidate, which has no direction
@@ -1117,9 +1188,9 @@ def test_infoset_dispatch(monkeypatch):
 
 def test_sorted_distinct_equals_unique():
     rng = np.random.default_rng(8)
-    for shape in ((1,), (40,), (1, 6), (60, 6), (60, 1)):
-        A = rng.integers(0, 3, size=shape)
-        assert np.array_equal(fqangle.codes._sorted_distinct(A), np.unique(A, axis=0))
+    for size in (1, 2, 40):
+        a = rng.integers(0, 3, size=size)
+        assert np.array_equal(fqangle.codes._sorted_distinct(a), np.unique(a))
 
 
 def test_uniform_word_decodes_import_no_numpy_ma():

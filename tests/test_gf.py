@@ -399,7 +399,7 @@ def test_zech_add_array_sample_gf59049():
     b[200:300] = f.neg_array(a[200:300])
     got = f.add_array(a, b)
     assert np.array_equal(got, digitwise_add(f, a, b)) and not got[200:300].any()
-    # broadcast shapes, as row_reduce and _matmul pass them
+    # broadcast shapes, as row_reduce and Field.matmul pass them
     assert np.array_equal(f.add_array(a[:12].reshape(3, 4), b[:4]), digitwise_add(f, a[:12].reshape(3, 4), b[:4]))
 
 
