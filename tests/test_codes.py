@@ -896,7 +896,8 @@ def test_rs_8192_1_decodes_in_one_gib():
         "uniform = np.random.default_rng(0).integers(1, 8192, size=8192)",
         "print(*(angular_decode(Vector(code.field, u), code).best[0][1] for u in (near, uniform)))",
     ])
-    env = {**os.environ, "PYTHONPATH": str(Path(fqangle.__file__).parents[1])}
+    # one BLAS thread: each one reserves its own buffer of address space
+    env = {**os.environ, "PYTHONPATH": str(Path(fqangle.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     near, uniform = map(int, proc.stdout.split())
