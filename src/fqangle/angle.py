@@ -72,6 +72,15 @@ _BINCOUNT_CELL_CAP = 1 << 25
 # positions took such T = 200 inputs 1.0-1.5x as long as one pass.
 _CENSUS_BLOCK_CELLS = 1 << 16
 
+# One pair's bins are counted with q + 2 compares, one bool pass each, in
+# place of bincount and its intp copy, when q <= _COMPARE_MAX_Q and
+# n >= _COMPARE_MIN_N * (q + 2)^2.  One pair, warm, 2-core Xeon, bincount /
+# compares: n = 2^16 242 / 26 us at q = 2, 141 / 64 at q = 7, 108 / 76 at
+# q = 9, 115 / 146 at q = 16; the compares first win near n = 8K at q = 2-3,
+# 16K at q = 5 and 32-64K at q = 7-9.  angle_fast_rows keeps bincount.
+_COMPARE_MAX_Q = 9
+_COMPARE_MIN_N = 1 << 9
+
 # Elements per row block of the oracle.  Every pass reuses the block's
 # buffers (64 KB each in uint8), so they stay in cache; measured faster than
 # 8 K, 16 K and one unblocked pass at q = 251, 16 and n = 1000.
@@ -215,37 +224,26 @@ def _angle_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise brute force: min over nonzero c of d_H(u, c*v).
 
-    One pass per nonzero c = g^k, each gathering c*v from a product row
-    and counting its mismatches with u, over row blocks of about
-    ``_ORACLE_BLOCK`` elements.  Row k maps log x to g^k * x: it is the
-    slice exp[k : k + 2L + 1], L = q - 1, of the field's sentinel-log
-    tables (``Field.sentinel_log_tables``: log 0 = 2L, exp twice over the
-    group, then zeros that every x = 0 reaches), copied per call in the
-    narrowest unsigned dtype that holds q - 1, so the field keeps no
-    tables for the oracle.  Never forms u_i / v_i, so it stays
+    Over row blocks of about ``_ORACLE_BLOCK`` elements, ``Field.multiples``
+    yields c*v for every nonzero c into one narrow buffer, and each pass
+    counts its mismatches with u.  Never forms u_i / v_i, so it stays
     independent of the census.  U and V must have the same shape and hold
     integer encodings in [0, q); a non-integer dtype raises InvalidInput,
     but the range is not checked.
     """
     U, V = _row_pairs(U, V, shared=False)
     T, n = U.shape
-    L = field.q - 1
-    log, exp = field.sentinel_log_tables()
-    exp = exp[: 3 * L].astype(np.min_scalar_type(L))
     best = np.full(T, n, dtype=np.int64)
     rows = max(1, _ORACLE_BLOCK // max(n, 1))
-    W = np.empty((min(rows, T), n), dtype=exp.dtype)
-    neq = np.empty(W.shape, dtype=bool)
-    dist = np.empty(W.shape[0], dtype=np.uint16 if n < 1 << 16 else np.uint32)  # holds n
+    neq = np.empty((min(rows, T), n), dtype=bool)
+    dist = np.empty(neq.shape[0], dtype=np.uint16 if n < 1 << 16 else np.uint32)  # holds n
     for s in range(0, T, rows):
-        u = U[s : s + rows].astype(exp.dtype)
-        v = log.take(V[s : s + rows])  # intp, take's index dtype: no cast per pass
-        m = u.shape[0]
-        w, ne, d, b = W[:m], neq[:m], dist[:m], best[s : s + m]
-        for k in range(L):
-            # every index is in range, so clip never fires; mode="raise"
-            # would buffer the output to check bounds on every pass
-            np.take(exp[k : k + 2 * L + 1], v, out=w, mode="clip")
+        u = U[s : s + rows]
+        m = len(u)
+        ne, d, b = neq[:m], dist[:m], best[s : s + m]
+        for k, w in enumerate(field.multiples(V[s : s + m])):
+            if k == 0:  # compare in the multiples' dtype, not with a cast every pass
+                u = u.astype(w.dtype)
             np.not_equal(w, u, out=ne)
             # count the mismatches as bytes into the narrow dist: far cheaper than a bool sum
             np.add.reduce(ne.view(np.uint8), axis=1, dtype=d.dtype, out=d)
@@ -270,10 +268,19 @@ def angle_fast(u: Vector, v: Vector) -> int:
 
 
 def _pair_counts(u: Vector, v: Vector) -> np.ndarray:
-    """(q + 2,) ratio-bin counts of a pair, which must be nonzero."""
+    """(q + 2,) ratio-bin counts of a pair, which must be nonzero.
+
+    A long row over a small field counts each bin with one compare and
+    ``count_nonzero`` (see ``_COMPARE_MAX_Q``), else with the census's
+    bincount."""
     _require_same_space(u, v)
     q = u.field.q
-    counts = _bin_counts(_ratio_bins(u.field, u.coords[None, :], v.coords[None, :]), q)[:, 0]
+    bins = _ratio_bins(u.field, u.coords[None, :], v.coords[None, :])
+    if q <= _COMPARE_MAX_Q and len(u) >= _COMPARE_MIN_N * (q + 2) ** 2:
+        eq = np.empty(len(u), dtype=bool)
+        counts = np.array([np.count_nonzero(np.equal(bins[0], b, out=eq)) for b in range(q + 2)])
+    else:
+        counts = _bin_counts(bins, q)[:, 0]
     # u is zero iff bins 1..q are empty, v iff bins 1..q-1 and q+1 are
     both = counts[1:q].any()
     if not (both or counts[q]) or not (both or counts[q + 1]):

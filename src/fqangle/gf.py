@@ -27,14 +27,17 @@ into one int64 output.  Sums are XOR for p = 2 and a residue for m = 1;
 for odd p with m > 1 they go through the same exp table with Zech
 logarithms, log(1 + g^k) (``Field.add_tables``, built on first use).
 No other module tells the field types apart: they sum along an axis with
-``sum_array``, multiply matrices with ``matmul`` and loop on ``_int_tables``.
+``sum_array``, multiply matrices with ``matmul``, loop on ``_int_tables``
+and step through every multiple c * V of an array with ``multiples`` (by
+repeated addition for m = 1, a Gray code of XORs for p = 2, and an exp
+window gather for odd p with m > 1).
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -420,15 +423,17 @@ class Field:
         both = np.broadcast(a, b)
         if both.size <= _BLOCK_ELEMENTS:
             return exp.take(log.take(a) + log.take(b))
-        # one int64 output, filled in row blocks whose temporaries stay small
+        # one int64 output, filled in row blocks whose temporaries stay small;
+        # an operand smaller than the output is broadcast, so its log is
+        # taken once, not once per block
         shape = both.shape
-        a = np.broadcast_to(a, shape)
-        b = np.broadcast_to(b, shape)
+        full = [np.broadcast_to(x, shape) for x in (a, b) if np.size(x) == both.size]
+        logs = [np.broadcast_to(log.take(x), shape) for x in (a, b) if np.size(x) < both.size]
         out = np.empty(shape, dtype=np.int64)
         rows = max(1, _BLOCK_ELEMENTS * shape[0] // both.size)
         for s in range(0, shape[0], rows):
-            idx = log.take(a[s : s + rows])
-            idx += log.take(b[s : s + rows])
+            part = [log.take(x[s : s + rows]) for x in full] + [x[s : s + rows] for x in logs]
+            idx = np.add(*part, out=part[0] if full else None)  # a taken block is a new array
             # every index is in range, so clip never fires; mode="raise"
             # would buffer the output to check bounds
             exp.take(idx, out=out[s : s + rows], mode="clip")
@@ -463,6 +468,68 @@ class Field:
     def div_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise a / b, with 0 wherever b = 0."""
         return self.mul_array(a, self.inv_table[b])
+
+    def multiples(self, V: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield c * V for every nonzero c, all in one reused buffer.
+
+        The buffer has V's shape and the narrowest unsigned dtype the
+        steps need; each step overwrites it, so read a multiple before
+        taking the next.  The first is 1 * V; the order of the others
+        depends on the field type:
+
+        - m = 1: c = 1, 2, ..., p - 1, each step adding V and subtracting
+          p where the sum wrapped (min(w, w - p) in unsigned arithmetic,
+          so the dtype holds 2(p - 1): uint8 for p <= 128, uint16 below
+          2^15, else uint32);
+        - p = 2: c along a Gray code over the polynomial basis x^j * V,
+          j < m, built by shift and XOR with the modulus, one XOR a step;
+        - odd p with m > 1: c = g^k, gathered from the window
+          exp[k : k + 2L + 1], L = q - 1, of a per-call copy of the
+          sentinel-log tables (``sentinel_log_tables``), indexed by log V.
+
+        Reads no table for m = 1 or p = 2, and caches none in any arm.
+        """
+        q = self.q
+        if self.m == 1:
+            dtype = np.uint8 if q <= 128 else np.uint16 if q < 1 << 15 else np.uint32
+            v = V.astype(dtype)
+            w = v.copy()
+            t = np.empty_like(w)
+            yield w
+            for _ in range(q - 2):
+                w += v
+                np.subtract(w, q, out=t)
+                np.minimum(w, t, out=w)
+                yield w
+        elif self.p == 2:
+            m = self.m
+            dtype = np.min_scalar_type(q - 1)
+            low = self._mod_mask ^ q  # x^m = low mod the modulus
+            basis = [V.astype(dtype)]
+            for _ in range(m - 1):
+                b = basis[-1]
+                top = b >> (m - 1)
+                b = (b << 1) & (q - 1)  # drops x^m, which shifts out of uint8 at m = 8
+                top *= low
+                b ^= top
+                basis.append(b)
+            w = np.zeros_like(basis[0])
+            # step i flips bit ctz(i) of the Gray code i ^ (i >> 1), so c
+            # runs once over every nonzero polynomial of degree < m
+            for i in range(1, q):
+                w ^= basis[(i & -i).bit_length() - 1]
+                yield w
+        else:
+            L = q - 1
+            log, exp = self.sentinel_log_tables()
+            exp = exp[: 3 * L].astype(np.min_scalar_type(L))
+            v = log.take(V)  # intp, take's index dtype: no cast per pass
+            w = np.empty(V.shape, dtype=exp.dtype)
+            for k in range(L):
+                # every index is in range, so clip never fires; mode="raise"
+                # would buffer the output to check bounds on every pass
+                np.take(exp[k : k + 2 * L + 1], v, out=w, mode="clip")
+                yield w
 
     @functools.cached_property
     def mul_tables(self) -> tuple[np.ndarray, np.ndarray]:

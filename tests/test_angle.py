@@ -510,6 +510,82 @@ def test_oracle_matches_definition_above_256(p, m):
     assert naive.tolist() == _definition(field, U, V)
 
 
+# Every arm of Field.multiples: m = 1 in uint8, uint16 and uint32 (p = 127
+# and 131 sit on either side of the uint8 edge; test_gf checks the dtype
+# edges); p = 2 with the basis shift inside the dtype (m = 2, 3, 4, 10) and
+# shifting x^m out of it (m = 8, 16); and the exp-window gather of odd p^m
+# (GF(9), GF(25), GF(3^10)).
+ARM_FIELDS = [(2, 1), (7, 1), (127, 1), (131, 1), (251, 1), (257, 1), (65521, 1),
+              (2, 2), (2, 3), (2, 4), (2, 8), (2, 10), (2, 16), (3, 2), (5, 2), (3, 10)]
+
+
+def _arm_rows(field, rng, n=12):
+    """Zero rows and positions, u = c*v for c = 1, 2, q - 1 and the
+    generator, disjoint supports, and the encodings q - 1 and q - 2."""
+    q = field.q
+    U = rng.integers(0, q, (5, n))
+    V = rng.integers(0, q, (5, n))
+    U[0] = 0  # the angle is wt(v)
+    V[1] = 0  # wt(u)
+    U[2] = V[2] = 0  # 0
+    U[3, :3] = V[3, :3] = q - 1
+    U[4, :3], V[4, :3] = q - 2, q - 1
+    v = rng.integers(1, q, n)
+    v[:2] = 0
+    for c in {1, 2 % q, q - 1, field.generator} - {0}:
+        U = np.vstack([U, field.scalar_mul_array(c, v)])
+        V = np.vstack([V, v])
+    odd = np.arange(n) % 2
+    U = np.vstack([U, np.where(odd, 0, rng.integers(1, q, n))])
+    V = np.vstack([V, np.where(odd, rng.integers(1, q, n), 0)])
+    return U, V
+
+
+@pytest.mark.parametrize("p,m", ARM_FIELDS)
+def test_oracle_arms_match_definition(p, m):
+    field = make_field(p, m)
+    U, V = _arm_rows(field, np.random.default_rng(p + 7 * m), n=12 if field.q < 1 << 12 else 4)
+    expected = _definition(field, U, V)
+    assert expected[:3] == [np.count_nonzero(V[0]), np.count_nonzero(U[1]), 0]
+    assert expected[5] == 0  # u = 1 * v
+    assert expected[-1] == np.count_nonzero(U[-1]) + np.count_nonzero(V[-1])
+    narrow = np.min_scalar_type(field.q - 1)
+    inputs = [(U, V), (U.astype(narrow), V.astype(narrow))]
+    if field.q < 1 << 12:  # the angle is symmetric, so (V, U) has the same definition
+        inputs.append((V, U))
+    for A, B in inputs:
+        assert angle_naive_rows(field, A, B).tolist() == expected
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2)])
+def test_oracle_counts_past_two_to_the_sixteen(p, m):
+    # an angle above 65535 needs the uint32 distance; disjoint supports give n
+    field = make_field(p, m)
+    n = (1 << 16) + 5
+    rng = np.random.default_rng(n)
+    odd = np.arange(n) % 2
+    U = np.vstack([np.where(odd, 0, rng.integers(1, field.q, n)), rng.integers(0, field.q, n)])
+    V = np.vstack([np.where(odd, rng.integers(1, field.q, n), 0), rng.integers(0, field.q, n)])
+    naive = angle_naive_rows(field, U, V)
+    assert naive[0] == n
+    assert naive.tolist() == _definition(field, U, V)
+
+
+@pytest.mark.parametrize("p,m", [(251, 1), (2, 8)])
+def test_prime_and_binary_oracle_read_no_field_tables(p, m, monkeypatch):
+    from fqangle.gf import Field
+
+    def tables(self):
+        raise AssertionError("the oracle read the sentinel-log tables")
+
+    U, V = _arm_rows(make_field(p, m), np.random.default_rng(p))  # products before the patch
+    monkeypatch.setattr(Field, "sentinel_log_tables", tables)
+    field = Field(p, m)  # fresh, not shared through the make_field cache
+    assert angle_naive_rows(field, U, V).tolist() == _definition(field, U, V)
+    for name in ("mul_tables", "add_tables", "ratio_bin_tables"):
+        assert name not in vars(field)
+
+
 @pytest.mark.parametrize("p,m", [(3, 2), (257, 1)])
 def test_oracle_never_touches_the_census(p, m, monkeypatch):
     from fqangle.experiments import random_nonzero_rows
@@ -688,6 +764,33 @@ def test_zero_vector_rejected():
             fn(u, zero)
     with pytest.raises(ZeroVector):
         projectivize(zero)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 8, 9, 11])
+def test_pair_counts_compare_bins_from_the_edge(q, monkeypatch):
+    # below n = _COMPARE_MIN_N * (q + 2)^2, and for q > _COMPARE_MAX_Q at any
+    # n, one pair is counted by bincount; from the edge on, by compares
+    from fqangle import field_from_order
+
+    field = field_from_order(q)
+    edge = fqangle.angle._COMPARE_MIN_N * (q + 2) ** 2
+    bincounts = []
+    real = fqangle.angle._bin_counts
+    monkeypatch.setattr(fqangle.angle, "_bin_counts",
+                        lambda bins, q: bincounts.append(bins.shape[1]) or real(bins, q))
+    rng = np.random.default_rng(q)
+    for n in (edge - 1, edge):
+        u, v = rng.integers(0, q, n), rng.integers(0, q, n)
+        census = build_census(Vector(field, u), Vector(field, v))
+        both = (u != 0) & (v != 0)
+        assert census.both_zero == np.count_nonzero((u == 0) & (v == 0))
+        assert census.only_u == np.count_nonzero((u != 0) & (v == 0))
+        assert census.only_v == np.count_nonzero((u == 0) & (v != 0))
+        assert census.ratio_counts == {
+            c: np.count_nonzero(both & (u == field.mul_array(c, v))) for c in range(1, q)}
+        c, angle = argmin_scalar(Vector(field, u), Vector(field, v))
+        assert angle == angle_naive(Vector(field, u), Vector(field, v))
+    assert bincounts == [edge - 1] * 2 + ([] if q <= fqangle.angle._COMPARE_MAX_Q else [edge] * 2)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (257, 1), (2, 16)])

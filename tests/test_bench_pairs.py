@@ -89,3 +89,33 @@ def test_claim_and_workloads_are_validated(extra, capsys):
         bench_pairs.parse_args(REQUIRED + extra, WORKLOADS)
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_tier1_counts_read_pytests_last_line():
+    assert bench_pairs.tier1_counts("....\n567 passed in 26.71s\n") == {"passed": 567}
+    out = "F..\n== short test summary info ==\nFAILED t.py::x\n1 failed, 566 passed, 2 skipped in 30.12s\n"
+    assert bench_pairs.tier1_counts(out) == {"failed": 1, "passed": 566, "skipped": 2}
+    assert bench_pairs.tier1_counts("1 error in 0.5s") == {"error": 1}
+    assert bench_pairs.tier1_counts("") == {}
+
+
+def test_tier1_summary_has_no_bound():
+    runs = lambda *walls: [{"wall_s": w, "exit": 0, "counts": {"passed": 3}} for w in walls]
+    out = bench_pairs.tier1_summary(runs(30.0, 32.0, 34.0), runs(24.0, 27.0, 25.0))
+    assert (out["unit"], out["better"], out["bound"]) == ("s", "lower", None)
+    assert out["parent"]["median"] == 32.0 and out["change"]["median"] == 25.0
+    assert out["change_over_parent"] == pytest.approx(25 / 32)
+    assert [r["wall_s"] for r in out["runs"]["change"]] == [24.0, 27.0, 25.0]
+
+
+def test_tier1_once_runs_the_trees_own_suite(tmp_path):
+    # a tree with one module under src/ and a suite that imports it
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "tiny_pkg.py").write_text("VALUE = 3\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_tiny.py").write_text(
+        "import tiny_pkg\n\ndef test_a():\n    assert tiny_pkg.VALUE == 3\n\n"
+        "def test_b():\n    assert tiny_pkg.VALUE == 4\n")
+    run = bench_pairs.tier1_once(tmp_path)
+    assert run["counts"] == {"failed": 1, "passed": 1}
+    assert run["exit"] == 1 and run["wall_s"] > 0

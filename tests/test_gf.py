@@ -470,6 +470,34 @@ def test_mul_tables_built_on_first_product_gf59049():
     assert not log.flags.writeable and not exp.flags.writeable
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (127, 1), (131, 1), (2, 2), (2, 3), (2, 4), (2, 8),
+                                 (3, 2), (5, 2)])
+def test_multiples_yield_every_nonzero_multiple_once(p, m):
+    f = make_field(p, m)
+    rng = np.random.default_rng(f.q)
+    V = rng.integers(0, f.q, (3, 17))
+    V[0, :4] = 0
+    V[1] = 0
+    got = [w.copy() for w in f.multiples(V)]
+    assert len(got) == f.q - 1
+    assert got[0].tolist() == V.tolist()  # 1 * V first
+    assert sorted(w.ravel().tolist() for w in got) == sorted(
+        f.mul_array(c, V).ravel().tolist() for c in range(1, f.q))
+
+
+@pytest.mark.parametrize("p,m,dtype", [
+    (2, 1, np.uint8), (127, 1, np.uint8), (131, 1, np.uint16), (32749, 1, np.uint16),
+    (32771, 1, np.uint32), (65521, 1, np.uint32), (2, 8, np.uint8), (2, 9, np.uint16),
+    (2, 16, np.uint16), (3, 5, np.uint8), (3, 6, np.uint16),
+])
+def test_multiples_buffer_is_narrow(p, m, dtype):
+    # m = 1 adds before it wraps, so its dtype holds 2(p - 1); the others hold q - 1
+    f = make_field(p, m)
+    V = np.array([[0, 1, f.q - 1]])
+    assert next(f.multiples(V)).dtype == dtype
+    assert next(f.multiples(V.astype(np.uint8 if f.q <= 256 else np.uint32))).dtype == dtype
+
+
 def test_oracle_keeps_no_product_tables_gf59049():
     from fqangle.angle import angle_fast_rows, angle_naive_rows
     from fqangle.gf import Field

@@ -20,7 +20,10 @@ branch, index or file.
 
 The output holds, per workload and end-to-end metric, the quartiles of
 both sides, the ratio of the medians and the number of pairs the change
-won, plus every run's raw value.  ``--claim WORKLOAD`` names the workload
+won, plus every run's raw value.  After the workloads, each tree runs the
+Tier-1 suite ``TIER1_RUNS`` times, alternating as the pairs do; its wall
+time is recorded per side beside pytest's counts, with no bound, since
+``BENCHMARK.json`` bounds no Tier-1 figure.  ``--claim WORKLOAD`` names the workload
 whose metric the change claims to improve; ``--fresh-seed`` then adds a
 check of that workload on a second seed, over ``FRESH_PAIRS`` pairs.
 """
@@ -30,10 +33,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +47,8 @@ METHOD = ("alternating parent/change pairs, each side run from its own exported 
           "process; even pairs (0, 2, ...) run the parent first, odd pairs the change first")
 ENV_KEYS = ("python", "numpy", "nproc", "cpu")
 FRESH_PAIRS = 4
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIER1_RUNS = 2
 
 
 def export(rev: str, dest: Path) -> str:
@@ -115,6 +122,51 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     return out
 
 
+def tier1_counts(stdout: str) -> dict:
+    """Counts from pytest's last summary line, e.g. "1 failed, 566 passed
+    in 30.12s" -> {"failed": 1, "passed": 566}; {} without one."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    last = lines[-1] if lines else ""
+    return {word: int(num) for num, word in
+            re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed|deselected)", last)}
+
+
+def tier1_once(tree: Path) -> dict:
+    """One Tier-1 run (``PYTHONPATH=src python -m pytest -q ...``) in tree:
+    its wall time, exit code and counts."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    return {"wall_s": round(wall, 2), "exit": proc.returncode, "counts": tier1_counts(proc.stdout)}
+
+
+def tier1_summary(parent: list[dict], change: list[dict]) -> dict:
+    """Wall-time quartiles of both sides' Tier-1 runs and the ratio of the
+    medians; no bound applies."""
+    p = quartiles([r["wall_s"] for r in parent])
+    c = quartiles([r["wall_s"] for r in change])
+    return {
+        "command": "PYTHONPATH=src python " + " ".join(TIER1),
+        "unit": "s",
+        "better": "lower",
+        "bound": None,
+        "parent": p,
+        "change": c,
+        "change_over_parent": c["median"] / p["median"] if p["median"] else None,
+        "runs": {"parent": parent, "change": change},
+    }
+
+
+def run_tier1(trees: dict) -> dict:
+    out = {"parent": [], "change": []}
+    for i in range(TIER1_RUNS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            out[side].append(tier1_once(trees[side]))
+            print(f"tier1 run={i} {side}: {out[side][-1]}", file=sys.stderr, flush=True)
+    return tier1_summary(out["parent"], out["change"])
+
+
 def run_pairs(trees: dict, workload: str, seed: int, pairs: int, seconds: float,
               end_to_end: list[dict]) -> tuple[dict, dict]:
     runs = {"parent": [], "change": []}
@@ -181,6 +233,7 @@ def main(argv=None) -> int:
                                    seconds, end_to_end)
             record["fresh_seed_check"] = {"workload": args.claim, "seed": args.fresh_seed,
                                           **summary}
+        record["tier1"] = run_tier1(trees)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {os.path.relpath(path)}", file=sys.stderr)
