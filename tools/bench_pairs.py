@@ -20,12 +20,13 @@ branch, index or file.
 
 The output holds, per workload and end-to-end metric, the quartiles of
 both sides, the ratio of the medians and the number of pairs the change
-won, plus every run's raw value.  After the workloads, each tree runs the
-Tier-1 suite ``TIER1_RUNS`` times, alternating as the pairs do; its wall
-time is recorded per side beside pytest's counts, with no bound, since
-``BENCHMARK.json`` bounds no Tier-1 figure.  ``--claim WORKLOAD`` names the workload
+won, plus every run's raw value.  ``--claim WORKLOAD`` names the workload
 whose metric the change claims to improve; ``--fresh-seed`` then adds a
 check of that workload on a second seed, over ``FRESH_PAIRS`` pairs.
+
+Last, each tree runs the Tier-1 suite ``TIER1_RUNS`` times, alternating as
+the pairs do.  Its wall time is recorded per side beside pytest's counts,
+with no bound, since ``BENCHMARK.json`` bounds no Tier-1 figure.
 """
 
 from __future__ import annotations
