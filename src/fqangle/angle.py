@@ -30,7 +30,9 @@ position i of row r in bin b counts at b * rows + r, so the counts
 reshape to (q + 2, rows), counts[0] is both_zero and the best ratio
 count is the elementwise max of the q - 1 contiguous rows counts[1:q].
 When T * (q + 1) cells would exceed ``_BINCOUNT_CELL_CAP`` over the
-whole input, a row-wise sort of the bins counts the same runs instead.
+whole input, a row-wise sort of the bins counts the same runs instead,
+and one long pair over a small field counts each bin with a compare
+(``_COMPARE_MAX_Q``).
 V may be one row shared by every row of U: its half of the pair index
 (v_i * q, or B[v_i] above 256) is then computed once and broadcast onto
 U's half.  A decode scans one word against every direction so, the
