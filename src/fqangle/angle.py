@@ -24,15 +24,16 @@ both are nonzero, q when only u_i is nonzero and q + 1 when only v_i is
 (``Field.ratio_bin_tables``; one gather from a q*q pair table at
 u_i + v_i*q for q <= 256, shifted log tables above).  One bincount then
 gives both_zero, only_u, only_v and every ratio count of each row.  It
-runs over blocks of ``rows = max(1, _CENSUS_BLOCK_CELLS // (q + 2))``
-rows, so a block's counts stay in cache, and is laid out bin-major:
-position i of row r in bin b counts at b * rows + r, so the counts
-reshape to (q + 2, rows), counts[0] is both_zero and the best ratio
-count is the elementwise max of the q - 1 contiguous rows counts[1:q].
-When T * (q + 1) cells would exceed ``_BINCOUNT_CELL_CAP`` over the
-whole input, a row-wise sort of the bins counts the same runs instead,
-and one long pair over a small field counts each bin with a compare
-(``_COMPARE_MAX_Q``).
+runs over blocks of ``rows = max(1, _CENSUS_BLOCK_CELLS // max(q + 2, n))``
+rows, so a block's counts and its intp index stay in cache whatever q
+is, and is laid out bin-major: position i of row r in bin b counts at
+b * rows + r, so the counts reshape to (q + 2, rows), counts[0] is
+both_zero and the best ratio count is the elementwise max of the q - 1
+contiguous rows counts[1:q].  When T * (q + 1) cells would exceed
+``_BINCOUNT_CELL_CAP`` over the whole input, each row's bins are sorted
+instead, and a position's run length along the row is its index + 1
+minus the start of its run; one long pair over a small field counts
+each bin with a compare (``_COMPARE_MAX_Q``).
 V may be one row shared by every row of U: its half of the pair index
 (v_i * q, or B[v_i] above 256) is then computed once and broadcast onto
 U's half.  A decode scans one word against every direction so, the
@@ -61,18 +62,23 @@ from .errors import InvalidInput, LengthMismatch, ZeroVector
 from .gf import Field
 from .vectors import Vector, _first_nonzero, _require_same_space, format_vector
 
-# Above this many cells the row-offset bincount is replaced by a sort-based
-# per-row count (keeps memory O(T*n) when q is huge relative to n).
+# Past this many cells over the whole input, T * (q + 1), the census sorts
+# each row's bins (``_sorted_census``) in place of the bincount blocks.  The
+# cap picks the faster path, not the smaller: at huge q a block holds one row
+# and counts q + 2 cells for its n positions, so GF(3^10), T = 1000, n = 100
+# takes 23 ms by bincount and 1.3 ms by sort (2-core Xeon, best of 5).
+# perfbench/tracing.py labels the census path by this rule.
 _BINCOUNT_CELL_CAP = 1 << 25
 
-# Count cells (rows x (q + 2) bins) per block of the bincount census: 512 KB
-# of int64 counts, so a block's counts and offsets fit a core's 2 MiB L2.
-# One decode scan of 69,905 directions of length 15 over GF(16), fresh
-# process, 2-core Xeon: 8.2 ms at 2^14 cells, 7.8 at 2^15, 8.6 at 2^16,
-# 13.6 at 2^17 and 13.9 unblocked.  2^15 would split the T = 200 rows of
-# the q = 251 oracle cells into two blocks (0.112 -> 0.123 ms at n = 100).
-# Blocks are sized by cells, not positions: blocks of 2^12 or 2^14
-# positions took such T = 200 inputs 1.0-1.5x as long as one pass.
+# The budget of one bincount census block: rows = max(1, _CENSUS_BLOCK_CELLS
+# // max(q + 2, n)) holds at most 2^16 count cells or 2^16 positions, so its
+# int64 counts and its intp index take at most 512 KB each, whatever q is.
+# 2-core Xeon, best of 5, budgets 2^14 / 2^15 / 2^16 / 2^17 / 2^18: one
+# decode scan of 69,905 directions of length 15 over GF(16) took 6.5 /
+# 6.0-9.7 / 6.2-6.9 / 7.8-11.7 / 7.9-9.6 ms; T = 10^4, n = 1000 took 54-71 ms
+# at every budget and q = 3, 16, 251.  Blocks sized by cells alone spanned
+# 650K positions at q = 3: that input took 118 ms and peaked at 104.9 MiB
+# of temporaries, against 55 ms and 0.8 MiB now (tracemalloc).
 _CENSUS_BLOCK_CELLS = 1 << 16
 
 # One pair's bins are counted with q + 2 compares, one bool pass each, in
@@ -153,20 +159,17 @@ def _bin_counts(bins: np.ndarray, q: int) -> np.ndarray:
 
 
 def _sorted_census(bins: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(both_zero, max ratio count) per row, from runs of row-sorted bins."""
+    """(both_zero, max ratio count) per row, from runs of row-sorted bins:
+    each position carries its run's start along the row, so its run has
+    reached length position + 1 - start there."""
     T, n = bins.shape
-    flat = np.sort(bins, axis=1).ravel()
-    is_start = np.empty(flat.size, dtype=bool)
-    is_start[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=is_start[1:])
-    is_start[::n] = True  # a run never crosses rows
-    starts = np.flatnonzero(is_start)
-    lengths = np.diff(starts, append=flat.size)
-    values = flat[starts]
-    row_first = np.flatnonzero(starts % n == 0)
-    both_zero = np.where(values[row_first] == 0, lengths[row_first], 0)  # bin 0 sorts first
-    lengths[(values == 0) | (values >= q)] = 0
-    return both_zero, np.maximum.reduceat(lengths, row_first)
+    ranked = np.sort(bins, axis=1)
+    start = np.zeros((T, n), dtype=np.intp)
+    np.multiply(ranked[:, 1:] != ranked[:, :-1], np.arange(1, n), out=start[:, 1:])
+    np.maximum.accumulate(start, axis=1, out=start)
+    lengths = np.subtract(np.arange(1, n + 1), start, out=start)
+    lengths[(ranked == 0) | (ranked >= q)] = 0
+    return np.count_nonzero(ranked == 0, axis=1), lengths.max(axis=1)
 
 
 def _census_angles(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -179,7 +182,8 @@ def _census_angles(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
 def _row_pairs(U, V, shared: bool) -> tuple[np.ndarray, np.ndarray]:
     """U and V as (T, n) rows that pair up: V has U's shape or, if shared,
     is one row for every row of U.  Raises LengthMismatch / InvalidInput,
-    the latter also for a non-integer dtype; the range is not scanned."""
+    the latter also for a non-integer dtype or rows of length 0; the range
+    is not scanned."""
     U = np.atleast_2d(U)
     V = np.atleast_2d(V)
     if U.dtype.kind not in "iu" or V.dtype.kind not in "iu":
@@ -188,6 +192,8 @@ def _row_pairs(U, V, shared: bool) -> tuple[np.ndarray, np.ndarray]:
         raise LengthMismatch(f"rows of length {U.shape[-1]} and {V.shape[-1]}")
     if U.ndim != 2 or not (U.shape == V.shape or shared and V.shape == (1, U.shape[1])):
         raise InvalidInput(f"rows of shape {U.shape} cannot pair with rows of shape {V.shape}")
+    if U.shape[1] == 0:
+        raise InvalidInput("rows of length 0 have no angle")
     return U, V
 
 
@@ -203,7 +209,7 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     if T * (q + 1) > _BINCOUNT_CELL_CAP:
         both_zero, best = _sorted_census(_ratio_bins(field, U, V), q)
         return n - both_zero - best
-    rows = max(1, _CENSUS_BLOCK_CELLS // (q + 2))
+    rows = max(1, _CENSUS_BLOCK_CELLS // max(q + 2, n))
     if T <= rows:
         return _census_angles(field, U, V)
     out = np.empty(T, dtype=np.int64)
@@ -241,7 +247,7 @@ def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     U, V = _row_pairs(U, V, shared=False)
     T, n = U.shape
     best = np.full(T, n, dtype=np.int64)
-    rows = max(1, _ORACLE_BLOCK // max(n, 1))
+    rows = max(1, _ORACLE_BLOCK // n)
     neq = np.empty((min(rows, T), n), dtype=bool)
     dist = np.empty(neq.shape[0], dtype=np.uint16 if n < 1 << 16 else np.uint32)  # holds n
     for s in range(0, T, rows):

@@ -193,6 +193,32 @@ def test_sorting_path_triggers_naturally_at_large_q():
     assert np.array_equal(fast[sample], angle_naive_rows(field, U[sample], V[sample]))
 
 
+def test_sort_path_runs_end_at_each_row(monkeypatch):
+    # rows over GF(5) whose sorted bins would join across row boundaries:
+    # each of rows 1-4 starts with the bin the row before it ends with
+    ones = [1, 1, 1, 1]
+    U = np.array([[1, 2, 3, 4], [1, 1, 2, 2], [2, 2, 2, 4], [4, 4, 4, 4], [4, 1, 1, 1], [0, 0, 1, 3]])
+    V = np.array([[1, 2, 3, 4], ones, ones, ones, [1, 0, 0, 0], [0, 0, 1, 1]])
+    # sorted bins per row: 1111 | 1122 | 2224 | 4444 | 4555 | 0013
+    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", 0)
+    fast = angle_fast_rows(F5, U, V)
+    assert fast.tolist() == [0, 2, 1, 0, 3, 1]  # runs span all of rows 0 and 3
+    assert np.array_equal(fast, angle_naive_rows(F5, U, V))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sort_path_matches_oracle_on_short_rows(n, monkeypatch):
+    from fqangle.experiments import random_nonzero_rows
+
+    rng = np.random.default_rng(n)
+    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", 0)
+    for field in (F3, make_field(2, 3), make_field(257)):
+        U = random_nonzero_rows(rng, field, 40, n)
+        V = random_nonzero_rows(rng, field, 40, n)
+        V[:5] = U[:5]  # whole-row runs of bin 1
+        assert np.array_equal(angle_fast_rows(field, U, V), angle_naive_rows(field, U, V))
+
+
 # ----------------------------------------------------------------------
 # Row blocks of the bincount census: one row, a few rows, ragged tails
 # ----------------------------------------------------------------------
@@ -220,12 +246,28 @@ def test_bincount_blocks_match_oracle(p, m, monkeypatch):
     U, V = _census_rows(field, np.random.default_rng(field.q), 11)
     naive = angle_naive_rows(field, U, V)
     for rows in (1, 4):  # one row per block, or a few with ragged tails
-        monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", rows * (field.q + 2))
+        monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", rows * max(field.q + 2, U.shape[1]))
         for T in sorted({1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 3}):
             assert T * (field.q + 1) <= fqangle.angle._BINCOUNT_CELL_CAP
             fast = angle_fast_rows(field, U[:T], V[:T])
             assert fast.dtype == np.int64
             assert np.array_equal(fast, naive[:T]), (rows, T)
+
+
+@pytest.mark.parametrize("n,rows", [(8, 3), (9, 3), (10, 2)])
+def test_block_budget_bounds_cells_and_positions(n, rows, monkeypatch):
+    # rows = budget // max(q + 2, n): at n <= q + 2 the q + 2 count cells of a
+    # row set the block, past it the n positions do
+    field = make_field(7)
+    U, V = _census_rows(field, np.random.default_rng(n), 7, n)
+    shapes = []
+    real = fqangle.angle._bin_counts
+    monkeypatch.setattr(fqangle.angle, "_bin_counts",
+                        lambda bins, q: shapes.append(bins.shape) or real(bins, q))
+    monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", 3 * (field.q + 2) + 1)
+    assert np.array_equal(angle_fast_rows(field, U, V), angle_naive_rows(field, U, V))
+    sizes = [rows] * (7 // rows) + ([7 % rows] if 7 % rows else [])
+    assert shapes == [(r, n) for r in sizes]
 
 
 def test_sort_path_is_chosen_on_the_whole_input_past_the_cap(monkeypatch):
@@ -278,9 +320,10 @@ def _shared_word_rows(field, rng, T, n=10):
 @pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (257, 1)])
 def test_shared_word_scan_matches_tiled_rows_and_oracle(p, m):
     field = make_field(p, m)
-    rows = fqangle.angle._CENSUS_BLOCK_CELLS // (field.q + 2)
+    n = 10
+    rows = fqangle.angle._CENSUS_BLOCK_CELLS // max(field.q + 2, n)
     T = 2 * rows + 3  # two full blocks and a ragged tail
-    u, V = _shared_word_rows(field, np.random.default_rng(field.q), T)
+    u, V = _shared_word_rows(field, np.random.default_rng(field.q), T, n)
     V.setflags(write=False)
     u.setflags(write=False)
     shared = np.broadcast_to(u, V.shape)
@@ -325,7 +368,7 @@ def test_shared_word_scan_on_the_sort_path():
     assert np.array_equal(shared, tiled)
 
 
-def test_row_kernels_raise_typed_errors_on_unpaired_shapes():
+def test_row_kernels_raise_typed_errors_on_unpaired_shapes(monkeypatch):
     from fqangle import LengthMismatch
 
     U = np.ones((3, 5), dtype=np.int64)
@@ -333,9 +376,14 @@ def test_row_kernels_raise_typed_errors_on_unpaired_shapes():
         for V in (np.ones((3, 4), dtype=np.int64), np.ones((1, 6), dtype=np.int64)):
             with pytest.raises(LengthMismatch):
                 kernel(F5, U, V)
-        for bad_U, bad_V in ((U, U[:2]), (U[:1], U), (U[:2], U), (U[None], U[None])):
+        for bad_U, bad_V in ((U, U[:2]), (U[:1], U), (U[:2], U), (U[None], U[None]), (U[:, :0], U[:, :0])):
             with pytest.raises(InvalidInput):
                 kernel(F5, bad_U, bad_V)
+    with pytest.raises(InvalidInput, match="length 0"):  # rows of length 0, also on the sort path
+        angle_fast_rows(F5, U[:, :0], U[:1, :0])
+    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", 0)
+    with pytest.raises(InvalidInput, match="length 0"):
+        angle_fast_rows(F5, U[:, :0], U[:, :0])
     with pytest.raises(InvalidInput):  # only the fast kernel shares a one-row V
         angle_naive_rows(F5, U, U[:1])
     assert angle_fast_rows(F5, U, U[:1]).tolist() == [0, 0, 0]
