@@ -379,14 +379,14 @@ def test_row_kernels_raise_typed_errors_on_unpaired_shapes(monkeypatch):
         for bad_U, bad_V in ((U, U[:2]), (U[:1], U), (U[:2], U), (U[None], U[None]), (U[:, :0], U[:, :0])):
             with pytest.raises(InvalidInput):
                 kernel(F5, bad_U, bad_V)
-    with pytest.raises(InvalidInput, match="length 0"):  # rows of length 0, also on the sort path
-        angle_fast_rows(F5, U[:, :0], U[:1, :0])
-    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", 0)
-    with pytest.raises(InvalidInput, match="length 0"):
-        angle_fast_rows(F5, U[:, :0], U[:, :0])
     with pytest.raises(InvalidInput):  # only the fast kernel shares a one-row V
         angle_naive_rows(F5, U, U[:1])
     assert angle_fast_rows(F5, U, U[:1]).tolist() == [0, 0, 0]
+    with pytest.raises(InvalidInput, match="length 0"):  # a shared row of length 0
+        angle_fast_rows(F5, U[:, :0], U[:1, :0])
+    monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", 0)
+    with pytest.raises(InvalidInput, match="length 0"):  # and the sort path
+        angle_fast_rows(F5, U[:, :0], U[:, :0])
 
 
 def test_row_kernels_refuse_non_integer_rows():
