@@ -24,7 +24,7 @@ both are nonzero, q when only u_i is nonzero and q + 1 when only v_i is
 (``Field.ratio_bin_tables``; one gather from a q*q pair table at
 u_i + v_i*q for q <= 256, shifted log tables above).  One bincount then
 gives both_zero, only_u, only_v and every ratio count of each row.  It
-runs over blocks of ``rows = max(1, _CENSUS_BLOCK_CELLS // max(q + 2, n))``
+runs over blocks of ``rows = max(1, _BLOCK_BUDGET // max(q + 2, n))``
 rows, so a block's counts and its intp index stay in cache whatever q
 is, and is laid out bin-major: position i of row r in bin b counts at
 b * rows + r, so the counts reshape to (q + 2, rows), counts[0] is
@@ -70,16 +70,24 @@ from .vectors import Vector, _first_nonzero, _require_same_space, format_vector
 # perfbench/tracing.py labels the census path by this rule.
 _BINCOUNT_CELL_CAP = 1 << 25
 
-# The budget of one bincount census block: rows = max(1, _CENSUS_BLOCK_CELLS
-# // max(q + 2, n)) holds at most 2^16 count cells or 2^16 positions, so its
-# int64 counts and its intp index take at most 512 KB each, whatever q is.
+# The budget of one row block of both kernels, in elements.
+# A bincount census block has rows = max(1, _BLOCK_BUDGET // max(q + 2, n)),
+# so it holds at most 2^16 count cells or 2^16 positions, and its int64
+# counts and its intp index take at most 512 KB each, whatever q is.
 # 2-core Xeon, best of 5, budgets 2^14 / 2^15 / 2^16 / 2^17 / 2^18: one
 # decode scan of 69,905 directions of length 15 over GF(16) took 6.5 /
 # 6.0-9.7 / 6.2-6.9 / 7.8-11.7 / 7.9-9.6 ms; T = 10^4, n = 1000 took 54-71 ms
 # at every budget and q = 3, 16, 251.  Blocks sized by cells alone spanned
 # 650K positions at q = 3: that input took 118 ms and peaked at 104.9 MiB
 # of temporaries, against 55 ms and 0.8 MiB now (tracemalloc).
-_CENSUS_BLOCK_CELLS = 1 << 16
+# An oracle block has rows = max(1, _BLOCK_BUDGET // n), and every pass
+# reuses the block's buffers (64 KB each in uint8, 128 KB in uint16), so
+# they stay in cache.  2-core Xeon, T = 200, best of 5: at q = 251,
+# n = 1000 a block of 2^16 took 22.0 ms against 30.5 at 2^14 and 23.5 at
+# 2^15; 2^17 read 0-10% faster in one process and won 6 of 8 alternating
+# oracle-sweep pairs by 3-6%, inside the noise.  So 2^16 stays, which
+# keeps a uint16 buffer within 128 KB, glibc's default mmap threshold.
+_BLOCK_BUDGET = 1 << 16
 
 # One pair's bins are counted with q + 2 compares, one bool pass each, in
 # place of bincount and its intp copy, when q <= _COMPARE_MAX_Q and
@@ -89,15 +97,6 @@ _CENSUS_BLOCK_CELLS = 1 << 16
 # 16K at q = 5 and 32-64K at q = 7-9.  angle_fast_rows keeps bincount.
 _COMPARE_MAX_Q = 9
 _COMPARE_MIN_N = 1 << 9
-
-# Elements per row block of the oracle.  Every pass reuses the block's
-# buffers (64 KB each in uint8, 128 KB in uint16), so they stay in cache.
-# Measured on a 2-core Xeon, T = 200, best of 5: at q = 251, n = 1000 a
-# block of 2^16 took 22.0 ms against 30.5 at 2^14 and 23.5 at 2^15; 2^17
-# read 0-10% faster in one process and won 6 of 8 alternating oracle-sweep
-# pairs by 3-6%, inside the noise.  So 2^16 stays, which keeps a uint16
-# buffer within 128 KB, glibc's default mmap threshold.
-_ORACLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     if T * (q + 1) > _BINCOUNT_CELL_CAP:
         both_zero, best = _sorted_census(_ratio_bins(field, U, V), q)
         return n - both_zero - best
-    rows = max(1, _CENSUS_BLOCK_CELLS // max(q + 2, n))
+    rows = max(1, _BLOCK_BUDGET // max(q + 2, n))
     if T <= rows:
         return _census_angles(field, U, V)
     out = np.empty(T, dtype=np.int64)
@@ -237,7 +236,7 @@ def _angle_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row-wise brute force: min over nonzero c of d_H(u, c*v).
 
-    Over row blocks of about ``_ORACLE_BLOCK`` elements, ``Field.multiples``
+    Over row blocks of about ``_BLOCK_BUDGET`` elements, ``Field.multiples``
     yields c*v for every nonzero c into one narrow buffer, and each pass
     counts its mismatches with u.  Never forms u_i / v_i, so it stays
     independent of the census.  U and V must have the same shape and hold
@@ -247,7 +246,7 @@ def angle_naive_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     U, V = _row_pairs(U, V, shared=False)
     T, n = U.shape
     best = np.full(T, n, dtype=np.int64)
-    rows = max(1, _ORACLE_BLOCK // n)
+    rows = max(1, _BLOCK_BUDGET // n)
     neq = np.empty((min(rows, T), n), dtype=bool)
     dist = np.empty(neq.shape[0], dtype=np.uint16 if n < 1 << 16 else np.uint32)  # holds n
     for s in range(0, T, rows):

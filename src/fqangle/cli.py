@@ -57,57 +57,61 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_field_args(p: argparse.ArgumentParser):
-    p.add_argument("--q", type=int, help="field order, a prime power <= 65536")
-    p.add_argument("--p", type=int, help="field characteristic (alternative to --q)")
-    p.add_argument("--m", type=int, default=1, help="extension degree (with --p)")
+def integer(text: str) -> int:
+    """An integer option: after stripping, an optional leading - and then
+    ASCII decimal digits only; int() alone would also take "1_0", "+1" and
+    non-ASCII digits.  argparse names this function in its error line."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
 
 
 def _add_code_args(p: argparse.ArgumentParser, n_help: str = "code length"):
     p.add_argument("--code", choices=["rs", "rep", "file"], default="rs")
     p.add_argument("--code-file", type=Path, help="generator matrix, one row per line")
-    p.add_argument("--n", type=int, help=n_help)
-    p.add_argument("--k", type=int, help="code dimension (rs)")
+    p.add_argument("--n", type=integer, help=n_help)
+    p.add_argument("--k", type=integer, help="code dimension (rs)")
 
 
 def build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--q", type=integer, help="field order, a prime power <= 65536")
+    common.add_argument("--p", type=integer, help="field characteristic (alternative to --q)")
+    common.add_argument("--m", type=integer, default=1, help="extension degree (with --p)")
+    common.add_argument("--format", choices=["json", "plain"], default="json")
     parser = _Parser(prog="fqangle", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("angle", help="angle between two nonzero vectors")
-    _add_field_args(pa)
+    pa = sub.add_parser("angle", parents=[common], help="angle between two nonzero vectors")
     pa.add_argument("--u", required=True, help="comma-separated encodings")
     pa.add_argument("--v", required=True)
     pa.add_argument("--verbose", action="store_true", help="trace every scalar's distance")
-    pa.add_argument("--format", choices=["json", "plain"], default="json")
+    pa.set_defaults(run=cmd_angle)
 
-    pd = sub.add_parser("decode", help="angular decoding of a received word")
-    _add_field_args(pd)
+    pd = sub.add_parser("decode", parents=[common], help="angular decoding of a received word")
     _add_code_args(pd)
     pd.add_argument("--u", required=True)
-    pd.add_argument("--rho", type=int, help="list decode within angle < rho instead")
-    pd.add_argument("--format", choices=["json", "plain"], default="json")
+    pd.add_argument("--rho", type=integer, help="list decode within angle < rho instead")
+    pd.set_defaults(run=cmd_decode)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    _add_field_args(pv)
+    pv = sub.add_parser("verify", parents=[common], help="run a verification suite")
     _add_code_args(pv, "vector length (metric, projective, oracle) or code length (decoding, census)")
     pv.add_argument("--suite", required=True, choices=list(_SUITES))
-    pv.add_argument("--trials", type=int, default=10000,
+    pv.add_argument("--trials", type=integer, default=10000,
                     help="random pairs (oracle) or samples (census); the other suites ignore it")
-    pv.add_argument("--seed", type=int, default=0,
+    pv.add_argument("--seed", type=integer, default=0,
                     help="seed of oracle, decoding and census; metric and projective ignore it")
-    pv.add_argument("--format", choices=["json", "plain"], default="json")
+    pv.set_defaults(run=cmd_verify)
 
-    pb = sub.add_parser("bench", help="time the fast and naive algorithms")
-    _add_field_args(pb)
+    pb = sub.add_parser("bench", parents=[common], help="time the fast and naive algorithms")
     pb.add_argument("--n", required=True, help="length, or comma-separated lengths")
-    pb.add_argument("--reps", type=int, default=9, help="timed repetitions, >= 1; fewer than 5 run 5")
-    pb.add_argument("--format", choices=["json", "plain"], default="json")
+    pb.add_argument("--reps", type=integer, default=9, help="timed repetitions, >= 1; fewer than 5 run 5")
+    pb.set_defaults(run=cmd_bench)
 
-    pm = sub.add_parser("mindist", help="brute-force minimum distance")
-    _add_field_args(pm)
+    pm = sub.add_parser("mindist", parents=[common], help="brute-force minimum distance")
     _add_code_args(pm)
-    pm.add_argument("--format", choices=["json", "plain"], default="json")
+    pm.set_defaults(run=cmd_mindist)
 
     return parser
 
@@ -211,7 +215,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 def cmd_bench(args) -> tuple[dict, int]:
     field = _field_from_args(args)
     try:
-        n_values = [int(s) for s in args.n.split(",")]
+        n_values = [integer(s) for s in args.n.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse --n {args.n!r}") from None
     records = bench_angle(field, n_values, args.reps)
@@ -249,20 +253,11 @@ def _render_plain(doc: dict, out):
             print(f"{key}: {value}", file=out)
 
 
-_COMMANDS = {
-    "angle": cmd_angle,
-    "decode": cmd_decode,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-    "mindist": cmd_mindist,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        doc, code = _COMMANDS[args.command](args)
+        doc, code = args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -75,18 +75,7 @@ _TABLE_WALK = 256
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _integer(name: str, value) -> int:

@@ -246,7 +246,7 @@ def test_bincount_blocks_match_oracle(p, m, monkeypatch):
     U, V = _census_rows(field, np.random.default_rng(field.q), 11)
     naive = angle_naive_rows(field, U, V)
     for rows in (1, 4):  # one row per block, or a few with ragged tails
-        monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", rows * max(field.q + 2, U.shape[1]))
+        monkeypatch.setattr(fqangle.angle, "_BLOCK_BUDGET", rows * max(field.q + 2, U.shape[1]))
         for T in sorted({1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 3}):
             assert T * (field.q + 1) <= fqangle.angle._BINCOUNT_CELL_CAP
             fast = angle_fast_rows(field, U[:T], V[:T])
@@ -264,7 +264,7 @@ def test_block_budget_bounds_cells_and_positions(n, rows, monkeypatch):
     real = fqangle.angle._bin_counts
     monkeypatch.setattr(fqangle.angle, "_bin_counts",
                         lambda bins, q: shapes.append(bins.shape) or real(bins, q))
-    monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", 3 * (field.q + 2) + 1)
+    monkeypatch.setattr(fqangle.angle, "_BLOCK_BUDGET", 3 * (field.q + 2) + 1)
     assert np.array_equal(angle_fast_rows(field, U, V), angle_naive_rows(field, U, V))
     sizes = [rows] * (7 // rows) + ([7 % rows] if 7 % rows else [])
     assert shapes == [(r, n) for r in sizes]
@@ -285,7 +285,7 @@ def test_sort_path_is_chosen_on_the_whole_input_past_the_cap(monkeypatch):
 
     sorted_census = fqangle.angle._sorted_census
     monkeypatch.setattr(fqangle.angle, "_sorted_census", spy)
-    monkeypatch.setattr(fqangle.angle, "_CENSUS_BLOCK_CELLS", 2 * (field.q + 2))
+    monkeypatch.setattr(fqangle.angle, "_BLOCK_BUDGET", 2 * (field.q + 2))
     monkeypatch.setattr(fqangle.angle, "_BINCOUNT_CELL_CAP", T * (field.q + 1))
     assert np.array_equal(angle_fast_rows(field, U, V), naive)
     assert calls == []  # at the cap: bincount, in 5 blocks
@@ -321,7 +321,7 @@ def _shared_word_rows(field, rng, T, n=10):
 def test_shared_word_scan_matches_tiled_rows_and_oracle(p, m):
     field = make_field(p, m)
     n = 10
-    rows = fqangle.angle._CENSUS_BLOCK_CELLS // max(field.q + 2, n)
+    rows = fqangle.angle._BLOCK_BUDGET // max(field.q + 2, n)
     T = 2 * rows + 3  # two full blocks and a ragged tail
     u, V = _shared_word_rows(field, np.random.default_rng(field.q), T, n)
     V.setflags(write=False)
@@ -517,7 +517,7 @@ def test_oracle_matches_definition_across_block_edges(p, m, monkeypatch):
     from fqangle.experiments import random_nonzero_rows
 
     field = make_field(p, m)
-    monkeypatch.setattr(fqangle.angle, "_ORACLE_BLOCK", 64)
+    monkeypatch.setattr(fqangle.angle, "_BLOCK_BUDGET", 64)
     rng = np.random.default_rng(p * 100 + m)
     # T*n just below and just above the block, n beyond it, and single rows
     for T, n in [(7, 9), (13, 5), (3, 100), (1, 30), (1, 150)]:
@@ -531,7 +531,7 @@ def test_oracle_matches_definition_across_block_edges(p, m, monkeypatch):
 def test_oracle_matches_definition_at_the_block_size():
     from fqangle.experiments import random_nonzero_rows
 
-    block = fqangle.angle._ORACLE_BLOCK
+    block = fqangle.angle._BLOCK_BUDGET
     rng = np.random.default_rng(47)
     for T, n in [(3, block // 3), (2, block // 2 + 1), (1, block + 3)]:
         U = random_nonzero_rows(rng, F3, T, n)

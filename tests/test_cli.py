@@ -354,6 +354,24 @@ def test_plain_format(capsys):
         ("angle", "--q", "11", "--u", "\uff11,\uff12", "--v", "1,1"),
         ("bench", "--q", "3", "--n", "8", "--reps", "-3"),
         ("bench", "--q", "3", "--n", "8", "--reps", "0"),
+        # integer options take an optional - and ASCII digits; int() would
+        # read these as 16, 7 (an Arabic-Indic seven), 1000, 3, 10, 9, 1 and 3
+        ("angle", "--q", "1_6", "--u", "1", "--v", "1"),
+        ("angle", "--q", "\u0667", "--u", "1", "--v", "1"),
+        ("bench", "--q", "3", "--n", "1_000"),
+        ("angle", "--p", "+3", "--u", "1", "--v", "1"),
+        ("verify", "--suite", "oracle", "--q", "3", "--n", "2", "--trials", "1_0"),
+        ("bench", "--q", "3", "--n", "8", "--reps", "\uff19"),
+        ("verify", "--suite", "decoding", "--q", "5", "--n", "5", "--k", "2", "--seed", "0_1"),
+        ("mindist", "--q", "7", "--n", "7", "--k", "\u0663"),
+        # usage errors of the field, code, suite and bench options
+        ("angle", "--q", "3", "--p", "3", "--u", "1", "--v", "1"),
+        ("angle", "--u", "1", "--v", "1"),
+        ("decode", "--q", "7", "--code", "rs", "--n", "7", "--u", "1,2,3,4,5,6,0"),
+        ("decode", "--q", "7", "--code", "rep", "--u", "1,2,3"),
+        ("mindist", "--q", "7", "--code", "file"),
+        ("verify", "--suite", "metric", "--q", "2"),
+        ("bench", "--q", "3", "--n", "8,x"),
     ],
 )
 def test_bad_input_exits_1_without_traceback(capsys, argv):
@@ -364,6 +382,21 @@ def test_bad_input_exits_1_without_traceback(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "need at least one array" not in err  # no numpy message leaks through
+
+
+@pytest.mark.parametrize("command", ["angle", "decode", "verify", "bench", "mindist"])
+def test_every_subcommand_takes_the_field_and_format_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(option in out for option in ("--q", "--p", "--m", "--format"))
+
+
+def test_negative_integers_keep_their_answers(capsys):
+    code, doc, _ = run_json(capsys, "decode", "--q", "7", "--n", "7", "--k", "3",
+                            "--u", "1,2,3,4,5,6,0", "--rho", " -1 ")
+    assert code == 0 and doc["list"] == [] and doc["rho"] == -1
 
 
 def test_code_file_takes_only_ascii_decimal_digits(capsys, tmp_path):

@@ -32,6 +32,8 @@ from fqangle.experiments import (
     error_patterns,
     random_nonzero_rows,
 )
+from fqangle.codes import projective_codeword_matrix
+from fqangle.vectors import format_vector
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -178,6 +180,29 @@ def test_projective_suite_counts_every_check_in_a_failing_run(monkeypatch):
     assert report.checks_run == passing.checks_run == (4 + 1) * 26**2
 
 
+def test_projective_suite_reports_canonical_representative_failures(monkeypatch):
+    real = fqangle.experiments._angle_table
+
+    def tampered(field, A, B):  # off by one at two cells of the canonical reps' table only
+        table = real(field, A, B)
+        if (A[np.arange(len(A)), (A != 0).argmax(axis=1)] == 1).all():
+            table = table.copy()
+            table[5, 0] += 1
+            table[1, 6] += 1
+        return table
+
+    passing = verify_projective_descent(F3, 2)
+    monkeypatch.setattr(fqangle.experiments, "_angle_table", tampered)
+    report = verify_projective_descent(F3, 2)
+    M = all_nonzero_vectors(F3, 2)
+    A = real(F3, M, M)
+    assert report.failures == [
+        f"canonical reps: {A[i, j] + 1} != {A[i, j]} for u={format_vector(M[i])} v={format_vector(M[j])}"
+        for i, j in [(1, 6), (5, 0)]  # argwhere order
+    ]
+    assert report.checks_run == passing.checks_run
+
+
 # ----------------------------------------------------------------------
 # Oracle equivalence
 # ----------------------------------------------------------------------
@@ -240,6 +265,52 @@ def test_decoding_suite_small_rs():
     assert report.passed
     assert report.observations["min_distance"] == 4
     assert report.observations["rho"] == 2
+
+
+def test_decoding_suite_reports_sampled_decode_and_list_failures_in_order(monkeypatch):
+    # RS[5,2]/GF(5): D x N = 6 directions x 21 patterns = 126 samples, so a
+    # cap of 50 draws the samples at random
+    field = make_field(5)
+    code = make_rs_code(field, 5, 2)
+    P = projective_codeword_matrix(code)
+    E = error_patterns(field, 5, 1)
+    assert len(P) * len(E) == 126
+    drawn = []
+
+    def tampered(code, U):
+        best, angle, runner_up = decode_rows(code, U)
+        if len(U) == 50:  # the samples; the beyond-radius probes are 6 rows
+            drawn.append(U)
+            i = np.arange(len(U))
+            best = np.where(i % 4 == 1, (best + 1) % len(P), best)  # a wrong direction
+            runner_up = np.where(i % 3 == 1, angle, runner_up)  # a tie inside the radius
+        return best, angle, runner_up
+
+    monkeypatch.setattr(fqangle.experiments, "MAX_DECODING_SAMPLES", 50)
+    monkeypatch.setattr(fqangle.experiments, "decode_rows", tampered)
+    report = verify_angular_decoding(code, seed=4)
+
+    rng = np.random.default_rng(4)
+    dirs, pats, alphas = rng.integers(0, 6, 50), rng.integers(0, 21, 50), rng.integers(1, 5, 50)
+    (U,) = drawn
+    assert np.array_equal(U, field.mul_array(alphas[:, None], field.add_array(P[dirs], E[pats])))
+    angle = decode_rows(code, U)[1]
+    expected = []
+    for i in range(50):
+        if i % 4 == 1:
+            expected.append(
+                f"decode: direction {format_vector(P[dirs[i]])} with errors {format_vector(E[pats[i]])} "
+                f"scalar {alphas[i]} gave angle {angle[i]} at direction {format_vector(P[(dirs[i] + 1) % 6])} "
+                f"(u={format_vector(U[i])})"
+            )
+        if i % 3 == 1:
+            expected.append(f"list: two directions at angle < rho=2 for u={format_vector(U[i])}")
+        if len(expected) >= 25:
+            break
+    assert report.failures == expected
+    assert [line.split(":")[0] for line in expected[:3]] == ["decode", "list", "list"]  # samples 1, 1, 4
+    assert len(expected) == 25 and i == 41  # the scan stops at the cap, samples 43-49 unreported
+    assert (report.trials, report.checks_run) == (50, 100)
 
 
 def test_decoding_suite_determinism():

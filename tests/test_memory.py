@@ -12,7 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fqangle import Vector, angle_fast_rows, angle_naive_rows, angular_decode, make_field, make_rs_code
+from fqangle import (
+    Vector,
+    angle_fast_rows,
+    angle_naive_rows,
+    angular_decode,
+    decode_rows,
+    make_field,
+    make_rs_code,
+)
 from fqangle.experiments import random_nonzero_rows
 
 MiB = 1 << 20
@@ -70,3 +78,16 @@ def test_decode_of_a_uniform_word():
     code = make_rs_code(field, 15, 5)
     u = Vector(field, np.random.default_rng(0).integers(0, field.q, code.n))
     assert _warm_peak(lambda: angular_decode(u, code)) < MiB // 2
+
+
+# Batches of words in chunks of 2^18 int64 angle cells (2 MiB): 10^4 words
+# of RS[7,3]/GF(7) (57 directions, chunks of 4599 words) and 6 words of
+# RS[15,5]/GF(16) (69,905 directions, chunks of 3 words).  5.36 / 4.70 MiB
+# measured, each past its 2 MiB chunk table; bounds 6 / 5 MiB, margins
+# 0.64 / 0.30 MiB.
+@pytest.mark.parametrize("p,m,n,k,T,bound", [(7, 1, 7, 3, 10_000, 6 * MiB), (2, 4, 15, 5, 6, 5 * MiB)])
+def test_decode_chunks_bound_decode_rows(p, m, n, k, T, bound):
+    field = make_field(p, m)
+    code = make_rs_code(field, n, k)
+    U = random_nonzero_rows(np.random.default_rng(0), field, T, n)
+    assert _warm_peak(lambda: decode_rows(code, U)) < bound
