@@ -24,6 +24,7 @@ from fqangle import (
     verify_oracle_equivalence,
     verify_projective_descent,
 )
+from fqangle.codes import projective_codeword_matrix
 import fqangle.experiments
 from fqangle.experiments import (
     MAX_BENCH_POSITIONS,
@@ -32,7 +33,6 @@ from fqangle.experiments import (
     error_patterns,
     random_nonzero_rows,
 )
-from fqangle.codes import projective_codeword_matrix
 from fqangle.vectors import format_vector
 
 F3 = make_field(3)
