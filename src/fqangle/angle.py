@@ -25,15 +25,17 @@ both are nonzero, q when only u_i is nonzero and q + 1 when only v_i is
 u_i + v_i*q for q <= 256, shifted log tables above).  One bincount then
 gives both_zero, only_u, only_v and every ratio count of each row.  It
 runs over blocks of ``rows = max(1, _BLOCK_BUDGET // max(q + 2, n))``
-rows, so a block's counts and its intp index stay in cache whatever q
-is, and is laid out bin-major: position i of row r in bin b counts at
+rows, and a block of one row longer than ``_BLOCK_BUDGET``, as one pair
+is, over slices of that many positions whose counts are summed
+(``_slice_counts``), so a block's bins, counts and intp index stay in
+cache whatever q and n are.  The counts are laid out bin-major: position i of row r in bin b counts at
 b * rows + r, so the counts reshape to (q + 2, rows), counts[0] is
 both_zero and the best ratio count is the elementwise max of the q - 1
 contiguous rows counts[1:q].  When T * (q + 1) cells would exceed
 ``_BINCOUNT_CELL_CAP`` over the whole input, each row's bins are sorted
 instead, and a position's run length along the row is its index + 1
 minus the start of its run; one long pair over a small field counts
-each bin with a compare (``_COMPARE_MAX_Q``).
+each slice's bins with compares (``_COMPARE_MAX_Q``).
 V may be one row shared by every row of U: its half of the pair index
 (v_i * q, or B[v_i] above 256) is then computed once and broadcast onto
 U's half.  A decode scans one word against every direction so, the
@@ -72,8 +74,14 @@ _BINCOUNT_CELL_CAP = 1 << 25
 
 # The budget of one row block of both kernels, in elements.
 # A bincount census block has rows = max(1, _BLOCK_BUDGET // max(q + 2, n)),
-# so it holds at most 2^16 count cells or 2^16 positions, and its int64
-# counts and its intp index take at most 512 KB each, whatever q is.
+# and a one-row block, or one pair, longer than the budget is counted in
+# slices of the budget's positions, so a block or slice holds at most 2^16
+# count cells or 2^16 positions, and its int64 counts and its intp index
+# take at most 512 KB each, whatever q and n are.  One pair of 2^20
+# positions peaked at 11.0 MiB of temporaries at q = 2, 16 and 251 over
+# the whole row, and at 0.69 MiB in slices (tracemalloc); its angle_fast
+# took 3.6 / 4.7 / 4.0 ms there against 2.2 / 3.3 / 3.5 ms in slices
+# (2-core Xeon, warm, best of 15).
 # 2-core Xeon, best of 5, budgets 2^14 / 2^15 / 2^16 / 2^17 / 2^18: one
 # decode scan of 69,905 directions of length 15 over GF(16) took 6.5 /
 # 6.0-9.7 / 6.2-6.9 / 7.8-11.7 / 7.9-9.6 ms; T = 10^4, n = 1000 took 54-71 ms
@@ -157,6 +165,26 @@ def _bin_counts(bins: np.ndarray, q: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=(q + 2) * T).reshape(q + 2, T)
 
 
+def _compare_counts(bins: np.ndarray, q: int) -> np.ndarray:
+    """(q + 2, 1) count of every ratio bin in a one-row block, by q + 2
+    compares, one bool pass each, and no intp copy (see ``_COMPARE_MAX_Q``)."""
+    eq = np.empty(bins.shape[1], dtype=bool)
+    return np.array([[np.count_nonzero(np.equal(bins[0], b, out=eq))] for b in range(q + 2)])
+
+
+def _slice_counts(field: Field, U: np.ndarray, V: np.ndarray, count) -> np.ndarray:
+    """(q + 2, T) ratio-bin counts of one block, ``count(bins, q)`` summed
+    over slices of at most ``_BLOCK_BUDGET`` positions.  Only a block of one
+    long row spans more, and its bins and index then stay in cache."""
+    step = _BLOCK_BUDGET
+    if U.shape[1] <= step:
+        return count(_ratio_bins(field, U, V), field.q)
+    counts = count(_ratio_bins(field, U[:, :step], V[:, :step]), field.q)
+    for s in range(step, U.shape[1], step):
+        counts += count(_ratio_bins(field, U[:, s : s + step], V[:, s : s + step]), field.q)
+    return counts
+
+
 def _sorted_census(bins: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(both_zero, max ratio count) per row, from runs of row-sorted bins:
     each position carries its run's start along the row, so its run has
@@ -174,7 +202,7 @@ def _sorted_census(bins: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 def _census_angles(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Angles of the paired rows of one block, from its bin-major counts."""
     q = field.q
-    counts = _bin_counts(_ratio_bins(field, U, V), q)
+    counts = _slice_counts(field, U, V, _bin_counts)
     return U.shape[1] - counts[0] - counts[1:q].max(axis=0)
 
 
@@ -287,12 +315,9 @@ def _pair_counts(u: Vector, v: Vector) -> np.ndarray:
     bincount."""
     _require_same_space(u, v)
     q = u.field.q
-    bins = _ratio_bins(u.field, u.coords[None, :], v.coords[None, :])
-    if q <= _COMPARE_MAX_Q and len(u) >= _COMPARE_MIN_N * (q + 2) ** 2:
-        eq = np.empty(len(u), dtype=bool)
-        counts = np.array([np.count_nonzero(np.equal(bins[0], b, out=eq)) for b in range(q + 2)])
-    else:
-        counts = _bin_counts(bins, q)[:, 0]
+    compare = q <= _COMPARE_MAX_Q and len(u) >= _COMPARE_MIN_N * (q + 2) ** 2
+    count = _compare_counts if compare else _bin_counts
+    counts = _slice_counts(u.field, u.coords[None, :], v.coords[None, :], count)[:, 0]
     # u is zero iff bins 1..q are empty, v iff bins 1..q-1 and q+1 are
     both = counts[1:q].any()
     if not (both or counts[q]) or not (both or counts[q + 1]):

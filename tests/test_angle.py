@@ -817,7 +817,9 @@ def test_zero_vector_rejected():
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 8, 9, 11])
 def test_pair_counts_compare_bins_from_the_edge(q, monkeypatch):
     # below n = _COMPARE_MIN_N * (q + 2)^2, and for q > _COMPARE_MAX_Q at any
-    # n, one pair is counted by bincount; from the edge on, by compares
+    # n, one pair is counted by bincount; from the edge on, by compares.  A
+    # pair longer than _BLOCK_BUDGET is counted in slices, so the widths
+    # that reach bincount are summed per call
     from fqangle import field_from_order
 
     field = field_from_order(q)
@@ -825,10 +827,11 @@ def test_pair_counts_compare_bins_from_the_edge(q, monkeypatch):
     bincounts = []
     real = fqangle.angle._bin_counts
     monkeypatch.setattr(fqangle.angle, "_bin_counts",
-                        lambda bins, q: bincounts.append(bins.shape[1]) or real(bins, q))
+                        lambda bins, q: bincounts[-1].append(bins.shape[1]) or real(bins, q))
     rng = np.random.default_rng(q)
     for n in (edge - 1, edge):
         u, v = rng.integers(0, q, n), rng.integers(0, q, n)
+        bincounts.append([])
         census = build_census(Vector(field, u), Vector(field, v))
         both = (u != 0) & (v != 0)
         assert census.both_zero == np.count_nonzero((u == 0) & (v == 0))
@@ -836,9 +839,11 @@ def test_pair_counts_compare_bins_from_the_edge(q, monkeypatch):
         assert census.only_v == np.count_nonzero((u == 0) & (v != 0))
         assert census.ratio_counts == {
             c: np.count_nonzero(both & (u == field.mul_array(c, v))) for c in range(1, q)}
+        bincounts.append([])
         c, angle = argmin_scalar(Vector(field, u), Vector(field, v))
         assert angle == angle_naive(Vector(field, u), Vector(field, v))
-    assert bincounts == [edge - 1] * 2 + ([] if q <= fqangle.angle._COMPARE_MAX_Q else [edge] * 2)
+    widths = [sum(w) for w in bincounts if w]
+    assert widths == [edge - 1] * 2 + ([] if q <= fqangle.angle._COMPARE_MAX_Q else [edge] * 2)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (257, 1), (2, 16)])
@@ -867,6 +872,112 @@ def test_census_reads_zero_vectors_from_its_bins(p, m):
         assert angle_fast(u, v) == expected
         assert argmin_scalar(u, v)[1] == expected
         assert build_census(u, v).total() == len(u)
+
+
+# ----------------------------------------------------------------------
+# A row longer than _BLOCK_BUDGET is counted one slice at a time, by
+# compares or by bincount, and the slices' bin counts are summed.
+# ----------------------------------------------------------------------
+
+SLICE = 64
+SLICE_CASES = [(2, 1, "compare"), (3, 1, "compare"), (3, 2, "compare"), (2, 1, "bincount"),
+               (3, 2, "bincount"), (2, 4, "bincount"), (251, 1, "bincount"), (2, 8, "bincount"),
+               (257, 1, "bincount")]
+
+
+def _spy_slices(monkeypatch, side):
+    """Force one pair onto the compare or the bincount side, with slices of
+    SLICE positions; returns the (counter, width) of every slice counted."""
+    widths = []
+    monkeypatch.setattr(fqangle.angle, "_BLOCK_BUDGET", SLICE)
+    monkeypatch.setattr(fqangle.angle, "_COMPARE_MIN_N", 0)
+    if side == "bincount":
+        monkeypatch.setattr(fqangle.angle, "_COMPARE_MAX_Q", 0)
+    for name in ("_compare_counts", "_bin_counts"):
+        real = getattr(fqangle.angle, name)
+        monkeypatch.setattr(fqangle.angle, name, lambda bins, q, name=name, real=real:
+                            widths.append((name, bins.shape[1])) or real(bins, q))
+    return widths
+
+
+def _plain_census(field, u, v):
+    """(both_zero, only_u, only_v, {c: count}) by plain numpy, no ratio bins."""
+    both = (u != 0) & (v != 0)
+    ratios, counts = np.unique(field.div_array(u[both], v[both]), return_counts=True)
+    return (np.count_nonzero((u == 0) & (v == 0)), np.count_nonzero((u != 0) & (v == 0)),
+            np.count_nonzero((u == 0) & (v != 0)), dict(zip(ratios.tolist(), counts.tolist())))
+
+
+@pytest.mark.parametrize("p,m,side", SLICE_CASES)
+def test_pair_counts_sum_their_slices(p, m, side, monkeypatch):
+    field = make_field(p, m)
+    q = field.q
+    widths = _spy_slices(monkeypatch, side)
+    counter = "_compare_counts" if side == "compare" else "_bin_counts"
+    rng = np.random.default_rng(q)
+    c_lo, c_hi = max(1, q // 2), q - 1
+    for n in (SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5):
+        slices = [(counter, SLICE)] * (n // SLICE) + ([(counter, n % SLICE)] if n % SLICE else [])
+        u, v = rng.integers(0, q, n), rng.integers(0, q, n)
+        # two runs of equal length, ratios c_hi then c_lo, across the slice
+        # edges, and a tail with no ratio: the runs tie, and c_lo must win
+        run = n // 3
+        v[: 2 * run] = rng.integers(1, q, 2 * run)
+        u[:run] = field.scalar_mul_array(c_hi, v[:run])
+        u[run : 2 * run] = field.scalar_mul_array(c_lo, v[run : 2 * run])
+        v[2 * run :] = 0
+        tied = u.copy(), v.copy()
+        for u, v in (tied, (rng.integers(0, q, n), rng.integers(0, q, n))):
+            a, b = Vector(field, u), Vector(field, v)
+            both_zero, only_u, only_v, ratios = _plain_census(field, u, v)
+            del widths[:]
+            census = build_census(a, b)
+            assert widths == slices, n
+            assert (census.both_zero, census.only_u, census.only_v) == (both_zero, only_u, only_v)
+            assert census.ratio_counts == ratios
+            best = max(ratios.values(), default=0)
+            c_star = min((c for c, k in ratios.items() if k == best), default=1)
+            angle = angle_naive(a, b)
+            assert argmin_scalar(a, b) == (c_star, angle)
+            assert angle_fast(a, b) == angle == n - both_zero - best
+        assert argmin_scalar(*map(lambda x: Vector(field, x), tied))[0] == c_lo
+
+
+@pytest.mark.parametrize("p,m,side", SLICE_CASES)
+def test_one_nonzero_coordinate_in_the_first_or_last_slice(p, m, side, monkeypatch):
+    field = make_field(p, m)
+    _spy_slices(monkeypatch, side)
+    rng = np.random.default_rng(field.q + 1)
+    for n in (SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 5):
+        other = Vector(field, rng.integers(1, field.q, n))
+        zero = Vector(field, np.zeros(n, dtype=np.int64))
+        for at in (0, n - 1):
+            lone = np.zeros(n, dtype=np.int64)
+            lone[at] = field.q - 1
+            lone = Vector(field, lone)
+            for a, b in ((lone, other), (other, lone), (lone, lone)):
+                expected = angle_naive(a, b)
+                assert angle_fast(a, b) == expected
+                assert argmin_scalar(a, b)[1] == expected
+                assert build_census(a, b).total() == n
+            for a, b in ((zero, lone), (lone, zero)):
+                for fn in (angle_fast, argmin_scalar, build_census):
+                    with pytest.raises(ZeroVector):
+                        fn(a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 4), (251, 1), (257, 1)])
+def test_fast_rows_sum_the_slices_of_long_rows(p, m, monkeypatch):
+    field = make_field(p, m)
+    widths = _spy_slices(monkeypatch, "bincount")
+    T, n = 3, 3 * SLICE + 1
+    U, V = _census_rows(field, np.random.default_rng(field.q), T, n)
+    U[1, -1], V[1, -1] = 0, 1  # a lone only-v position in the last slice
+    slices = [("_bin_counts", SLICE)] * 3 + [("_bin_counts", 1)]
+    assert np.array_equal(angle_fast_rows(field, U, V), angle_naive_rows(field, U, V))
+    assert widths == slices * T  # one-row blocks, each in slices
+    shared = np.broadcast_to(V[0], U.shape)
+    assert np.array_equal(angle_fast_rows(field, U, V[:1]), angle_naive_rows(field, U, shared))
 
 
 def test_mismatch_rejected():

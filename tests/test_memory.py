@@ -14,10 +14,13 @@ import pytest
 
 from fqangle import (
     Vector,
+    angle_fast,
     angle_fast_rows,
     angle_naive_rows,
     angular_decode,
+    argmin_scalar,
     decode_rows,
+    field_from_order,
     make_field,
     make_rs_code,
 )
@@ -52,6 +55,21 @@ def test_census_blocks_bound_fast_rows(p, m):
     field = make_field(p, m)
     U, V = _rows(field, 10_000, 1000, field.q)
     assert _warm_peak(lambda: angle_fast_rows(field, U, V)) < 1 * MiB
+
+
+# One prebuilt pair of 2^20 coordinates, counted in slices of 2^16
+# positions: by compares at q = 2, by bincount above.  0.69 MiB measured at
+# q = 2, 16 and 251, 0.75 at 256 (11.0-12.0 MiB over the whole row);
+# bound 1 MiB.  GF(65521): 1.63 MiB (16.0 over the whole row), bound 2 MiB,
+# its 65,523 count cells being 512 KiB per slice.  build_census gets no gate:
+# over GF(65521) it returns a 65,519-entry dict of 7.7 MiB.
+@pytest.mark.parametrize("q,bound", [(2, MiB), (16, MiB), (251, MiB), (256, MiB), (65521, 2 * MiB)])
+def test_slices_bound_one_long_pair(q, bound):
+    field = field_from_order(q)
+    rng = np.random.default_rng(q)
+    u, v = (Vector(field, rng.integers(0, q, 1 << 20)) for _ in range(2))
+    assert _warm_peak(lambda: angle_fast(u, v)) < bound
+    assert _warm_peak(lambda: argmin_scalar(u, v)) < bound
 
 
 def test_sort_census_of_a_wide_field_batch():

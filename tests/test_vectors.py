@@ -120,6 +120,24 @@ def test_vector_accepts_narrow_integer_dtypes():
         Vector(F3, np.array([2**64 - 1, 1], dtype=np.uint64))
 
 
+@pytest.mark.parametrize("n", [_SHORT_ROW + 1, 10**5])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64])
+def test_long_rows_refuse_values_outside_the_field_at_either_end(n, dtype):
+    # a long row's range check is one max over its uint64 view, where -1
+    # reads as 2^64 - 1 and a uint64 2^63 (negative in int64) as itself
+    field = make_field(7)
+    for bad in (-1, field.q, 2**63):
+        info = np.iinfo(dtype)
+        if not info.min <= bad <= info.max:
+            continue
+        for at in (0, n - 1):
+            coords = np.ones(n, dtype=dtype)
+            coords[at] = bad
+            with pytest.raises(InvalidInput):
+                Vector(field, coords)
+    assert Vector(field, np.full(n, field.q - 1, dtype=dtype)).coords.max() == field.q - 1
+
+
 def test_vectors_are_immutable():
     u = vec([1, 2, 0])
     with pytest.raises(ValueError):
