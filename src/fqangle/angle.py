@@ -28,8 +28,9 @@ runs over blocks of ``rows = max(1, _BLOCK_BUDGET // max(q + 2, n))``
 rows, and a block of one row longer than ``_BLOCK_BUDGET``, as one pair
 is, over slices of that many positions whose counts are summed
 (``_slice_counts``), so a block's bins, counts and intp index stay in
-cache whatever q and n are.  The counts are laid out bin-major: position i of row r in bin b counts at
-b * rows + r, so the counts reshape to (q + 2, rows), counts[0] is
+cache whatever q and n are.  The counts are laid out bin-major: position
+i of row r in bin b counts at b * rows + r, so the counts reshape to
+(q + 2, rows), counts[0] is
 both_zero and the best ratio count is the elementwise max of the q - 1
 contiguous rows counts[1:q].  When T * (q + 1) cells would exceed
 ``_BINCOUNT_CELL_CAP`` over the whole input, each row's bins are sorted
@@ -312,7 +313,8 @@ def _pair_counts(u: Vector, v: Vector) -> np.ndarray:
 
     A long row over a small field counts each bin with one compare and
     ``count_nonzero`` (see ``_COMPARE_MAX_Q``), else with the census's
-    bincount."""
+    bincount, either way one slice of ``_BLOCK_BUDGET`` positions at a
+    time."""
     _require_same_space(u, v)
     q = u.field.q
     compare = q <= _COMPARE_MAX_Q and len(u) >= _COMPARE_MIN_N * (q + 2) ** 2

@@ -19,7 +19,7 @@ the CLI and by code files is comma-separated integer encodings, e.g.
 * Arrays of at most ``_SHORT_ROW`` = 48 coordinates are range-checked
   in plain Python after one ``tolist()``, longer ones by one numpy
   ``max`` of their uint64 view, where a negative reads as 2^63 or more:
-  measured, the Python check is cheaper up to about 48.
+  measured, the Python checks are cheaper up to about 32 to 48.
   ``_first_nonzero``, which finds ``ProjectivePoint``'s lead coordinate,
   picks by the same length.  Both paths accept and refuse the same
   inputs; only their cost differs.
@@ -43,9 +43,10 @@ from .gf import Field
 # 2.3-4.0 at 48, 4.1-4.2 vs 3.7-4.1 at 64 and 5.3-8.3 vs 4.0-4.3 at 128.
 # First nonzero coordinate, placed last (a loop over tolist against
 # np.flatnonzero): 1.2-1.8 vs 2.5-3.0 us at 48, 2.5-3.4 vs 1.9-3.2 at 96.
-# A long row's range check is now one max of its uint64 view: 1.36 us at
-# 16-64 coordinates against 2.1 for min and max, and 0.28 against 0.57 ms
-# at 10^6 (best of 15 x 2000 and of 7 x 20 calls).
+# A long row's range check is one max of its uint64 view: 1.36 us at 16-64
+# coordinates against 2.1 for min and max, and 0.28 against 0.57 ms at
+# 10^6 (best of 15 x 2000 and of 7 x 20 calls), so the Python range check
+# alone would hand over near 32; the first-nonzero loop still wins at 48.
 _SHORT_ROW = 48
 
 
