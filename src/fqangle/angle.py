@@ -178,8 +178,6 @@ def _slice_counts(field: Field, U: np.ndarray, V: np.ndarray, count) -> np.ndarr
     over slices of at most ``_BLOCK_BUDGET`` positions.  Only a block of one
     long row spans more, and its bins and index then stay in cache."""
     step = _BLOCK_BUDGET
-    if U.shape[1] <= step:
-        return count(_ratio_bins(field, U, V), field.q)
     counts = count(_ratio_bins(field, U[:, :step], V[:, :step]), field.q)
     for s in range(step, U.shape[1], step):
         counts += count(_ratio_bins(field, U[:, s : s + step], V[:, s : s + step]), field.q)

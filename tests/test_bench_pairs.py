@@ -99,6 +99,13 @@ def test_tier1_counts_read_pytests_last_line():
     assert bench_pairs.tier1_counts("") == {}
 
 
+def test_tier1_failures_name_the_failed_tests():
+    out = ("F.E\n== short test summary info ==\nFAILED t.py::x - assert 0\n"
+           "ERROR t.py::y\n1 failed, 1 passed, 1 error in 0.3s\n")
+    assert bench_pairs.tier1_failures(out) == ["t.py::x", "t.py::y"]
+    assert bench_pairs.tier1_failures("3 passed in 0.1s\n") == []
+
+
 def test_tier1_summary_has_no_bound():
     runs = lambda *walls: [{"wall_s": w, "exit": 0, "counts": {"passed": 3}} for w in walls]
     out = bench_pairs.tier1_summary(runs(30.0, 32.0, 34.0), runs(24.0, 27.0, 25.0))
@@ -118,4 +125,5 @@ def test_tier1_once_runs_the_trees_own_suite(tmp_path):
         "def test_b():\n    assert tiny_pkg.VALUE == 4\n")
     run = bench_pairs.tier1_once(tmp_path)
     assert run["counts"] == {"failed": 1, "passed": 1}
+    assert run["failed_tests"] == ["tests/test_tiny.py::test_b"]
     assert run["exit"] == 1 and run["wall_s"] > 0

@@ -25,8 +25,9 @@ whose metric the change claims to improve; ``--fresh-seed`` then adds a
 check of that workload on a second seed, over ``FRESH_PAIRS`` pairs.
 
 Last, each tree runs the Tier-1 suite ``TIER1_RUNS`` times, alternating as
-the pairs do.  Its wall time is recorded per side beside pytest's counts,
-with no bound, since ``BENCHMARK.json`` bounds no Tier-1 figure.
+the pairs do.  Its wall time is recorded per side beside pytest's counts
+and the ids of any failed tests, with no bound, since ``BENCHMARK.json``
+bounds no Tier-1 figure.
 """
 
 from __future__ import annotations
@@ -132,14 +133,20 @@ def tier1_counts(stdout: str) -> dict:
             re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed|deselected)", last)}
 
 
+def tier1_failures(stdout: str) -> list[str]:
+    """Node ids of the FAILED and ERROR lines of pytest's short summary."""
+    return re.findall(r"^(?:FAILED|ERROR) (\S+)", stdout, re.MULTILINE)
+
+
 def tier1_once(tree: Path) -> dict:
     """One Tier-1 run (``PYTHONPATH=src python -m pytest -q ...``) in tree:
-    its wall time, exit code and counts."""
+    its wall time, exit code, counts and the ids of the tests that failed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
-    return {"wall_s": round(wall, 2), "exit": proc.returncode, "counts": tier1_counts(proc.stdout)}
+    return {"wall_s": round(wall, 2), "exit": proc.returncode, "counts": tier1_counts(proc.stdout),
+            "failed_tests": tier1_failures(proc.stdout)}
 
 
 def tier1_summary(parent: list[dict], change: list[dict]) -> dict:
