@@ -40,16 +40,26 @@ scan covers at least ``_FAST_MIN_SCAN`` positions (directions x length):
    decoding cyclic codes", IRE Trans. IT 1962).  So if the least
    candidate distance is <= d - 1, it is a, and the directions of the
    candidates at that distance are exactly the scan's tied directions.
-   No ratio census is needed, and since C_S equals u on S by
-   construction, only the n - k positions off S are compared.  A
-   Reed-Solomon code with distinct points is MDS (d = n - k + 1), so
-   every k-subset is an information set, and some candidate agrees with
-   u on k positions: its distance is <= n - k = d - 1 always.  A least
-   distance of d or more still falls back to the scan, as the guard of
-   that argument.  The maps G_S^-1 G off S are Lagrange basis
-   polynomials evaluated at the points, built on a code's first such
-   query (``_ReedSolomon.infosets``, 511 KB on RS[15,5]/GF(16)) from the
-   log differences of the points that step 1's tables hold.
+   No ratio census is needed.  A Reed-Solomon code with distinct points
+   is MDS (d = n - k + 1), so every k-subset is an information set, and
+   some candidate agrees with u on k positions: its distance is
+   <= n - k = d - 1 always.  A least distance of d or more still falls
+   back to the scan, as the guard of that argument.
+   The distances come from one check per (k + 1)-subset T.  C_S is the
+   polynomial of degree < k through u on S, so it equals u at a position
+   i off S exactly when u on T = S + {i} lies on such a polynomial: when
+   the k-th divided difference, the sum over j in T of
+   u_j / prod over t in T - {j} of (x_j - x_t), is 0.  So d_H(u, C_S) is
+   the number of nonzero checks among the n - k sets S + {i}, and the
+   C(n, k + 1) checks take (n - k) C(n, k) products, k times fewer than
+   re-encoding every candidate.  Two sets give one codeword exactly when
+   they have one agreement set with u (an MDS code's codewords are equal
+   once they agree on k positions), so ``angular_decode`` re-encodes one
+   set per distinct tied codeword to find its direction, and
+   ``angle_to_code`` stops at the angle and the number of those
+   codewords.  The weights come from the log differences of the points
+   that step 1's tables hold, on a code's first such query
+   (``_ReedSolomon.infosets``, 565 KB on RS[15,5]/GF(16)).
 
 Otherwise, and always for ``projective_list_decode``, ``decode_rows``
 and ``min_distance``, the direction matrix is scanned.  The one-word
@@ -96,15 +106,16 @@ _DECODE_CHUNK_CELLS = 1 << 18
 # Berlekamp-Welch and the information sets before the scan on a
 # Reed-Solomon code.  Warm angular_decode, median over 40 words, range of
 # 3 interleaved rounds, scan vs shortcuts, 2-core Xeon, near words then
-# uniform words, in us: RS[7,3]/GF(7) (399 positions) 34-39 vs 37-42 and
-# 56-64 vs 82-94; RS[8,4]/GF(8) (4,680) 60-64 vs 33-37 and 81-89 vs
-# 177-186; RS[9,4]/GF(9) (7,380) 73-74 vs 63-65 and 74-78 vs 216-232;
-# RS[10,4]/GF(11) (14,640) 114-124 vs 44-50 and 117-126 vs 210-219;
-# RS[11,4]/GF(11) (16,104) 109-118 vs 44-49 and 117-126 vs 156-172;
-# RS[13,4]/GF(13) (30,940) 193-196 vs 50-57 and 220-231 vs 265-276;
-# RS[10,4]/GF(16) (43,690) 315-316 vs 40-46 and 320-370 vs 211-225;
-# RS[15,5]/GF(16) (1,048,575) 6.3-7.8 ms vs 56-81 and 7.2-8.9 ms vs
-# 0.43-0.78 ms.  Near words gain from 4,680 positions on, uniform words
+# uniform words (the uniform words measured with one check per
+# (k + 1)-subset), in us: RS[7,3]/GF(7) (399 positions) 34-39 vs 37-42 and
+# 37-42 vs 65-68; RS[8,4]/GF(8) (4,680) 60-64 vs 33-37 and 69-75 vs
+# 149-159; RS[9,4]/GF(9) (7,380) 73-74 vs 63-65 and 68-69 vs 196-209;
+# RS[10,4]/GF(11) (14,640) 114-124 vs 44-50 and 108-111 vs 157-165;
+# RS[11,4]/GF(11) (16,104) 109-118 vs 44-49 and 113-116 vs 151-161;
+# RS[13,4]/GF(13) (30,940) 193-196 vs 50-57 and 190-194 vs 236-241;
+# RS[10,4]/GF(16) (43,690) 315-316 vs 40-46 and 308-321 vs 158-177;
+# RS[15,5]/GF(16) (1,048,575) 6.3-7.8 ms vs 56-81 and 6.1 ms vs
+# 0.28-0.33 ms.  Near words gain from 4,680 positions on, uniform words
 # (which fail Berlekamp-Welch first) only above 30,940.  Three near words
 # to one uniform, the decode benchmarks' mix, gain from 14,640 on and
 # lose at 7,380, so the gate sits between the two.
@@ -305,24 +316,27 @@ def min_distance(code: LinearCode) -> int:
 
 @dataclass(frozen=True)
 class _InfoSets:
-    """Per-code tables of the information-set candidates.
+    """Per-code tables of the information-set distances.
 
-    The s-th information set S holds the positions ``subsets[:, s]``
-    (k-subsets in itertools.combinations order), and ``off[:, s]`` holds
-    the n - k positions off S, ascending.  ``maps[j, :, s]`` is row j of
-    G_S^-1 G at the positions off S; on S that map is the identity, so a
-    candidate equals the word there and needs no table.  The sets run
-    along the last axis, so a word's per-set logs broadcast along it.
-    ``maps`` and ``log`` hold sentinel logs (``Field.mul_tables``),
-    so one gather of ``exp`` multiplies, in the narrowest unsigned dtype
-    that holds 4(q - 1), the largest sum of two logs; ``exp`` is in the
-    narrowest dtype that holds q - 1.  Together they take 511 KB on
-    RS[15,5]/GF(16), 360 KB of it the intp positions.
+    The t-th check set T, a (k + 1)-subset in itertools.combinations
+    order, holds the positions ``positions[:, t]``, ascending, and
+    ``weights[j, t]`` is the sentinel log (``Field.mul_tables``) of its
+    weight w_(T, j) = 1 / prod over T_s != T_j of (x_(T_j) - x_(T_s)).
+    ``bits[t]`` is the bitmask of T.  The s-th information set S, a
+    k-subset in the same order, holds ``subsets[:, s]``, and ``sup[r, s]``
+    is the check set S + {i} of the r-th position i off S, ascending.  The
+    sets run along the last axis.  ``log`` is the sentinel-log table in the
+    narrowest unsigned dtype that holds 4(q - 1), the largest sum of two
+    logs; ``exp`` is in the narrowest dtype that holds q - 1.  Together
+    they take 565 KB on RS[15,5]/GF(16), 480 KB of it the intp
+    ``positions`` and ``sup`` that each word's gathers index by.
     """
 
+    positions: np.ndarray
+    weights: np.ndarray
+    bits: np.ndarray
     subsets: np.ndarray
-    off: np.ndarray
-    maps: np.ndarray
+    sup: np.ndarray
     log: np.ndarray
     exp: np.ndarray
 
@@ -383,82 +397,122 @@ class _ReedSolomon:
     def infosets(self) -> _InfoSets:
         """The information-set tables, built on first use.
 
-        Row j of G_S^-1 G maps a codeword's value at position S_j to its
-        values at every position, so at position i off S it is the
-        Lagrange basis polynomial prod over t in S - {S_j} of
-        (x - x_t) / (x_{S_j} - x_t), at x = x_i.  With D = ``log_diff`` and
-        N[i] the sum of D[i, t] over t in S, its log is
-        N[i] - D[i, S_j] - N[S_j]."""
+        With D = ``log_diff``, the log of the weight of T_j in T is minus
+        the sum of D[T_j, t] over t in T (D is 0 on the diagonal).  The
+        index of a k-subset S in combinations order is C(n, k) - 1 minus
+        the sum of C(n - 1 - S_l, k - l), l = 0 .. k - 1.  The bitmasks fit
+        64 bits: the information sets pay only where n <= 26
+        (``_infosets_pay``)."""
         field, L = self.field, self.field.q - 1
         k, n = self.generator_log.shape
+        if n > 64:
+            raise InvalidInput(f"the information-set tables hold n <= 64 positions, got n = {n}")
         log, exp = field.mul_tables
         log = log.astype(np.min_scalar_type(4 * L))
-        # unsigned sums below 3L, so x - L and x - 2L wrap above x where x < L
-        w = np.min_scalar_type(3 * L)
-        D = self.log_diff.astype(w)
-        subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                              dtype=np.intp).reshape(-1, k)  # (sets, k)
-        in_S = np.zeros((len(subsets), n), dtype=bool)
-        np.put_along_axis(in_S, subsets, True, axis=1)
-        off = (np.flatnonzero(~in_S) % n).reshape(len(subsets), n - k).T.copy()  # (n - k, sets), ascending
-        subsets = subsets.T.copy()  # (k, sets)
-        flat = D.ravel()
-        at_S = flat.take(subsets * n + subsets[:, None, :])  # (k, k, sets): D[S_t, S_j] at [j, t]
-        at_off = flat.take(off * n + subsets[:, None, :])  # (k, n - k, sets): D[i, S_j] at [j, i]
-        N_S, N_off = ((a.sum(axis=0, dtype=np.min_scalar_type(k * L)) % L).astype(w) for a in (at_S, at_off))
-        x = (N_off + w.type(2 * L)) - at_off
-        x -= N_S[:, None, :]
-        x = np.minimum(x, np.minimum(x - w.type(L), x - w.type(2 * L)))  # x mod L
-        maps = x.astype(log.dtype, copy=False)
-        tables = _InfoSets(subsets, off, maps, log, exp.astype(np.min_scalar_type(L)))
+
+        def combinations(size):  # (size, sets) positions
+            return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), size)),
+                               dtype=np.intp).reshape(-1, size).T.copy()
+
+        binom = np.array([math.comb(a, b) for a in range(n) for b in range(k, 0, -1)])  # (n, k): C(a, k - l)
+
+        def rank(S):  # the index of each k-subset S in combinations order
+            return math.comb(n, k) - 1 - binom.take((n - 1 - S) * k + np.arange(k)[:, None]).sum(axis=0)
+
+        positions, subsets = combinations(k + 1), combinations(k)
+        flat = self.log_diff.ravel()
+        weights = np.zeros(positions.shape, dtype=np.int64)
+        for T_s in positions:  # one member of every T at a time: no (k + 1, k + 1, sets) temporary
+            weights -= flat.take(positions * n + T_s)
+        sup = np.empty((n - k, subsets.shape[1]), dtype=np.intp)
+        for j in range(k + 1):  # T = S + {T_j}: the j positions of S below T_j leave T_j - j off S below it
+            S = np.delete(positions, j, axis=0)
+            sup.put((positions[j] - j) * subsets.shape[1] + rank(S), np.arange(positions.shape[1]))
+        bits = (np.uint64(1) << positions.astype(np.uint64)).sum(axis=0, dtype=np.uint64)
+        tables = _InfoSets(positions, (weights % L).astype(log.dtype), bits, subsets.astype(np.min_scalar_type(n - 1)),
+                           sup, log, exp.astype(np.min_scalar_type(L)))
         for t in vars(tables).values():
             t.setflags(write=False)
         return tables
 
 
 def _infosets_pay(code: LinearCode) -> bool:
-    """True when the C(n, k) candidates, k gathers over the n - k positions
-    off their set and one compare each, number at most the D directions
-    of the scan, as k + 1 rows each."""
+    """True when the C(n, k) information sets, as k + 1 rows each, number
+    at most the D directions of the scan.  The information sets then cost
+    less than the scan's D n positions: the C(n, k + 1) checks of k + 1
+    terms each take (k + 1) C(n, k + 1) = (n - k) C(n, k) products, and
+    reading every distance from them as many gathers."""
     q = code.field.q
     return math.comb(code.n, code.k) * (code.k + 1) <= (q**code.k - 1) // (q - 1)
 
 
 def _infoset_candidates(u: np.ndarray, code: LinearCode, tables: _InfoSets) -> tuple[np.ndarray, np.ndarray]:
-    """(dist, C): the Hamming distance d_H(u, C_S) from the nonzero word u
-    to each candidate C_S = u_S G_S^-1 G, one per information set S, and
-    the candidates' values at the positions off S, (n - k, sets).
+    """(dist, checks): the Hamming distance d_H(u, C_S) from the nonzero
+    word u to each candidate C_S = u_S G_S^-1 G, one per information set
+    S, and the check of u on each check set T, the field sum of
+    u_(T_j) w_(T, j), the k-th divided difference of u on T.
 
-    C_S equals u on S, so only the positions off S are compared.  Where u
-    vanishes on S the candidate is the zero codeword, which has no
-    direction: its distance reads n + 1, past every codeword's."""
-    field, n = code.field, code.n
-    logs = tables.log.take(u).take(tables.subsets)  # (k, sets)
-    # one term u_{S_j} (G_S^-1 G)_j at a time: take copies its index to intp
-    C = tables.exp.take(logs[0] + tables.maps[0])
-    for j in range(1, code.k):
-        C = field.add_array(C, tables.exp.take(logs[j] + tables.maps[j]))
-    # a narrow sum: count_nonzero would sum intp, 5x slower on RS[15,5]
-    dist = (C != u.astype(C.dtype).take(tables.off)).sum(axis=0, dtype=np.min_scalar_type(n + 1))
-    dist[(logs == tables.log[0]).all(axis=0)] = n + 1  # u_S = 0
-    return dist, C
+    The check is 0 exactly when u on T lies on a polynomial of degree < k
+    (see the module docstring), so C_S equals u at a position i off S
+    exactly when the check of S + {i} is 0.  Where u vanishes on S the
+    candidate is the zero codeword, which has no direction: its distance
+    reads n + 1, past every codeword's."""
+    n, k = code.n, code.k
+    logs = tables.log.take(u)
+    checks = code.field.sum_array(tables.exp.take(logs.take(tables.positions) + tables.weights))
+    # a narrow sum: count_nonzero would sum intp
+    dist = (n - k) - (checks == 0).take(tables.sup).sum(axis=0, dtype=np.min_scalar_type(n + 1))
+    if np.count_nonzero(u) <= n - k:  # u may vanish on a k-subset
+        dist[(logs.take(tables.subsets) == tables.log[0]).all(axis=0)] = n + 1
+    return dist, checks
 
 
-def _candidate_rows(u: np.ndarray, tables: _InfoSets, C: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """The full candidates of the given information sets, as rows: u on S,
-    their values C (see ``_infoset_candidates``) off S."""
+def _candidate_rows(u: np.ndarray, code: LinearCode, tables: _InfoSets, checks: np.ndarray,
+                    sets: np.ndarray) -> np.ndarray:
+    """The candidates C_S of the given information sets, as rows: u on S,
+    and at the r-th position i off S the one value that zeroes the check
+    c of T = S + {i}, u_i - c / w_(T, i).  The r positions off S below i
+    are not in T, so i sits at T's slot i - r."""
+    field, n, k = code.field, code.n, code.k
+    in_S = np.zeros((len(sets), n), dtype=bool)
+    np.put_along_axis(in_S, tables.subsets[:, sets].T.astype(np.intp), True, axis=1)
+    off = np.flatnonzero(~in_S).reshape(len(sets), n - k) % n  # ascending
+    T = tables.sup[:, sets].T
+    # log c - log w + L lies in [1, 2L) for c != 0, and from the sentinel on for c = 0
+    ratio = tables.exp.take(tables.log.take(checks.take(T)) + (field.q - 1 - tables.weights[off - np.arange(n - k), T]))
     rows = np.tile(u, (len(sets), 1))
-    np.put_along_axis(rows, tables.off[:, sets].T, C[:, sets].T, axis=1)
+    np.put_along_axis(rows, off, field.sub_array(u.take(off), ratio), axis=1)
     return rows
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct elements of a 1-D array, ascending: np.unique without
-    the import of numpy.ma its first call makes, about 13 ms."""
-    a = np.sort(a)
+def _tied_rows(u: np.ndarray, code: LinearCode, tables: _InfoSets, checks: np.ndarray, sets: np.ndarray,
+               a: int) -> np.ndarray:
+    """The normalized rows, in enumeration order, of the directions of the
+    candidates of the information sets at the least distance a < d.
+
+    Each distinct codeword c at distance a is the candidate of exactly the
+    k-subsets of its agreement set A (c_i = u_i), n - a positions: an MDS
+    code's codewords are equal once they agree on k positions.  So sets
+    with equal agreement sets give one codeword, and one set per agreement
+    set is re-encoded.  Where n - a > k, A is the union of the check sets
+    S + {i} that are 0."""
+    if code.n - a > code.k:
+        sup = tables.sup[:, sets]
+        agree = np.bitwise_or.reduce(np.where(checks.take(sup) == 0, tables.bits.take(sup), 0), axis=0)
+        sets = sets[_first_occurrences(agree)]
+    directions = _direction_indices(code, _candidate_rows(u, code, tables, checks, sets))
+    return projective_codeword_matrix(code)[directions[_first_occurrences(directions)]]
+
+
+def _first_occurrences(a: np.ndarray) -> np.ndarray:
+    """The index of the first occurrence of each distinct element of a 1-D
+    array, by ascending element: np.unique's return_index without the
+    import of numpy.ma its first call makes, about 13 ms."""
+    order = np.argsort(a, kind="stable")
+    a = a[order]
     starts = np.ones(len(a), dtype=bool)
     starts[1:] = a[1:] != a[:-1]
-    return a[starts]
+    return order[starts]
 
 
 def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:
@@ -640,37 +694,47 @@ def berlekamp_welch(code: LinearCode, u: np.ndarray, t: int) -> tuple[np.ndarray
     return (c, dist) if dist <= t else None
 
 
-def _least(u: np.ndarray, code: LinearCode, d: int) -> tuple[int, np.ndarray]:
+def _least(u: np.ndarray, code: LinearCode, d: int, rows: bool = False) -> tuple[int, np.ndarray | None]:
     """(a, rows): the least angle a from the checked nonzero int64 word u
-    to a direction of the code of minimum distance d, and the normalized
-    rows of the directions at a, in enumeration order.
+    to a direction of the code of minimum distance d, and, when ``rows`` is
+    asked for, the normalized rows of the directions at a, in enumeration
+    order (else None).
 
     The one place that picks the decoder: on a Reed-Solomon code whose
     scan covers at least ``_FAST_MIN_SCAN`` positions, Berlekamp-Welch
     (where n^2 <= D) and then the information sets, as the module
     docstring sets out; each answer is exact or absent.  Otherwise every
-    direction is scanned.  Every answer is checked by ``_assert_unique``."""
-    q, n, rows = code.field.q, code.n, None
-    D = (q**code.k - 1) // (q - 1)
+    direction is scanned.  Every answer is checked by ``_assert_unique``,
+    on the information sets by the number of distinct codewords at a:
+    inside the radius, 2a < d, two of them are two directions, since
+    d_H(c, beta c) = wt(c) >= d > 2a for beta != 1."""
+    q, n, k = code.field.q, code.n, code.k
+    D = (q**k - 1) // (q - 1)
+    a = None
     if code.eval_points is not None and D * n >= _FAST_MIN_SCAN:
         near = berlekamp_welch(code, u, (d - 1) // 2) if n * n <= D else None
         if near is not None:
             c, a = near
-            rows = normalize_rows(code.field, c[None])
+            tied = False
+            found = normalize_rows(code.field, c[None]) if rows else None
         elif _infosets_pay(code):
             tables = code._rs.infosets
-            dist, C = _infoset_candidates(u, code, tables)
-            a = int(dist.min())
-            if a < d:
-                codewords = _candidate_rows(u, tables, C, np.flatnonzero(dist == a))
-                rows = projective_codeword_matrix(code)[_sorted_distinct(_direction_indices(code, codewords))]
-    if rows is None:
+            dist, checks = _infoset_candidates(u, code, tables)
+            least = int(dist.min())
+            if least < d:
+                a, sets = least, np.flatnonzero(dist == least)
+                # each codeword at distance a is the candidate of C(n - a, k) sets (see _tied_rows)
+                tied = len(sets) > math.comb(n - a, k)
+                found = _tied_rows(u, code, tables, checks, sets, a) if rows else None
+    if a is None:
         P = projective_codeword_matrix(code)
         angles = _angle_table(code.field, u[None, :], P)[0]
         a = int(angles.min())
-        rows = P[angles == a]
-    _assert_unique(u, a, len(rows) > 1, d)
-    return a, rows
+        at_a = angles == a
+        tied = np.count_nonzero(at_a) > 1
+        found = P[at_a] if rows else None
+    _assert_unique(u, a, tied, d)
+    return a, found
 
 
 def _assert_unique(u: np.ndarray, a: int, tied: bool, d: int):
@@ -695,7 +759,7 @@ def angular_decode(u: Vector, code: LinearCode) -> DecodeOutcome:
     (strictly inside the unique decoding radius)."""
     _check_word(u, code)
     d = min_distance(code)
-    a, rows = _least(u.coords, code, d)
+    a, rows = _least(u.coords, code, d, rows=True)
     kind = DecodeKind.UNIQUE_DIRECTION if 2 * a < d else DecodeKind.BEYOND_RADIUS
     return DecodeOutcome(kind, tuple(_points(code.field, rows, itertools.repeat(a))), d)
 
@@ -729,18 +793,26 @@ def decode_rows(code: LinearCode, U) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise ZeroVector("cannot decode the zero vector")
     d = min_distance(code)
     P = projective_codeword_matrix(code)
-    D = P.shape[0]
-    best, angle = np.empty((2, len(U)), dtype=np.int64)
-    runner_up = np.full(len(U), code.n + 1, dtype=np.int64)
-    step = max(1, _DECODE_CHUNK_CELLS // D)
+    best, angle, runner_up = np.empty((3, len(U)), dtype=np.int64)
+    step = max(1, _DECODE_CHUNK_CELLS // len(P))
     for start in range(0, len(U), step):
         rows = slice(start, start + step)
-        A = _angle_table(code.field, U[rows], P)
-        best[rows] = A.argmin(axis=1)
-        angle[rows] = A.min(axis=1)
-        if D > 1:
-            runner_up[rows] = np.partition(A, 1, axis=1)[:, 1]
+        best[rows], angle[rows], runner_up[rows] = _decode_chunk(code, U[rows], P)
     suspect = np.flatnonzero((2 * angle < d) & (runner_up == angle))
     if suspect.size:
         _assert_unique(U[suspect[0]], int(angle[suspect[0]]), True, d)
     return best, angle, runner_up
+
+
+def _decode_chunk(code: LinearCode, U: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decode_rows' (best, angle, runner_up) of one chunk of words.  Masked
+    reductions stand in for argmin, which copies a transposed angle table,
+    and partition, which copies any; the chunk's table is freed on return,
+    before the next chunk's is built."""
+    A = _angle_table(code.field, U, P)
+    angle = A.min(axis=1)
+    at_angle = A == angle[:, None]
+    best = np.minimum.reduce(np.broadcast_to(np.arange(len(P)), A.shape), axis=1, where=at_angle, initial=len(P))
+    tied = np.count_nonzero(at_angle, axis=1) > 1
+    above = np.minimum.reduce(A, axis=1, where=np.logical_not(at_angle, out=at_angle), initial=code.n + 1)
+    return best, angle, np.where(tied, angle, above)

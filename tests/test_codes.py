@@ -1015,10 +1015,11 @@ def reference_blocks(code):
     return blocks
 
 
-def reference_tables(code):
-    """The code's _InfoSets from reference_blocks: each map keeps the
-    columns of G_S^-1 G off S, and the columns it drops, on S, are the
-    identity, so a candidate equals the word there."""
+def reference_maps(code):
+    """(subsets, off, maps, log, exp) from reference_blocks: the k-gather
+    layout of the information sets.  maps[j, :, s] holds the sentinel logs
+    of row j of G_S^-1 G at the positions off[:, s] off S; the columns it
+    drops, on S, are the identity, so a candidate equals the word there."""
     field, k, n = code.field, code.k, code.n
     log, exp = field.sentinel_log_tables()
     log = log.astype(np.min_scalar_type(4 * (field.q - 1)))
@@ -1029,10 +1030,49 @@ def reference_tables(code):
         subsets.append(S)
         offs.append(off)
         maps.append(log.take(M[:, off]))
-    return fqangle.codes._InfoSets(subsets=np.array(subsets).T,
-                                   off=np.array(offs, dtype=np.intp).reshape(len(offs), n - k).T,
-                                   maps=np.stack(maps, axis=2), log=log,
-                                   exp=exp.astype(np.min_scalar_type(field.q - 1)))
+    return (np.array(subsets, dtype=np.intp).T, np.array(offs, dtype=np.intp).reshape(len(offs), n - k).T,
+            np.stack(maps, axis=2), log, exp.astype(np.min_scalar_type(field.q - 1)))
+
+
+def gather_candidates(u, code, reference):
+    """(dist, rows): d_H(u, C_S) and the candidate rows C_S = u_S G_S^-1 G
+    of every information set of reference_maps, by k gathers of the maps
+    over the positions off S; n + 1 where u vanishes on S."""
+    subsets, off, maps, log, exp = reference
+    field, n = code.field, code.n
+    logs = log.take(u).take(subsets)
+    C = exp.take(logs[0] + maps[0])
+    for j in range(1, code.k):
+        C = field.add_array(C, exp.take(logs[j] + maps[j]))
+    dist = np.count_nonzero(C != u.take(off), axis=0)
+    dist[(logs == log[0]).all(axis=0)] = n + 1
+    rows = np.tile(u, (subsets.shape[1], 1))
+    np.put_along_axis(rows, off.T, C.T, axis=1)
+    return dist, rows
+
+
+def reference_tables(code):
+    """The code's _InfoSets from the definitions, with scalar field ops:
+    each (k + 1)-subset T, its weights 1 / prod (x_j - x_t) as sentinel
+    logs and its bitmask; each k-subset S and, per position i off S, the
+    index of S + {i}."""
+    field, k, n = code.field, code.k, code.n
+    x = code.eval_points.tolist()
+    log, exp = field.sentinel_log_tables()
+    log = log.astype(np.min_scalar_type(4 * (field.q - 1)))
+    Ts = list(itertools.combinations(range(n), k + 1))
+    weights = [[int(log[field.inv(functools.reduce(field.mul, [field.sub(x[j], x[t]) for t in T if t != j], 1))])
+                for j in T] for T in Ts]
+    index = {T: i for i, T in enumerate(Ts)}
+    Ss = list(itertools.combinations(range(n), k))
+    sup = [[index[tuple(sorted(S + (i,)))] for i in range(n) if i not in S] for S in Ss]
+    return fqangle.codes._InfoSets(
+        positions=np.array(Ts, dtype=np.intp).reshape(len(Ts), k + 1).T,
+        weights=np.array(weights, dtype=log.dtype).reshape(len(Ts), k + 1).T,
+        bits=np.array([sum(1 << i for i in T) for T in Ts], dtype=np.uint64),
+        subsets=np.array(Ss, dtype=np.min_scalar_type(n - 1)).T,
+        sup=np.array(sup, dtype=np.intp).reshape(len(Ss), n - k).T,
+        log=log, exp=exp.astype(np.min_scalar_type(field.q - 1)))
 
 
 def reference_directions(code, C):
@@ -1043,13 +1083,20 @@ def reference_directions(code, C):
     return np.array([index[row.astype(P.dtype).tobytes()] for row in normalize_rows(code.field, C)], dtype=np.intp)
 
 
-@pytest.mark.parametrize("case", BW_CODES + [(make_field(13), 13, 4, None)],
-                         ids=lambda c: f"RS[{c[1]},{c[2]}]/GF({c[0].q}){'-points' if c[3] else ''}")
+INFOSET_CODES = BW_CODES + [(make_field(13), 13, 4, None), (make_field(7, 2), 8, 3, None)]
+
+
+def infoset_id(case):
+    field, n, k, points = case
+    return f"RS[{n},{k}]/GF({field.q}){'-points' if points else ''}"
+
+
+@pytest.mark.parametrize("case", INFOSET_CODES[:-1], ids=infoset_id)
 def test_lagrange_tables_equal_row_reduce(case):
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
     tables, reference = code._rs.infosets, reference_tables(code)
-    for name in ("subsets", "off", "maps", "log", "exp"):
+    for name in ("positions", "weights", "bits", "subsets", "sup", "log", "exp"):
         assert np.array_equal(getattr(tables, name), getattr(reference, name)), name
         assert getattr(tables, name).dtype == getattr(reference, name).dtype, name
     assert code._rs.infosets is tables  # cached
@@ -1058,11 +1105,71 @@ def test_lagrange_tables_equal_row_reduce(case):
     idx = np.random.default_rng(n * k).integers(1, field.q**k, size=200)
     C = encode(code, idx)
     lagrange = fqangle.codes._log_vecmat(field, field.mul_tables[0].take(C.T), code._rs.lagrange[:, :k])
-    S = tables.subsets[:, 0]
+    S = tables.subsets[:, 0].astype(np.intp)
     G_S_inv = fqangle.codes.row_reduce(field, np.hstack([code.generator[:, S], np.eye(k, dtype=np.int64)]))[0][:, k:]
     assert np.array_equal(lagrange, field.matmul(C[:, S], G_S_inv))
     assert np.array_equal(lagrange, fqangle.codes.digit_rows(idx, field.q, k))
     assert np.array_equal(fqangle.codes._direction_indices(code, C), reference_directions(code, C))
+
+
+@pytest.mark.parametrize("case", INFOSET_CODES, ids=infoset_id)
+def test_check_distances_equal_k_gathers(case):
+    # every d_H(u, C_S) from the checks of the (k + 1)-subsets, and every
+    # candidate re-encoded from them, equal the k-gather reference: on
+    # seeded words, codewords (distance 0) and words that vanish on sets
+    field, n, k, points = case
+    code = make_rs_code(field, n, k, points)
+    tables, reference = code._rs.infosets, reference_maps(code)
+    rng = np.random.default_rng(n + k)
+    light = np.zeros((n - k, n), dtype=np.int64)  # weight w <= n - k vanishes on some k-subset
+    for w, word in enumerate(light, start=1):
+        word[rng.choice(n, size=w, replace=False)] = rng.integers(1, field.q, size=w)
+    codewords = encode(code, rng.integers(1, field.q**k, size=4))
+    least = []
+    for u in np.vstack([codewords, light, bw_words(code, rng)]):
+        dist, checks = fqangle.codes._infoset_candidates(u, code, tables)
+        expected, rows = gather_candidates(u, code, reference)
+        assert np.array_equal(dist, expected)
+        sets = np.flatnonzero(dist <= n)
+        assert np.array_equal(fqangle.codes._candidate_rows(u, code, tables, checks, sets), rows[sets])
+        least.append(int(dist.min()))
+    assert least[: len(codewords)] == [0] * len(codewords)
+    # a nonzero word vanishes on no set of RS[5,5], whose one set holds every position
+    assert k == n or any((gather_candidates(u, code, reference)[0] == n + 1).any() for u in light)
+
+
+def test_ties_of_beta_c_and_c_and_of_many_sets_rebuild_one_row_each(monkeypatch):
+    # RS[8,2]/GF(9), d = 7.  u = c on four positions and beta c on the other
+    # four, for a codeword c without zeros: any other codeword agrees with c
+    # or with beta c on at most k - 1 = 1 position, so c and beta c alone lie
+    # at the least distance 4, each the candidate of its C(4, 2) = 6 sets,
+    # and 2 * 4 >= d.  And c plus two errors: C(6, 2) = 15 sets of one
+    # codeword at distance 2, inside the radius.  Each rebuilds one row
+    # per distinct codeword, and the two outcomes equal the scan's
+    field = make_field(3, 2)
+    code = make_rs_code(field, 8, 2)
+    P = projective_codeword_matrix(code).astype(np.int64)
+    c = P[np.flatnonzero(np.count_nonzero(P, axis=1) == 8)[0]]
+    both = np.concatenate([c[:4], field.scalar_mul_array(2, c[4:])])
+    near = c.copy()
+    near[[1, 6]] = field.add_array(near[[1, 6]], np.array([1, 3]))
+    words = [Vector(field, both), Vector(field, near)]
+    scan = [angular_decode(u, code) for u in words]
+    monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
+    monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
+    rebuilt = []
+    candidate_rows = fqangle.codes._candidate_rows
+    monkeypatch.setattr(fqangle.codes, "_candidate_rows",
+                        lambda u, code, tables, checks, sets: rebuilt.append(len(sets)) or candidate_rows(u, code, tables, checks, sets))
+    taken = record_candidates(monkeypatch)
+    assert [angular_decode(u, code) for u in words] == scan and len(taken) == 2
+    assert rebuilt == [2, 1]
+    assert scan[0].kind is DecodeKind.BEYOND_RADIUS and scan[0].best == ((projectivize(Vector(field, c)), 4),)
+    assert scan[1].unique and scan[1].best == ((projectivize(Vector(field, c)), 2),)
+    for u, ties in zip(words, (2 * 6, 15)):
+        dist, _ = fqangle.codes._infoset_candidates(u.coords, code, code._rs.infosets)
+        assert np.count_nonzero(dist == dist.min()) == ties
+    assert [angle_to_code(u, code) for u in words] == [4, 2] and rebuilt == [2, 1]  # no rows built
 
 
 def test_rs_tables_hold_no_reference_to_their_code(monkeypatch):
@@ -1121,23 +1228,25 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
     # each candidate's Hamming distance bounds its direction's angle, and
     # equals it at every direction at angle <= d - 1, on any code; but the
     # least distance can exceed d - 1 on a non-MDS code, where the scan
-    # must decide
+    # must decide.  The checks of (k + 1)-subsets hold on MDS codes only,
+    # so the candidates here come from the k-gather reference
     from fqangle import field_from_order
 
     field = field_from_order(q)
     code = planted_non_mds_code(field, n, k, seed=q * n)
     d = min_distance(code)
-    blocks, tables = reference_blocks(code), reference_tables(code)
+    blocks, reference = reference_blocks(code), reference_maps(code)
     rng = np.random.default_rng(n)
     U = np.vstack([rng.integers(0, field.q, size=(60, n)), np.eye(n, dtype=np.int64)])  # and weight 1
     words = [Vector(field, u) for u in U[U.any(axis=1)]]
-    above = 0
+    above = {}
     for u in words:
-        dist, _ = fqangle.codes._infoset_candidates(u.coords, code, tables)
+        dist, rows = gather_candidates(u.coords, code, reference)
         full = np.vstack([field.matmul(u.coords[list(S)][None], M) for S, M in blocks])
         nonzero = full.any(axis=1)
-        assert np.array_equal(nonzero, u.coords[tables.subsets].any(axis=0))
+        assert np.array_equal(nonzero, u.coords[reference[0]].any(axis=0))
         assert (dist[~nonzero] == n + 1).all()  # the zero candidate, which has no direction
+        assert np.array_equal(rows[nonzero], full[nonzero])
         full, dist = full[nonzero], dist[nonzero]
         assert np.array_equal(dist, np.count_nonzero(full != u.coords, axis=1))  # each distance recounted
         scan = fqangle.codes._angle_table(field, u.coords[None, :], projective_codeword_matrix(code))[0]
@@ -1146,21 +1255,20 @@ def test_candidates_on_a_non_mds_code_can_miss_the_least_angle(q, n, k, monkeypa
         least = np.full(len(scan), n + 1)
         np.minimum.at(least, rows, dist)
         assert np.array_equal(least[scan < d], scan[scan < d])  # and attains it below d
-        above += int(dist.min(initial=n + 1)) > d - 1  # as where u vanishes on every information set
+        if int(dist.min(initial=n + 1)) > d - 1:  # as where u vanishes on every information set
+            above[u] = gather_candidates(u.coords, code, reference)
     assert above
-    # forced past the Reed-Solomon gate with these candidates, the guard
-    # still hands those words to the scan.  Only make_rs_code gives a code
-    # points, so they are forced on here past the frozen code, with the
-    # reference tables as the code's Reed-Solomon tables
-    scan = [angular_decode(u, code) for u in words]
+    # handed those distances past the Reed-Solomon gate, the guard still
+    # gives those words to the scan.  Only make_rs_code gives a code
+    # points, so they are forced on here past the frozen code
+    scan = [angular_decode(u, code) for u in above]
     object.__setattr__(code, "eval_points", np.arange(n))
-    monkeypatch.setattr(fqangle.codes._ReedSolomon, "build", lambda *a: types.SimpleNamespace(infosets=tables))
+    monkeypatch.setattr(fqangle.codes._ReedSolomon, "build", lambda *a: types.SimpleNamespace(infosets=None))
     monkeypatch.setattr(fqangle.codes, "_FAST_MIN_SCAN", 0)
     monkeypatch.setattr(fqangle.codes, "_infosets_pay", lambda code: True)
     monkeypatch.setattr(fqangle.codes, "berlekamp_welch", lambda *args: None)
-    monkeypatch.setattr(fqangle.codes, "_direction_indices", reference_directions)
-    taken = record_candidates(monkeypatch)
-    assert [angular_decode(u, code) for u in words] == scan and len(taken) == len(words)
+    monkeypatch.setattr(fqangle.codes, "_infoset_candidates", lambda u, code, tables: above[Vector(field, u)])
+    assert [angular_decode(u, code) for u in above] == scan
 
 
 def test_infoset_dispatch(monkeypatch):
@@ -1191,7 +1299,9 @@ def test_sorted_distinct_equals_unique():
     rng = np.random.default_rng(8)
     for size in (1, 2, 40):
         a = rng.integers(0, 3, size=size)
-        assert np.array_equal(fqangle.codes._sorted_distinct(a), np.unique(a))
+        first = fqangle.codes._first_occurrences(a)
+        assert np.array_equal(a[first], np.unique(a))
+        assert np.array_equal(first, np.unique(a, return_index=True)[1])
 
 
 def test_uniform_word_decodes_import_no_numpy_ma():
