@@ -730,11 +730,10 @@ def _least(u: np.ndarray, code: LinearCode, d: int, rows: bool = False) -> tuple
         P = projective_codeword_matrix(code)
         angles = _angle_table(code.field, u[None, :], P)[0]
         a = int(angles.min())
-        at_a = angles == a
-        tied = np.count_nonzero(at_a) > 1
-        found = P[at_a] if rows else None
+        found = P[angles == a]
+        tied = len(found) > 1
     _assert_unique(u, a, tied, d)
-    return a, found
+    return a, found if rows else None
 
 
 def _assert_unique(u: np.ndarray, a: int, tied: bool, d: int):

@@ -1091,7 +1091,7 @@ def infoset_id(case):
     return f"RS[{n},{k}]/GF({field.q}){'-points' if points else ''}"
 
 
-@pytest.mark.parametrize("case", INFOSET_CODES[:-1], ids=infoset_id)
+@pytest.mark.parametrize("case", INFOSET_CODES, ids=infoset_id)
 def test_lagrange_tables_equal_row_reduce(case):
     field, n, k, points = case
     code = make_rs_code(field, n, k, points)
