@@ -414,23 +414,21 @@ class _ReedSolomon:
             return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), size)),
                                dtype=np.intp).reshape(-1, size).T.copy()
 
-        binom = np.array([math.comb(a, b) for a in range(n) for b in range(k, 0, -1)])  # (n, k): C(a, k - l)
-
-        def rank(S):  # the index of each k-subset S in combinations order
-            return math.comb(n, k) - 1 - binom.take((n - 1 - S) * k + np.arange(k)[:, None]).sum(axis=0)
-
-        positions, subsets = combinations(k + 1), combinations(k)
-        flat = self.log_diff.ravel()
-        weights = np.zeros(positions.shape, dtype=np.int64)
-        for T_s in positions:  # one member of every T at a time: no (k + 1, k + 1, sets) temporary
-            weights -= flat.take(positions * n + T_s)
-        sup = np.empty((n - k, subsets.shape[1]), dtype=np.intp)
-        for j in range(k + 1):  # T = S + {T_j}: the j positions of S below T_j leave T_j - j off S below it
-            S = np.delete(positions, j, axis=0)
-            sup.put((positions[j] - j) * subsets.shape[1] + rank(S), np.arange(positions.shape[1]))
-        bits = (np.uint64(1) << positions.astype(np.uint64)).sum(axis=0, dtype=np.uint64)
-        tables = _InfoSets(positions, (weights % L).astype(log.dtype), bits, subsets.astype(np.min_scalar_type(n - 1)),
-                           sup, log, exp.astype(np.min_scalar_type(L)))
+        # Every temporary below is one row of positions or a narrow (k + 1, sets)
+        # array, so the build adds about the tables' own size to the heap:
+        # freed 2-D intp temporaries leave heap that later words touch.
+        positions, sets = combinations(k + 1), math.comb(n, k)
+        D = self.log_diff.astype(np.min_scalar_type(k * L))
+        weights = np.stack([D[T_j, positions].sum(axis=0, dtype=D.dtype) for T_j in positions])  # sums of logs
+        binom = [np.array([math.comb(a, b) for a in range(n)]) for b in range(k + 1)]  # binom[b][a] = C(a, b)
+        sup = np.empty((n - k, sets), dtype=np.intp)
+        for j, T_j in enumerate(positions):  # T = S + {T_j}: the j positions of S below T_j leave T_j - j off S below it
+            S = (T_s for s, T_s in enumerate(positions) if s != j)
+            rank = sets - 1 - sum(binom[k - l].take(n - 1 - S_l) for l, S_l in enumerate(S))
+            sup.put((T_j - j) * sets + rank, np.arange(positions.shape[1]))
+        bits = functools.reduce(np.bitwise_or, (np.uint64(1) << T_s.astype(np.uint64) for T_s in positions))
+        tables = _InfoSets(positions, ((L - weights % L) % L).astype(log.dtype), bits,
+                           combinations(k).astype(np.min_scalar_type(n - 1)), sup, log, exp.astype(np.min_scalar_type(L)))
         for t in vars(tables).values():
             t.setflags(write=False)
         return tables
@@ -459,9 +457,10 @@ def _infoset_candidates(u: np.ndarray, code: LinearCode, tables: _InfoSets) -> t
     reads n + 1, past every codeword's."""
     n, k = code.n, code.k
     logs = tables.log.take(u)
-    checks = code.field.sum_array(tables.exp.take(logs.take(tables.positions) + tables.weights))
+    # indexing, not take, by the read-only intp tables: take copies a read-only index
+    checks = code.field.sum_array(tables.exp.take(logs[tables.positions] + tables.weights))
     # a narrow sum: count_nonzero would sum intp
-    dist = (n - k) - (checks == 0).take(tables.sup).sum(axis=0, dtype=np.min_scalar_type(n + 1))
+    dist = (n - k) - (checks == 0)[tables.sup].sum(axis=0, dtype=np.min_scalar_type(n + 1))
     if np.count_nonzero(u) <= n - k:  # u may vanish on a k-subset
         dist[(logs.take(tables.subsets) == tables.log[0]).all(axis=0)] = n + 1
     return dist, checks

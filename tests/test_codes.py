@@ -1295,6 +1295,15 @@ def test_infoset_dispatch(monkeypatch):
     assert taken == [large, large]
 
 
+def test_infoset_tables_refuse_more_than_64_positions():
+    # the agreement sets are uint64 bitmasks; the information sets pay
+    # only where n <= 26, so no decode reaches this
+    code = make_rs_code(make_field(67), 65, 1)
+    assert not fqangle.codes._infosets_pay(code)
+    with pytest.raises(InvalidInput, match="n <= 64"):
+        code._rs.infosets
+
+
 def test_sorted_distinct_equals_unique():
     rng = np.random.default_rng(8)
     for size in (1, 2, 40):

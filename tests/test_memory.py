@@ -105,7 +105,8 @@ def test_decode_of_a_uniform_word():
 # 3.10 MiB measured (5.36 / 4.70 with argmin and partition copies and two
 # chunks' tables alive at once); bounds 3.75 / 3.5 MiB, margins 0.39 /
 # 0.40 MiB.
-@pytest.mark.parametrize("p,m,n,k,T,bound", [(7, 1, 7, 3, 10_000, 3.75 * MiB), (2, 4, 15, 5, 6, 3.5 * MiB)])
+@pytest.mark.parametrize("p,m,n,k,T,bound", [(7, 1, 7, 3, 10_000, 15 * MiB // 4), (2, 4, 15, 5, 6, 7 * MiB // 2)],
+                         ids=["RS[7,3]/GF(7)", "RS[15,5]/GF(16)"])
 def test_decode_chunks_bound_decode_rows(p, m, n, k, T, bound):
     field = make_field(p, m)
     code = make_rs_code(field, n, k)
