@@ -35,8 +35,9 @@ both_zero and the best ratio count is the elementwise max of the q - 1
 contiguous rows counts[1:q].  When T * (q + 1) cells would exceed
 ``_BINCOUNT_CELL_CAP`` over the whole input, each row's bins are sorted
 instead, and a position's run length along the row is its index + 1
-minus the start of its run; one long pair over a small field counts
-each slice's bins with compares (``_COMPARE_MAX_Q``).
+minus the start of its run.  A long one-row block over a small field, one
+pair or a row of ``angle_fast_rows`` alike, counts each slice's bins with
+compares (``_COMPARE_MAX_Q``); ``_slice_counts`` picks the counter.
 V may be one row shared by every row of U: its half of the pair index
 (v_i * q, or B[v_i] above 256) is then computed once and broadcast onto
 U's half.  A decode scans one word against every direction so, the
@@ -98,12 +99,12 @@ _BINCOUNT_CELL_CAP = 1 << 25
 # keeps a uint16 buffer within 128 KB, glibc's default mmap threshold.
 _BLOCK_BUDGET = 1 << 16
 
-# One pair's bins are counted with q + 2 compares, one bool pass each, in
-# place of bincount and its intp copy, when q <= _COMPARE_MAX_Q and
+# A one-row block's bins are counted with q + 2 compares, one bool pass
+# each, in place of bincount and its intp copy, when q <= _COMPARE_MAX_Q and
 # n >= _COMPARE_MIN_N * (q + 2)^2.  One pair, warm, 2-core Xeon, bincount /
 # compares: n = 2^16 242 / 26 us at q = 2, 141 / 64 at q = 7, 108 / 76 at
 # q = 9, 115 / 146 at q = 16; the compares first win near n = 8K at q = 2-3,
-# 16K at q = 5 and 32-64K at q = 7-9.  angle_fast_rows keeps bincount.
+# 16K at q = 5 and 32-64K at q = 7-9.
 _COMPARE_MAX_Q = 9
 _COMPARE_MIN_N = 1 << 9
 
@@ -173,14 +174,19 @@ def _compare_counts(bins: np.ndarray, q: int) -> np.ndarray:
     return np.array([[np.count_nonzero(np.equal(bins[0], b, out=eq))] for b in range(q + 2)])
 
 
-def _slice_counts(field: Field, U: np.ndarray, V: np.ndarray, count) -> np.ndarray:
-    """(q + 2, T) ratio-bin counts of one block, ``count(bins, q)`` summed
-    over slices of at most ``_BLOCK_BUDGET`` positions.  Only a block of one
-    long row spans more, and its bins and index then stay in cache."""
+def _slice_counts(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(q + 2, T) ratio-bin counts of one block, summed over slices of at
+    most ``_BLOCK_BUDGET`` positions.  Only a block of one long row spans
+    more, and its bins and index then stay in cache.  A one-row block over
+    a small field counts by compares (see ``_COMPARE_MAX_Q``), any other by
+    bincount."""
+    q, n = field.q, U.shape[1]
+    compare = len(U) == 1 and q <= _COMPARE_MAX_Q and n >= _COMPARE_MIN_N * (q + 2) ** 2
+    count = _compare_counts if compare else _bin_counts
     step = _BLOCK_BUDGET
-    counts = count(_ratio_bins(field, U[:, :step], V[:, :step]), field.q)
-    for s in range(step, U.shape[1], step):
-        counts += count(_ratio_bins(field, U[:, s : s + step], V[:, s : s + step]), field.q)
+    counts = count(_ratio_bins(field, U[:, :step], V[:, :step]), q)
+    for s in range(step, n, step):
+        counts += count(_ratio_bins(field, U[:, s : s + step], V[:, s : s + step]), q)
     return counts
 
 
@@ -201,7 +207,7 @@ def _sorted_census(bins: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 def _census_angles(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Angles of the paired rows of one block, from its bin-major counts."""
     q = field.q
-    counts = _slice_counts(field, U, V, _bin_counts)
+    counts = _slice_counts(field, U, V)
     return U.shape[1] - counts[0] - counts[1:q].max(axis=0)
 
 
@@ -236,8 +242,6 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         both_zero, best = _sorted_census(_ratio_bins(field, U, V), q)
         return n - both_zero - best
     rows = max(1, _BLOCK_BUDGET // max(q + 2, n))
-    if T <= rows:
-        return _census_angles(field, U, V)
     out = np.empty(T, dtype=np.int64)
     for s in range(0, T, rows):
         v = V if len(V) == 1 else V[s : s + rows]
@@ -307,17 +311,11 @@ def angle_fast(u: Vector, v: Vector) -> int:
 
 
 def _pair_counts(u: Vector, v: Vector) -> np.ndarray:
-    """(q + 2,) ratio-bin counts of a pair, which must be nonzero.
-
-    A long row over a small field counts each bin with one compare and
-    ``count_nonzero`` (see ``_COMPARE_MAX_Q``), else with the census's
-    bincount, either way one slice of ``_BLOCK_BUDGET`` positions at a
-    time."""
+    """(q + 2,) ratio-bin counts of a pair, which must be nonzero: the
+    census's one-row block (``_slice_counts``)."""
     _require_same_space(u, v)
     q = u.field.q
-    compare = q <= _COMPARE_MAX_Q and len(u) >= _COMPARE_MIN_N * (q + 2) ** 2
-    count = _compare_counts if compare else _bin_counts
-    counts = _slice_counts(u.field, u.coords[None, :], v.coords[None, :], count)[:, 0]
+    counts = _slice_counts(u.field, u.coords[None, :], v.coords[None, :])[:, 0]
     # u is zero iff bins 1..q are empty, v iff bins 1..q-1 and q+1 are
     both = counts[1:q].any()
     if not (both or counts[q]) or not (both or counts[q + 1]):

@@ -32,6 +32,7 @@ from .codes import (
 )
 from .errors import EnumerationTooLarge, FqAngleError, SuiteTooLarge, UniqueDecodingViolated
 from .experiments import (
+    _check_work,
     angle_vs_dist_census,
     bench_angle,
     verify_angular_decoding,
@@ -153,6 +154,8 @@ def cmd_angle(args) -> tuple[dict, int]:
     field = _field_from_args(args)
     u = parse_vector(field, args.u)
     v = parse_vector(field, args.v)
+    if args.verbose:  # the trace builds q - 1 multiples of n coordinates
+        _check_work((field.q - 1) * len(u), f"{field.q - 1} scalars x {len(u)} positions")
     c_star, a = argmin_scalar(u, v)
     doc = {
         "angle": a,

@@ -493,25 +493,16 @@ def _tied_rows(u: np.ndarray, code: LinearCode, tables: _InfoSets, checks: np.nd
     k-subsets of its agreement set A (c_i = u_i), n - a positions: an MDS
     code's codewords are equal once they agree on k positions.  So sets
     with equal agreement sets give one codeword, and one set per agreement
-    set is re-encoded.  Where n - a > k, A is the union of the check sets
-    S + {i} that are 0."""
+    set, its first, is re-encoded.  Where n - a > k, A is the union of the
+    check sets S + {i} that are 0.  Both de-duplications take np.unique's
+    return_index, whose stable sort imports nothing: a value-only
+    np.unique's first call imports numpy.ma, about 13 ms."""
     if code.n - a > code.k:
         sup = tables.sup[:, sets]
         agree = np.bitwise_or.reduce(np.where(checks.take(sup) == 0, tables.bits.take(sup), 0), axis=0)
-        sets = sets[_first_occurrences(agree)]
+        sets = sets[np.unique(agree, return_index=True)[1]]
     directions = _direction_indices(code, _candidate_rows(u, code, tables, checks, sets))
-    return projective_codeword_matrix(code)[directions[_first_occurrences(directions)]]
-
-
-def _first_occurrences(a: np.ndarray) -> np.ndarray:
-    """The index of the first occurrence of each distinct element of a 1-D
-    array, by ascending element: np.unique's return_index without the
-    import of numpy.ma its first call makes, about 13 ms."""
-    order = np.argsort(a, kind="stable")
-    a = a[order]
-    starts = np.ones(len(a), dtype=bool)
-    starts[1:] = a[1:] != a[:-1]
-    return order[starts]
+    return projective_codeword_matrix(code)[directions[np.unique(directions, return_index=True)[1]]]
 
 
 def _direction_indices(code: LinearCode, C: np.ndarray) -> np.ndarray:

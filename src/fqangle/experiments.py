@@ -44,18 +44,24 @@ MAX_EXHAUSTIVE_VECTORS = 1 << 10
 # Past this many (direction, error pattern) pairs the decoding suite samples this many.
 MAX_DECODING_SAMPLES = 100_000
 
-# bench_angle refuses repetitions x sum(n) past this many positions, before
-# it draws any input: its memory bound.  Criterion 6 times 9 x 300,000 =
-# 2.7e6, 25 times fewer.  At the bound one length holds 2^26 / 5 = 13.4M
-# positions, so u and v take 107 MB each in int64.
+# bench_angle refuses repetitions x sum(n) past this many positions, and
+# verify_oracle_equivalence trials x n, before either draws any input: their
+# memory bound.  Criterion 6 times 9 x 300,000 = 2.7e6, 25 times fewer.  At
+# the bound one bench length holds 2^26 / 5 = 13.4M positions, so u and v
+# take 107 MB each in int64; the oracle suite draws U and V whole, 512 MiB
+# each at the bound (5.2 GB each at its default 10^4 trials and
+# n = 65536), and criterion 5's largest cell, 10^4 x 1000 = 10^7, stays 6.7
+# times inside it.
 MAX_BENCH_POSITIONS = 1 << 26
 
 # The work budget, checked before any input is drawn or allocated:
 # bench_angle refuses past it max(5, repetitions) x sum(n) x (q - 1), the
 # positions of the naive oracle's passes, verify_angular_decoding
-# samples x directions x n, the positions decode_rows scans, and
+# samples x directions x n, the positions decode_rows scans,
 # angle_vs_dist_census samples x (directions + q^k) x n, the positions
-# decode_rows scans and those its reference compares with every codeword.
+# decode_rows scans and those its reference compares with every codeword,
+# and ``fqangle angle --verbose`` (q - 1) x n, the coordinates of the q - 1
+# multiples its trace builds.
 # Measured on a 2-core Xeon, one warm call each: the oracle takes 1.2-3.8 ns
 # per position of a pass (GF(251), n = 10^5: 46 ms; GF(65521), n = 4,000:
 # 1.0 s), and decode_rows 6.7-10.4 ns per position (2,000 words on
@@ -279,11 +285,14 @@ def verify_projective_descent(field: Field, n: int) -> SuiteReport:
 
 def verify_oracle_equivalence(field: Field, n: int, trials: int, seed: int) -> SuiteReport:
     """The single-pass algorithm against the brute-force definition on
-    seeded random nonzero pairs."""
+    seeded random nonzero pairs.  Raises SuiteTooLarge when trials x n
+    exceeds MAX_BENCH_POSITIONS, before any input is drawn."""
     t0 = time.perf_counter()
     n = _at_least("n", n, 1)
     trials = _at_least("the number of trials", trials, 1)
     seed = _at_least("seed", seed, 0)
+    if trials * n > MAX_BENCH_POSITIONS:
+        raise SuiteTooLarge(f"{trials} trials x {n} positions exceed the {MAX_BENCH_POSITIONS} oracle guard")
     rng = np.random.default_rng(seed)
     U = random_nonzero_rows(rng, field, trials, n)
     V = random_nonzero_rows(rng, field, trials, n)

@@ -468,8 +468,8 @@ class Field:
 
         - m = 1: c = 1, 2, ..., p - 1, each step adding V and subtracting
           p where the sum wrapped (min(w, w - p) in unsigned arithmetic,
-          so the dtype holds 2(p - 1): uint8 for p <= 128, uint16 below
-          2^15, else uint32);
+          so the dtype is the narrowest that holds 2(p - 1): uint8 for
+          p <= 128, uint16 below 2^15, else uint32);
         - p = 2: c along a Gray code over the polynomial basis x^j * V,
           j < m, built by shift and XOR with the modulus, one XOR a step;
         - odd p with m > 1: c = g^k, gathered from the window
@@ -480,7 +480,7 @@ class Field:
         """
         q = self.q
         if self.m == 1:
-            dtype = np.uint8 if q <= 128 else np.uint16 if q < 1 << 15 else np.uint32
+            dtype = np.min_scalar_type(2 * (q - 1))
             v = V.astype(dtype)
             w = v.copy()
             t = np.empty_like(w)

@@ -817,33 +817,55 @@ def test_zero_vector_rejected():
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 8, 9, 11])
 def test_pair_counts_compare_bins_from_the_edge(q, monkeypatch):
     # below n = _COMPARE_MIN_N * (q + 2)^2, and for q > _COMPARE_MAX_Q at any
-    # n, one pair is counted by bincount; from the edge on, by compares.  A
-    # pair longer than _BLOCK_BUDGET is counted in slices, so the widths
-    # that reach bincount are summed per call
+    # n, a one-row block -- one pair, or one row of angle_fast_rows -- is
+    # counted by bincount; from the edge on, by compares.  A block of more
+    # rows is counted by bincount.  A row longer than _BLOCK_BUDGET is
+    # counted in slices, so the widths each counter sees are summed per call
     from fqangle import field_from_order
 
     field = field_from_order(q)
     edge = fqangle.angle._COMPARE_MIN_N * (q + 2) ** 2
-    bincounts = []
-    real = fqangle.angle._bin_counts
-    monkeypatch.setattr(fqangle.angle, "_bin_counts",
-                        lambda bins, q: bincounts[-1].append(bins.shape[1]) or real(bins, q))
+    calls = []
+    for name in ("_compare_counts", "_bin_counts"):
+        real = getattr(fqangle.angle, name)
+        monkeypatch.setattr(fqangle.angle, name, lambda bins, q, name=name, real=real:
+                            calls.append((name, bins.shape[0], bins.shape[1])) or real(bins, q))
+
+    def counted():
+        """{(counter, rows of its block): positions counted} since the last call."""
+        spent = {}
+        for name, rows, width in calls:
+            spent[name, rows] = spent.get((name, rows), 0) + width
+        calls.clear()
+        return spent
+
     rng = np.random.default_rng(q)
     for n in (edge - 1, edge):
+        counter = "_compare_counts" if q <= fqangle.angle._COMPARE_MAX_Q and n >= edge else "_bin_counts"
         u, v = rng.integers(0, q, n), rng.integers(0, q, n)
-        bincounts.append([])
         census = build_census(Vector(field, u), Vector(field, v))
+        assert counted() == {(counter, 1): n}
         both = (u != 0) & (v != 0)
         assert census.both_zero == np.count_nonzero((u == 0) & (v == 0))
         assert census.only_u == np.count_nonzero((u != 0) & (v == 0))
         assert census.only_v == np.count_nonzero((u == 0) & (v != 0))
         assert census.ratio_counts == {
             c: np.count_nonzero(both & (u == field.mul_array(c, v))) for c in range(1, q)}
-        bincounts.append([])
         c, angle = argmin_scalar(Vector(field, u), Vector(field, v))
+        assert counted() == {(counter, 1): n}
         assert angle == angle_naive(Vector(field, u), Vector(field, v))
-    widths = [sum(w) for w in bincounts if w]
-    assert widths == [edge - 1] * 2 + ([] if q <= fqangle.angle._COMPARE_MAX_Q else [edge] * 2)
+        assert angle_fast(Vector(field, u), Vector(field, v)) == angle
+        counted()
+        # one row of angle_fast_rows: the pair's counter and angle
+        assert angle_fast_rows(field, u[None], v[None]).tolist() == [angle]
+        assert counted() == {(counter, 1): n}
+        assert angle_naive_rows(field, u[None], v[None]).tolist() == [angle]
+        # two rows, one shared V: one block of both rows by bincount where
+        # the budget holds two rows, else two one-row blocks
+        U = np.stack([u, v])
+        assert np.array_equal(angle_fast_rows(field, U, v[None]), angle_naive_rows(field, U, np.stack([v, v])))
+        two = fqangle.angle._BLOCK_BUDGET // n >= 2
+        assert counted() == ({("_bin_counts", 2): n} if two else {(counter, 1): 2 * n})
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (257, 1), (2, 16)])
@@ -969,6 +991,7 @@ def test_one_nonzero_coordinate_in_the_first_or_last_slice(p, m, side, monkeypat
 @pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 4), (251, 1), (257, 1)])
 def test_fast_rows_sum_the_slices_of_long_rows(p, m, monkeypatch):
     field = make_field(p, m)
+    compare_max_q = fqangle.angle._COMPARE_MAX_Q
     widths = _spy_slices(monkeypatch, "bincount")
     T, n = 3, 3 * SLICE + 1
     U, V = _census_rows(field, np.random.default_rng(field.q), T, n)
@@ -978,6 +1001,18 @@ def test_fast_rows_sum_the_slices_of_long_rows(p, m, monkeypatch):
     assert widths == slices * T  # one-row blocks, each in slices
     shared = np.broadcast_to(V[0], U.shape)
     assert np.array_equal(angle_fast_rows(field, U, V[:1]), angle_naive_rows(field, U, shared))
+    # with the compare edge at 0, the one-row blocks over q <= 9 count their
+    # slices by compares; rows of 20 fill blocks of three where q + 2 <= 20,
+    # and those keep bincount
+    monkeypatch.setattr(fqangle.angle, "_COMPARE_MAX_Q", compare_max_q)
+    counter = "_compare_counts" if field.q <= compare_max_q else "_bin_counts"
+    del widths[:]
+    assert np.array_equal(angle_fast_rows(field, U, V), angle_naive_rows(field, U, V))
+    assert widths == [(counter, w) for _, w in slices] * T
+    del widths[:]
+    U, V = U[:, -20:], V[:, -20:]
+    assert np.array_equal(angle_fast_rows(field, U, V), angle_naive_rows(field, U, V))
+    assert widths == [("_bin_counts", 20)] * (1 if field.q + 2 <= 20 else T)
 
 
 def test_mismatch_rejected():

@@ -460,6 +460,66 @@ def test_work_budget_refusals_exit_2(capsys, monkeypatch):
         assert len(lines) == 1 and lines[0].startswith("error: ") and "work budget" in lines[0]
 
 
+def _one_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_oracle_suite_refuses_past_its_position_bound(capsys, monkeypatch):
+    import fqangle.experiments
+
+    real = fqangle.experiments.random_nonzero_rows
+
+    def no_draw(*args):
+        raise AssertionError("an input was drawn")
+
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", no_draw)
+    # the default 10^4 trials of 65536 positions would draw 5.2 GB per array;
+    # 10^4 x 6711 is the first length past the bound
+    for argv in (("--q", "3", "--n", "65536"), ("--q", "65521", "--n", "6711")):
+        code, out, err = run(capsys, "verify", "--suite", "oracle", *argv)
+        assert code == 2 and out == ""
+        assert "oracle guard" in _one_error_line(err)
+    # trials x n exactly at the bound runs; one trial more is refused
+    monkeypatch.setattr(fqangle.experiments, "MAX_BENCH_POSITIONS", 60)
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--q", "7", "--n", "10", "--trials", "7")
+    assert code == 2 and out == "" and "oracle guard" in _one_error_line(err)
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", real)
+    code, doc, err = run_json(capsys, "verify", "--suite", "oracle", "--q", "7", "--n", "10", "--trials", "6")
+    assert code == 0 and err == ""
+    assert doc["checks_run"] == 6 and doc["failures"] == []
+
+
+def test_angle_verbose_refuses_past_the_work_budget(capsys, monkeypatch):
+    import fqangle.cli
+    import fqangle.experiments
+
+    real = fqangle.cli.scalar_mul
+
+    def no_trace(*args):
+        raise AssertionError("the trace was built")
+
+    monkeypatch.setattr(fqangle.cli, "scalar_mul", no_trace)
+    # (q - 1) x n = 65520 x 16389 is just past 2^30
+    u = ",".join(["1"] * 16389)
+    code, out, err = run(capsys, "angle", "--q", "65521", "--u", u, "--v", u, "--verbose")
+    assert code == 2 and out == ""
+    assert "work budget" in _one_error_line(err)
+    # 6 x 4 exactly at the budget runs; 6 x 5 is refused, and only with --verbose
+    monkeypatch.setattr(fqangle.experiments, "MAX_WORK", 24)
+    code, out, err = run(capsys, "angle", "--q", "7", "--u", "1,2,3,4,5", "--v", "1,1,1,1,1", "--verbose")
+    assert code == 2 and out == "" and "work budget" in _one_error_line(err)
+    code, doc, _ = run_json(capsys, "angle", "--q", "7", "--u", "1,2,3,4,5", "--v", "1,1,1,1,1")
+    assert code == 0 and "trace" not in doc
+    monkeypatch.setattr(fqangle.cli, "scalar_mul", real)
+    code, doc, err = run_json(capsys, "angle", "--q", "7", "--u", "1,2,3,4", "--v", "1,1,1,1", "--verbose")
+    assert code == 0 and err == ""
+    assert [t["c"] for t in doc["trace"]] == [1, 2, 3, 4, 5, 6]
+    assert min(t["distance"] for t in doc["trace"]) == doc["angle"] == 3
+
+
 def test_decode_and_angle_json_unchanged_on_a_seeded_set(capsys):
     # the digest of this set's exit codes, stdout and stderr, recorded with
     # every coordinate formatted as str(int(x)): the text must not change

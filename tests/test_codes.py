@@ -1304,18 +1304,10 @@ def test_infoset_tables_refuse_more_than_64_positions():
         code._rs.infosets
 
 
-def test_sorted_distinct_equals_unique():
-    rng = np.random.default_rng(8)
-    for size in (1, 2, 40):
-        a = rng.integers(0, 3, size=size)
-        first = fqangle.codes._first_occurrences(a)
-        assert np.array_equal(a[first], np.unique(a))
-        assert np.array_equal(first, np.unique(a, return_index=True)[1])
-
-
 def test_uniform_word_decodes_import_no_numpy_ma():
-    # np.unique's first call imports numpy.ma, about 13 ms of a one-word
-    # CLI decode; the information sets de-duplicate their ties without it
+    # a value-only np.unique's first call imports numpy.ma, about 13 ms of a
+    # one-word CLI decode; the information sets de-duplicate their ties by
+    # np.unique's return_index, which imports nothing
     script = "\n".join([
         "import sys",
         "import numpy as np",

@@ -501,6 +501,24 @@ def test_census_work_budget_counts_directions_and_codewords(monkeypatch):
     assert "_projective" not in vars(large) and "_codewords" not in vars(large)
 
 
+def test_oracle_suite_position_bound_counts_trials_times_length(monkeypatch):
+    # trials x n, refused past MAX_BENCH_POSITIONS before any input is drawn
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(fqangle.experiments, "random_nonzero_rows", drawn)
+    with pytest.raises(Drawn):  # criterion 5's largest cell, 10^4 x 1000
+        verify_oracle_equivalence(make_field(251), 1000, 10_000, seed=42)
+    with pytest.raises(Drawn):  # at the bound
+        verify_oracle_equivalence(F3, MAX_BENCH_POSITIONS // 4, 4, seed=0)
+    for trials, n in ((4, MAX_BENCH_POSITIONS // 4 + 1), (10_000, 65536), (1, MAX_BENCH_POSITIONS + 1)):
+        with pytest.raises(SuiteTooLarge, match="oracle guard"):
+            verify_oracle_equivalence(F3, n, trials, seed=0)
+
+
 def test_bench_q2_algorithms_comparable():
     # with a single nonzero scalar, brute force is one pass too
     records = {r.algo: r.median_ns for r in bench_angle(make_field(2), [1 << 16], repetitions=9)}

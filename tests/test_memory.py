@@ -58,11 +58,13 @@ def test_census_blocks_bound_fast_rows(p, m):
 
 
 # One prebuilt pair of 2^20 coordinates, counted in slices of 2^16
-# positions: by compares at q = 2, by bincount above.  0.69 MiB measured at
-# q = 2, 16 and 251, 0.75 at 256 (11.0-12.0 MiB over the whole row);
-# bound 1 MiB.  GF(65521): 1.63 MiB (16.0 over the whole row), bound 2 MiB,
-# its 65,523 count cells being 512 KiB per slice.  build_census gets no gate:
-# over GF(65521) it returns a 65,519-entry dict of 7.7 MiB.
+# positions: by compares at q = 2, by bincount above, the same as a
+# one-row angle_fast_rows call.  0.69 MiB measured at q = 2, 16 and 251,
+# 0.75 at 256 (11.0-12.0 MiB over the whole row), for the pair and the
+# one-row call alike; bound 1 MiB.  GF(65521): 1.63 MiB (16.0 over the
+# whole row), bound 2 MiB, its 65,523 count cells being 512 KiB per slice.
+# build_census gets no gate: over GF(65521) it returns a 65,519-entry dict
+# of 7.7 MiB.
 @pytest.mark.parametrize("q,bound", [(2, MiB), (16, MiB), (251, MiB), (256, MiB), (65521, 2 * MiB)])
 def test_slices_bound_one_long_pair(q, bound):
     field = field_from_order(q)
@@ -70,6 +72,7 @@ def test_slices_bound_one_long_pair(q, bound):
     u, v = (Vector(field, rng.integers(0, q, 1 << 20)) for _ in range(2))
     assert _warm_peak(lambda: angle_fast(u, v)) < bound
     assert _warm_peak(lambda: argmin_scalar(u, v)) < bound
+    assert _warm_peak(lambda: angle_fast_rows(field, u.coords[None], v.coords[None])) < bound
 
 
 def test_sort_census_of_a_wide_field_batch():
