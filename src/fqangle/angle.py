@@ -242,6 +242,8 @@ def angle_fast_rows(field: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         both_zero, best = _sorted_census(_ratio_bins(field, U, V), q)
         return n - both_zero - best
     rows = max(1, _BLOCK_BUDGET // max(q + 2, n))
+    if T <= rows:  # one block, as a decode scan of a small code is: no output array or slices
+        return _census_angles(field, U, V)
     out = np.empty(T, dtype=np.int64)
     for s in range(0, T, rows):
         v = V if len(V) == 1 else V[s : s + rows]
