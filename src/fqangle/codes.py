@@ -374,7 +374,7 @@ class _ReedSolomon:
         from one synthetic division per coefficient, over every point at
         once; the weights from the log differences."""
         n, L = points.size, field.q - 1
-        log, _ = field.mul_tables
+        log, exp = field.mul_tables
         g0, up = np.zeros((2, n + 1), dtype=np.int64)
         g0[0] = 1
         for xi in points.tolist():  # g0 (x - x_i): x g0 shifts g0 up, whose top is 0 until the last step
@@ -384,9 +384,9 @@ class _ReedSolomon:
         Q[:, n - 1] = 1
         for j in range(n - 1, 0, -1):
             Q[:, j - 1] = field.add_array(g0[j], field.mul_array(points, Q[:, j]))
-        D = field.log_table[field.sub_array(points[:, None], points[None, :])]
-        np.fill_diagonal(D, 0)
-        w = field.exp_table[-D.sum(axis=1) % L]
+        D = log[field.sub_array(points[:, None], points[None, :])]
+        np.fill_diagonal(D, 0)  # over the sentinel log of x_i - x_i = 0
+        w = exp[-D.sum(axis=1) % L]
         tables = cls(field, D, tuple(g0.tolist()), log.take(field.mul_array(w[:, None], Q)),
                      log.take(generator), _Poly(field))
         for t in (tables.log_diff, tables.lagrange, tables.generator_log):

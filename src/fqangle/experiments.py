@@ -417,9 +417,14 @@ _BENCH_SEED = 0
 def bench_angle(field: Field, n_values: list[int], repetitions: int = 9) -> list[BenchRecord]:
     """Median wall time of both algorithms on identical random inputs.
 
-    At least 5 repetitions (1 to 4 run 5), medians taken over warm runs.
-    Raises SuiteTooLarge, before any input is drawn, when repetitions x
-    sum(n) exceeds MAX_BENCH_POSITIONS or that times q - 1 exceeds MAX_WORK.
+    Every length's pair is drawn first.  Each algorithm then runs two
+    warm-up rounds and ``repetitions`` timed rounds (at least 5: 1 to 4
+    run 5); a round calls every length once, and the order of the lengths
+    reverses from one round to the next, so a slow spell lands on the
+    samples of every length alike rather than on one length's median.
+    Records come per length, fast before naive.  Raises SuiteTooLarge,
+    before any input is drawn, when repetitions x sum(n) exceeds
+    MAX_BENCH_POSITIONS or that times q - 1 exceeds MAX_WORK.
     """
     reps = max(5, _at_least("repetitions", repetitions, 1))
     n_values = [_at_least("n", n, 1) for n in n_values]
@@ -429,25 +434,14 @@ def bench_angle(field: Field, n_values: list[int], repetitions: int = 9) -> list
     _check_work(reps * sum(n_values) * (field.q - 1),
                 f"{reps} repetitions x {sum(n_values)} positions x {field.q - 1} oracle passes")
     rng = np.random.default_rng(_BENCH_SEED)
-    records = []
-    for n in n_values:
-        u = Vector(field, random_nonzero_rows(rng, field, 1, n)[0])
-        v = Vector(field, random_nonzero_rows(rng, field, 1, n)[0])
-        for algo, fn in (("fast", angle_fast), ("naive", angle_naive)):
-            fn(u, v)
-            fn(u, v)  # warm-up
-            times = []
-            for _ in range(reps):
+    pairs = [[Vector(field, random_nonzero_rows(rng, field, 1, n)[0]) for _ in range(2)] for n in n_values]
+    algos = {"fast": angle_fast, "naive": angle_naive}
+    times = {}
+    for algo, fn in algos.items():
+        for r in range(2 + reps):  # rounds 0 and 1 warm up
+            for i in range(len(n_values))[:: -1 if r % 2 else 1]:
                 start = time.perf_counter_ns()
-                fn(u, v)
-                times.append(time.perf_counter_ns() - start)
-            records.append(
-                BenchRecord(
-                    algo=algo,
-                    q=field.q,
-                    n=n,
-                    repetitions=reps,
-                    median_ns=int(np.median(times)),
-                )
-            )
-    return records
+                fn(*pairs[i])
+                times.setdefault((algo, i), []).append(time.perf_counter_ns() - start)
+    return [BenchRecord(algo, field.q, n, reps, int(np.median(times[algo, i][2:])))
+            for i, n in enumerate(n_values) for algo in algos]

@@ -620,12 +620,11 @@ class Field:
         # A[a] = log a, B[b] = L - log b, so a, b != 0 give an index in
         # [1, 2L - 1] whose value mod L is log(a / b).  Zero coordinates
         # move the index into disjoint sentinel ranges.
-        A = self.log_table.copy()
-        A[0] = 2 * L  # a = 0, b != 0: index in [2L + 1, 3L]
-        B = L - self.log_table
+        A, exp = self.sentinel_log_tables()  # A[0] = 2L: a = 0, b != 0 gives an index in [2L + 1, 3L]
+        B = L - A
         B[0] = 3 * L + 1  # a != 0, b = 0: index in [3L + 1, 4L]; both zero: 5L + 1
         E = np.zeros(5 * L + 2, dtype=np.min_scalar_type(q + 1))
-        E[1 : 2 * L] = self.exp_table[np.arange(1, 2 * L) % L]
+        E[1 : 2 * L] = exp[1 : 2 * L]  # g^(i mod L)
         E[2 * L + 1 : 3 * L + 1] = q + 1
         E[3 * L + 1 : 4 * L + 1] = q
         if q <= 256:

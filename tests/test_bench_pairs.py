@@ -66,6 +66,32 @@ def test_summary_reports_failures_and_wrong_outputs_per_side():
     assert out["metrics"]["work_per_s"]["change_wins"] == 2
 
 
+STEADY = [100, 102, 98, 101, 99]  # quartiles 99, 100, 101: a spread of 2
+WIDE = [60, 80, 100, 120, 140]  # quartiles 80, 100, 120: a spread of 40, past the bound of 25
+
+
+@pytest.mark.parametrize("metric,parent,change,expected", [
+    ("work_per_s", STEADY, [70, 72, 68, 71, 69], "worse"),  # 30 below the median, past the bound of 25
+    ("work_per_s", STEADY, [80, 82, 78, 81, 79], "within_bound"),  # 20 below, inside the bound
+    ("work_per_s", WIDE, [100, 101, 99, 100, 100], "unresolved"),
+    ("work_per_s", WIDE, [141, 139, 150, 150, 150], "unresolved"),  # won 5 of 5 pairs, but 139 < 140
+    ("work_per_s", WIDE, [141, 142, 150, 150, 150], "better"),  # every change run beats every parent run
+    ("work_per_s", WIDE, [70, 71, 72, 73, 74], "worse"),  # past the bound, whatever the spread
+    ("work_per_s", STEADY, [110, 111, 109, 112, 108], "better"),  # won 5 of 5, 10 above the median
+    ("work_per_s", STEADY, [101, 103, 99, 102, 100], "within_bound"),  # won 5 of 5, by less than the spread
+    ("work_per_s", STEADY, [110, 111, 109, 112, 90], "within_bound"),  # 10 above, but won 4 of 5
+    ("call_p50_us", STEADY, [130, 132, 128, 131, 129], "worse"),  # lower is better
+    ("call_p50_us", STEADY, [90, 91, 89, 92, 88], "better"),
+    ("call_p50_us", WIDE, [59, 58, 50, 50, 50], "better"),  # every change run beats every parent run
+])
+def test_verdict_applies_the_no_regression_and_gain_rules(metric, parent, change, expected):
+    make = (lambda w: line(w, 50)) if metric == "work_per_s" else (lambda w: line(100, w))
+    out = bench_pairs.summarize([make(w) for w in parent], [make(w) for w in change], END_TO_END)
+    assert out["metrics"][metric]["verdict"] == expected
+    other = ({"work_per_s", "call_p50_us"} - {metric}).pop()
+    assert out["metrics"][other]["verdict"] == "within_bound"  # equal runs on both sides
+
+
 WORKLOADS = ["oracle-sweep", "angle-kernel", "decode-small", "decode-large"]
 REQUIRED = ["--parent", "HEAD~1", "--change", "HEAD", "--label", "x"]
 

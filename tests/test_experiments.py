@@ -425,6 +425,41 @@ def test_bench_records():
         assert r.to_dict()["positions_per_second"] == r.positions_per_second
 
 
+def test_bench_spreads_a_slow_spell_over_every_length(monkeypatch):
+    # Fakes advance a virtual clock by 1 ns (fast) or 30 ns (naive) per
+    # position, times 1.5 in a slow spell that starts at the first timed
+    # call (the third on one pair) and lasts as long as nine fast calls at
+    # the shorter length.  Timing each length in a window of its own puts the
+    # whole spell on that length's median (scaling 2000 / 1500); rounds that
+    # alternate the lengths leave most samples of both lengths outside it.
+    class Clock:
+        now = 0
+        spell_end = None
+
+        def perf_counter_ns(self):
+            return self.now
+
+    clock, calls, n = Clock(), {}, 1000
+
+    def fake(ns_per_position):
+        def call(u, v):
+            key = (ns_per_position, len(u))
+            calls[key] = calls.get(key, 0) + 1
+            if clock.spell_end is None and calls[key] == 3:
+                clock.spell_end = clock.now + 9 * n
+            slow = clock.spell_end is not None and clock.now < clock.spell_end
+            clock.now += ns_per_position * len(u) * (3 if slow else 2) // 2
+        return call
+
+    monkeypatch.setattr(fqangle.experiments, "time", clock)
+    monkeypatch.setattr(fqangle.experiments, "angle_fast", fake(1))
+    monkeypatch.setattr(fqangle.experiments, "angle_naive", fake(30))
+    records = {(r.algo, r.n): r.median_ns for r in bench_angle(F7, [n, 2 * n], 9)}
+    assert clock.spell_end is not None
+    assert records == {("fast", n): n, ("naive", n): 30 * n, ("fast", 2 * n): 2 * n, ("naive", 2 * n): 60 * n}
+    assert records["fast", 2 * n] / records["fast", n] == 2.0
+
+
 def test_bench_minimum_reps_enforced():
     records = bench_angle(make_field(2), [64], repetitions=1)
     assert all(r.repetitions == 5 for r in records)

@@ -46,10 +46,12 @@ def _rows(field, T, n, seed):
     return random_nonzero_rows(rng, field, T, n), random_nonzero_rows(rng, field, T, n)
 
 
-# T = 10^4, n = 1000, int64 inputs of 76 MiB each.  The census blocks hold
-# at most 2^16 positions, whatever q is: 0.76 MiB measured at every q
+# T = 10^4, n = 1000, int64 inputs of 76 MiB each.  The bincount census
+# blocks hold at most 2^16 positions: 0.76 MiB measured at each q here
 # (104.9 / 38.3 / 2.8 MiB with blocks sized by count cells alone); bound
-# 1 MiB, a 0.24 MiB margin.
+# 1 MiB, a 0.24 MiB margin.  Past _BINCOUNT_CELL_CAP, T (q + 1) > 2^25 or
+# q > 3,354 at this T, the sorted census runs on the whole input and is not
+# gated: 133.5 MiB measured at GF(2^12) and GF(3^8).
 @pytest.mark.parametrize("p,m", [(3, 1), (2, 4), (251, 1)])
 def test_census_blocks_bound_fast_rows(p, m):
     field = make_field(p, m)

@@ -19,10 +19,23 @@ commit ``git stash create`` prints after ``git add -A``; it touches no
 branch, index or file.
 
 The output holds, per workload and end-to-end metric, the quartiles of
-both sides, the ratio of the medians and the number of pairs the change
-won, plus every run's raw value.  ``--claim WORKLOAD`` names the workload
-whose metric the change claims to improve; ``--fresh-seed`` then adds a
-check of that workload on a second seed, over ``FRESH_PAIRS`` pairs.
+both sides, the ratio of the medians, the number of pairs the change
+won and a verdict, plus every run's raw value.  The verdict applies the
+no-regression and gain rules, in this order, with the metric's ``bound``
+taken relative to the parent's median and the parent's spread as the
+distance between its quartiles:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's spread is wider than the bound, and not
+  every change run beats every parent run;
+- ``better``: the change won at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's spread;
+- ``within_bound`` otherwise.
+
+``--claim WORKLOAD`` names the workload whose metric the change claims
+to improve; ``--fresh-seed`` then adds a check of that workload on a
+second seed, over ``FRESH_PAIRS`` pairs.
 
 Last, each tree runs the Tier-1 suite ``TIER1_RUNS`` times, alternating as
 the pairs do.  Its wall time is recorded per side beside pytest's counts
@@ -90,6 +103,23 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], wins: int, higher: bool, bound: float) -> str:
+    """worse, unresolved, better or within_bound for one metric's paired
+    runs (parent[i] and change[i] are pair i, wins of them won by the
+    change), by the module docstring's rules."""
+    sign = 1 if higher else -1
+    p = quartiles(parent)
+    gain = sign * (quartiles(change)["median"] - p["median"])  # > 0 where the change is better
+    spread, limit = p["q3"] - p["q1"], bound * abs(p["median"])
+    if gain < -limit:
+        return "worse"
+    if spread > limit and min(sign * x for x in change) <= max(sign * x for x in parent):
+        return "unresolved"
+    if 10 * wins >= 9 * len(parent) and gain > spread:
+        return "better"
+    return "within_bound"
+
+
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
     """Summary of paired result lines (parent[i] and change[i] are pair i).
 
@@ -111,6 +141,7 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         c = [r["metrics"][name]["value"] for r in change]
         higher = spec["better"] == "higher"
         p_sum, c_sum = quartiles(p), quartiles(c)
+        wins = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
         out["metrics"][name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -118,7 +149,8 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
             "parent": p_sum,
             "change": c_sum,
             "change_over_parent": c_sum["median"] / p_sum["median"] if p_sum["median"] else None,
-            "change_wins": sum((b > a) if higher else (b < a) for a, b in zip(p, c)),
+            "change_wins": wins,
+            "verdict": verdict(p, c, wins, higher, spec["bound"]),
             "runs": {"parent": p, "change": c},
         }
     return out
