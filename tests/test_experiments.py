@@ -457,7 +457,6 @@ def test_bench_spreads_a_slow_spell_over_every_length(monkeypatch):
     records = {(r.algo, r.n): r.median_ns for r in bench_angle(F7, [n, 2 * n], 9)}
     assert clock.spell_end is not None
     assert records == {("fast", n): n, ("naive", n): 30 * n, ("fast", 2 * n): 2 * n, ("naive", 2 * n): 60 * n}
-    assert records["fast", 2 * n] / records["fast", n] == 2.0
 
 
 def test_bench_minimum_reps_enforced():
